@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path as FsPath
 
@@ -189,13 +188,18 @@ def _sim_config(cfg: dict, args) -> SimConfig:
     )
 
 
-def _context(args):
+def _load(args):
+    """Config, model, validated parameters and output directory of a run."""
     cfg = _load_config(args.config)
-    base_dir = FsPath(args.config).resolve().parent
-    model = _build_model(cfg, base_dir)
+    model = _build_model(cfg, FsPath(args.config).resolve().parent)
     params = validate_params(cfg["params"]["alpha"], cfg["params"]["beta"])
-    sim_cfg = _sim_config(cfg, args)
     out_dir = FsPath(args.out or cfg.get("output_dir", "psde_out"))
+    return cfg, model, params, out_dir
+
+
+def _context(args):
+    cfg, model, params, out_dir = _load(args)
+    sim_cfg = _sim_config(cfg, args)
     analysis = cfg.get("analysis", {})
     fp = fingerprint(
         {
@@ -216,12 +220,8 @@ def _emit(report: dict, quiet: bool) -> None:
 
 
 def cmd_validate(args) -> int:
-    cfg = _load_config(args.config)
-    base_dir = FsPath(args.config).resolve().parent
-    model = _build_model(cfg, base_dir)
-    params = validate_params(cfg["params"]["alpha"], cfg["params"]["beta"])
+    _, model, params, out_dir = _load(args)
     horizon = smooth_density_horizon(params.alpha, params.beta, model.b_prime_sup)
-    out_dir = FsPath(args.out or cfg.get("output_dir", "psde_out"))
     fp = fingerprint({"model": model.describe(), "alpha": params.alpha, "beta": params.beta})
     report = write_json_report(
         out_dir / "validate.json",
@@ -453,12 +453,7 @@ def cmd_lamperti_check(args) -> int:
     report_obj = lamperti_mod.pathwise_reduction_check(
         model, params, sim_cfg, n_refinements=analysis.get("refinements", 3)
     )
-    x0 = sim_cfg.x0_seed_value / (1.0 - params.alpha - params.beta)
-    pilot = simulate_per_step(model, params, sim_cfg)
-    pad = 5.0 * float(np.max(np.abs(np.asarray(model.sigma(pilot.x))))) * math.sqrt(sim_cfg.horizon)
-    transform = lamperti_mod.build_transform(
-        model, x0, min(float(np.min(pilot.x)) - pad, x0), max(float(np.max(pilot.x)) + pad, x0)
-    )
+    transform = report_obj.transform
     write_csv(
         out_dir / "transform.csv",
         ["y", "g"],
@@ -520,15 +515,20 @@ def main(argv=None) -> int:
         SigmaNotPositiveError,
         FloatingPointError,
     ) as exc:
-        _error(type(exc).__name__, str(exc), EXIT_NUMERICAL)
+        diagnostics = {}
+        if isinstance(exc, CaseInconsistentError):
+            diagnostics["step"] = exc.step
+        if isinstance(exc, NoConvergenceError):
+            diagnostics["history"] = exc.history[-5:]
+        _error(type(exc).__name__, str(exc), EXIT_NUMERICAL, **diagnostics)
         return EXIT_NUMERICAL
     except OSError as exc:
         _error("IOError", str(exc), EXIT_IO)
         return EXIT_IO
 
 
-def _error(kind: str, message: str, code: int) -> None:
-    json.dump({"error": kind, "message": message, "exit_code": code}, sys.stderr, sort_keys=True)
+def _error(kind: str, message: str, code: int, **diagnostics) -> None:
+    json.dump({"error": kind, "message": message, "exit_code": code, **diagnostics}, sys.stderr, sort_keys=True)
     sys.stderr.write("\n")
 
 

@@ -7,6 +7,8 @@ Y = G(X), with unit diffusion and reduced drift
 
     b_tilde(z) = b(G^{-1}(z))/sigma(G^{-1}(z)) - sigma'(G^{-1}(z))/2.
 
+G is tabulated by adaptive composite Simpson (the same rule extends it past
+the table); G^{-1} is Newton with G' = 1/sigma from the inverted table.
 Anchoring G at X_0 makes the reduced identity seed-free: Y then solves the
 additive equation with seed value 0 on the same Brownian driver.  Only the
 inf sigma > 0 branch is implemented; a model with sup sigma < 0 is handled by
@@ -15,18 +17,15 @@ negating sigma and the driver first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
-from .errors import SigmaNotPositiveError
-from .models import Coefficient, CoefficientModel, make_model
+from .errors import NoConvergenceError, SigmaNotPositiveError
+from .models import Coefficient, CoefficientModel, constant, make_model
 from .params import PerturbationParams
 from .simulate import (
-    Path,
     SimConfig,
     brownian_driver,
     refine_increments,
@@ -36,6 +35,8 @@ from .simulate import (
 
 TABULATION_NODES = 4096
 QUADRATURE_TOL = 1e-10
+NEWTON_MAX_STEPS = 50
+NEWTON_ULPS = 4
 
 
 @dataclass(frozen=True)
@@ -46,56 +47,71 @@ class Transform:
     nodes: np.ndarray
     g_nodes: np.ndarray
     _g: PchipInterpolator
+    _g_inv: PchipInterpolator
     _b_tilde: PchipInterpolator
-    _sigma: object
     _model: CoefficientModel
 
     def g(self, y):
-        """G(y); outside the tabulated range extends by one-sided quadrature."""
+        """G(y): monotone interpolation of the table inside its range; outside,
+        the nearer end value plus a Simpson integral of 1/sigma from that end."""
         y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 0
-        y = np.atleast_1d(y)
-        out = np.empty_like(y)
-        inside = (y >= self.nodes[0]) & (y <= self.nodes[-1])
-        out[inside] = self._g(y[inside])
-        for idx in np.nonzero(~inside)[0]:
-            out[idx] = self._extend(y[idx])
-        return float(out[0]) if scalar else out
-
-    def _extend(self, y: float) -> float:
-        if y > self.nodes[-1]:
-            val, _ = quad(lambda u: 1.0 / float(np.asarray(self._sigma(u))), self.nodes[-1], y, epsabs=QUADRATURE_TOL)
-            return float(self.g_nodes[-1]) + val
-        val, _ = quad(lambda u: 1.0 / float(np.asarray(self._sigma(u))), y, self.nodes[0], epsabs=QUADRATURE_TOL)
-        return float(self.g_nodes[0]) - val
+        flat = np.atleast_1d(y)
+        out = self._g(flat)
+        lo, hi = self.nodes[0], self.nodes[-1]
+        outside = (flat < lo) | (flat > hi)
+        if outside.any():
+            yo = flat[outside]
+            above = yo > hi
+            ends = np.where(above, hi, lo)
+            span = _simpson(self._model.sigma, np.minimum(yo, ends), np.maximum(yo, ends), QUADRATURE_TOL)
+            out[outside] = np.where(above, self.g_nodes[-1] + span, self.g_nodes[0] - span)
+        return float(out[0]) if y.ndim == 0 else out
 
     def g_inv(self, z):
-        """Monotone bracketing root-find of G(y) = z on the tabulation."""
+        """G^{-1}(z): Newton steps y <- y - (G(y) - z) sigma(y) from the inverted
+        table's interpolant until each step is a few ulp; a step leaving the
+        bracket that G's monotonicity gives bisects instead.  Entries stop on
+        their own, so array and scalar calls agree bit for bit.  Non-finite z
+        gives NaN; raises :class:`NoConvergenceError` at the step cap."""
         z = np.asarray(z, dtype=float)
-        scalar = z.ndim == 0
-        z = np.atleast_1d(z)
-        out = np.array([self._inv_scalar(float(v)) for v in z])
-        return float(out[0]) if scalar else out
-
-    def _inv_scalar(self, z: float) -> float:
-        lo, hi = float(self.nodes[0]), float(self.nodes[-1])
-        step = max(hi - lo, 1.0)
-        while self.g(lo) > z:
-            lo -= step
-            step *= 2.0
-        step = max(hi - lo, 1.0)
-        while self.g(hi) < z:
-            hi += step
-            step *= 2.0
-        return brentq(lambda y: self.g(y) - z, lo, hi, xtol=1e-13, rtol=8.9e-16)
+        flat = np.atleast_1d(z).ravel()
+        y = self._g_inv(np.clip(flat, self.g_nodes[0], self.g_nodes[-1]))
+        finite = np.isfinite(flat)
+        y[~finite] = np.nan
+        lo = np.full(flat.shape, -np.inf)
+        hi = np.full(flat.shape, np.inf)
+        # steps below a few ulp of y, or of G times G^-1' = sigma, are roundoff
+        y_scale = max(abs(self.nodes[0]), abs(self.nodes[-1]))
+        z_ulp = np.spacing(np.maximum(np.abs(flat), max(abs(self.g_nodes[0]), abs(self.g_nodes[-1]))))
+        todo = np.flatnonzero(finite)
+        history = []
+        while todo.size:
+            if len(history) == NEWTON_MAX_STEPS:
+                raise NoConvergenceError(
+                    f"G^-1 Newton iteration on {todo.size} points above a few ulp after "
+                    f"{NEWTON_MAX_STEPS} steps (last step {history[-1]:.3e})",
+                    history,
+                )
+            yt = y[todo]
+            sig = np.asarray(self._model.sigma(yt), dtype=float)
+            resid = self.g(yt) - flat[todo]
+            over = resid > 0.0
+            lo_t = lo[todo] = np.where(over, lo[todo], yt)
+            hi_t = hi[todo] = np.where(over, yt, hi[todo])
+            new = yt - resid * sig
+            new = np.where((new >= lo_t) & (new <= hi_t), new, 0.5 * (lo_t + hi_t))
+            step = yt - new
+            y[todo] = new
+            history.append(float(np.max(np.abs(step))))
+            floor = NEWTON_ULPS * (np.spacing(np.maximum(np.abs(yt), y_scale)) + sig * z_ulp[todo])
+            todo = todo[~(np.abs(step) <= floor)]
+        return float(y[0]) if z.ndim == 0 else y.reshape(z.shape)
 
     def b_tilde(self, z):
-        """Reduced drift b(G^-1)/sigma(G^-1) - sigma'(G^-1)/2, through the inverse."""
-        z = np.asarray(z, dtype=float)
-        scalar = z.ndim == 0
-        z = np.atleast_1d(z)
-        out = np.array([_reduced_drift(self._model, self._inv_scalar(float(v))) for v in z])
-        return float(out[0]) if scalar else out
+        """Reduced drift b(G^-1)/sigma(G^-1) - sigma'(G^-1)/2, composed exactly
+        through the inverse (not through the tabulated interpolant)."""
+        out = _reduced_drift(self._model, self.g_inv(z))
+        return float(out) if np.ndim(z) == 0 else out
 
     def reduced_drift_coefficient(self) -> Coefficient:
         """b_tilde packaged as a registry coefficient for the additive model.
@@ -105,9 +121,6 @@ class Transform:
         dinterp = self._b_tilde.derivative()
         gn = self.g_nodes
 
-        def f(z):
-            return self.b_tilde(z)
-
         def f_prime(z):
             z = np.asarray(z, dtype=float)
             return dinterp(np.clip(z, gn[0], gn[-1]))
@@ -116,25 +129,41 @@ class Transform:
         prime_sup = float(np.max(dvals)) * 1.10 + 1e-12
         vals = self._b_tilde(gn)
         inf_abs = float(np.min(np.abs(vals)))
-        return Coefficient(f, f_prime, prime_sup, prime_sup, inf_abs, {"kind": "reduced-drift"})
+        return Coefficient(self.b_tilde, f_prime, prime_sup, prime_sup, inf_abs, {"kind": "reduced-drift"})
 
 
-def _reduced_drift(model: CoefficientModel, y: float) -> float:
-    sig = float(np.asarray(model.sigma(y)))
-    return float(np.asarray(model.b(y))) / sig - 0.5 * float(np.asarray(model.sigma_prime(y)))
+def _reduced_drift(model: CoefficientModel, y):
+    b, sigma, sigma_prime = (np.asarray(f(y), dtype=float) for f in (model.b, model.sigma, model.sigma_prime))
+    return b / sigma - 0.5 * sigma_prime
 
 
-def _panel_integrals(recip, lefts: np.ndarray, rights: np.ndarray, panels: int) -> np.ndarray:
-    # composite Simpson with `panels` panels on every interval at once
+def _panel_integrals(sigma, lefts: np.ndarray, rights: np.ndarray, panels: int) -> np.ndarray:
+    # composite Simpson for the integral of 1/sigma, `panels` panels on every interval at once
     widths = rights - lefts
     h = widths / panels
     offsets = np.arange(panels + 1)
     xs = lefts[:, None] + h[:, None] * offsets[None, :]
-    fx = recip(xs)
+    fx = 1.0 / np.asarray(sigma(xs), dtype=float)
     weights = np.ones(panels + 1)
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return (fx * weights[None, :]).sum(axis=1) * h / 3.0
+
+
+def _simpson(sigma, lefts: np.ndarray, rights: np.ndarray, tol: float) -> np.ndarray:
+    """Integral of 1/sigma over each [lefts[i], rights[i]] by composite Simpson,
+    each interval doubling its panels (16 to 1024) until two successive
+    halvings agree to ``tol``; no interval's value depends on the others."""
+    out = np.empty(len(lefts))
+    todo = np.arange(len(lefts))
+    panels = 8
+    coarse = _panel_integrals(sigma, lefts, rights, panels)
+    while todo.size:
+        fine = _panel_integrals(sigma, lefts[todo], rights[todo], 2 * panels)
+        done = (np.abs(fine - coarse) / 15.0 <= tol) | (panels >= 512)
+        out[todo[done]] = fine[done]
+        todo, coarse, panels = todo[~done], fine[~done], 2 * panels
+    return out
 
 
 def build_transform(
@@ -147,15 +176,19 @@ def build_transform(
 ) -> Transform:
     """Tabulate G on [lo, hi] anchored at x (so G(x) = 0).
 
-    Per-interval adaptive composite Simpson, refined until successive
-    halvings agree to ``tol`` across the whole tabulation.  Raises
+    Per-interval adaptive composite Simpson, each interval refined until
+    successive halvings agree to ``tol`` / (number of intervals), so the
+    whole tabulation is within ``tol``.  Raises
     :class:`SigmaNotPositiveError` if sigma samples non-positive.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
     if not lo <= x <= hi:
         raise ValueError(f"anchor x={x} outside tabulation range [{lo}, {hi}]")
-    nodes = np.unique(np.concatenate((np.linspace(lo, hi, n_nodes), [float(x)])))
+    grid = np.linspace(lo, hi, n_nodes)
+    # a grid node within roundoff of the anchor would leave G flat between the two
+    grid = grid[np.abs(grid - x) > 1e-9 * (hi - lo)]
+    nodes = np.unique(np.concatenate((grid, [float(x)])))
     sig_samples = np.asarray(model.sigma(nodes), dtype=float)
     if np.any(sig_samples <= 0.0):
         bad = float(nodes[np.argmin(sig_samples)])
@@ -163,33 +196,17 @@ def build_transform(
             f"sigma({bad}) = {float(np.min(sig_samples))} <= 0 on tabulation range"
         )
 
-    def recip(u):
-        return 1.0 / np.asarray(model.sigma(u), dtype=float)
-
-    lefts, rights = nodes[:-1], nodes[1:]
-    panels = 8
-    coarse = _panel_integrals(recip, lefts, rights, panels)
-    while True:
-        fine = _panel_integrals(recip, lefts, rights, 2 * panels)
-        err = float(np.max(np.abs(fine - coarse))) / 15.0
-        if err <= tol / len(lefts) or panels >= 512:
-            break
-        coarse, panels = fine, 2 * panels
-    cumulative = np.concatenate(([0.0], np.cumsum(fine)))
+    pieces = _simpson(model.sigma, nodes[:-1], nodes[1:], tol / (len(nodes) - 1))
+    cumulative = np.concatenate(([0.0], np.cumsum(pieces)))
     anchor_pos = int(np.searchsorted(nodes, float(x)))
     g_nodes = cumulative - cumulative[anchor_pos]
-    g_interp = PchipInterpolator(nodes, g_nodes)
-    bt_vals = np.asarray(model.b(nodes), dtype=float) / sig_samples - 0.5 * np.asarray(
-        model.sigma_prime(nodes), dtype=float
-    )
-    bt_interp = PchipInterpolator(g_nodes, bt_vals)
     return Transform(
         anchor=float(x),
         nodes=nodes,
         g_nodes=g_nodes,
-        _g=g_interp,
-        _b_tilde=bt_interp,
-        _sigma=model.sigma,
+        _g=PchipInterpolator(nodes, g_nodes),
+        _g_inv=PchipInterpolator(g_nodes, nodes),
+        _b_tilde=PchipInterpolator(g_nodes, _reduced_drift(model, nodes)),
         _model=model,
     )
 
@@ -203,11 +220,13 @@ class ReductionLevel:
 
 @dataclass(frozen=True)
 class ReductionReport:
-    """Sup-norm gap between G(X) and the additive-noise path Y per resolution."""
+    """Sup-norm gap between G(X) and the additive-noise path Y per resolution,
+    with the transform the check built (not part of :meth:`to_dict`)."""
 
     levels: tuple
     commutation_exact: bool
     anchor: float
+    transform: Transform = field(repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -218,27 +237,6 @@ class ReductionReport:
             "commutation_exact": self.commutation_exact,
             "anchor": self.anchor,
         }
-
-
-def _simulate_pair(
-    model: CoefficientModel,
-    additive: CoefficientModel,
-    transform: Transform,
-    params: PerturbationParams,
-    cfg: SimConfig,
-    increments: np.ndarray,
-) -> tuple[Path, Path, float]:
-    x_path = simulate_per_step(model, params, cfg, increments)
-    y_cfg = SimConfig(
-        x0_seed_value=0.0,
-        horizon=cfg.horizon,
-        n_steps=cfg.n_steps,
-        rng_seed=cfg.rng_seed,
-        scheme=cfg.scheme,
-    )
-    y_path = simulate_per_step(additive, params, y_cfg, increments)
-    gap = float(np.max(np.abs(transform.g(x_path.x) - y_path.x)))
-    return x_path, y_path, gap
 
 
 def pathwise_reduction_check(
@@ -264,18 +262,7 @@ def pathwise_reduction_check(
     hi = float(np.max(pilot.x)) + pad
     x0 = cfg.x0_seed_value / (1.0 - params.alpha - params.beta)
     transform = build_transform(model, x0, min(lo, x0), max(hi, x0))
-    additive = make_model(
-        transform.reduced_drift_coefficient(),
-        Coefficient(
-            f=lambda x: np.ones(np.shape(np.asarray(x))),
-            f_prime=lambda x: np.zeros(np.shape(np.asarray(x))),
-            lipschitz=0.0,
-            prime_sup=0.0,
-            inf_abs=1.0,
-            spec={"kind": "constant", "value": 1.0},
-        ),
-        name=f"{model.name}-reduced",
-    )
+    additive = make_model(transform.reduced_drift_coefficient(), constant(1.0), name=f"{model.name}-reduced")
     levels = []
     commutation = True
     level_cfg = cfg
@@ -284,8 +271,10 @@ def pathwise_reduction_check(
         if level > 0:
             level_inc = refine_increments(level_inc, cfg.horizon, seed=cfg.rng_seed + 1 + level)
             level_cfg = with_resolution(level_cfg, 2 * level_cfg.n_steps)
-        x_path, _, gap = _simulate_pair(model, additive, transform, params, level_cfg, level_inc)
+        x_path = simulate_per_step(model, params, level_cfg, level_inc) if level else pilot
+        y_path = simulate_per_step(additive, params, replace(level_cfg, x0_seed_value=0.0), level_inc)
         gx = transform.g(x_path.x)
+        gap = float(np.max(np.abs(gx - y_path.x)))
         commutation = commutation and (
             float(np.max(gx)) == float(transform.g(float(np.max(x_path.x))))
             and float(np.min(gx)) == float(transform.g(float(np.min(x_path.x))))
@@ -293,4 +282,6 @@ def pathwise_reduction_check(
         levels.append(
             ReductionLevel(n_steps=level_cfg.n_steps, dt=level_cfg.dt, sup_discrepancy=gap)
         )
-    return ReductionReport(levels=tuple(levels), commutation_exact=commutation, anchor=x0)
+    return ReductionReport(
+        levels=tuple(levels), commutation_exact=commutation, anchor=x0, transform=transform
+    )

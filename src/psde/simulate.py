@@ -188,8 +188,10 @@ def per_step_terminal_chunk(
     """Vectorized per-step scheme over a (n_paths, n_steps) driver matrix.
 
     Operation order mirrors :func:`simulate_per_step` exactly, so path p of a
-    chunk is bit-identical to the scalar simulation on drivers[p].  Returns
-    terminal values plus the realized value range (for a bounds spot-check).
+    chunk is bit-identical to the scalar simulation on drivers[p], and a
+    fresh-extreme solve that lands inside the band raises the same
+    :class:`CaseInconsistentError`.  Returns terminal values plus the realized
+    value range (for a bounds spot-check), read off the final running extremes.
     """
     alpha, beta = params.alpha, params.beta
     n_steps = drivers.shape[1]
@@ -197,21 +199,26 @@ def per_step_terminal_chunk(
     x = np.full(drivers.shape[0], x0)
     m = x.copy()
     i_arr = x.copy()
-    lo = hi = x0
     for k in range(n_steps):
         dw = drivers[:, k]
         u = x + np.asarray(model.sigma(x)) * dw + np.asarray(model.b(x)) * dt
         up = u > m
         down = u < i_arr
         x = np.where(up, (u - alpha * m) / (1.0 - alpha), np.where(down, (u - beta * i_arr) / (1.0 - beta), u))
+        inconsistent = (up & ~(x > m)) | (down & ~(x < i_arr))
+        if inconsistent.any():
+            p = int(np.argmax(inconsistent))
+            raise CaseInconsistentError(
+                f"fresh-extreme solve on chunk path {p} landed at {x[p]} inside "
+                f"[{i_arr[p]}, {m[p]}] at step {k}",
+                k,
+            )
         m = np.where(up, x, m)
         i_arr = np.where(down, x, i_arr)
-        lo = min(lo, float(np.min(x)))
-        hi = max(hi, float(np.max(x)))
     if not np.all(np.isfinite(x)):
         bad = int(np.argmax(~np.isfinite(x)))
         raise SimulationAborted(f"non-finite terminal value on chunk path {bad}")
-    return x, lo, hi
+    return x, float(np.min(i_arr)), float(np.max(m))
 
 
 def simulate_picard(

@@ -141,7 +141,19 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
                         params={"alpha": 0.4, "beta": 0.3},
                         sim={"x0": 0.5, "scheme": "picard", "picard_outer_iters": 1})
     assert main(["simulate", "--config", str(cfgp), "--quiet"]) == 3
-    assert json.loads(capsys.readouterr().err)["error"] == "NoConvergenceError"
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "NoConvergenceError"
+    assert len(err["history"]) == 1
+
+
+def test_case_inconsistency_reports_step(tmp_path, capsys):
+    cfgp = write_config(tmp_path, model={"preset": "additive-sine"},
+                        params={"alpha": -1e17, "beta": 0.0},
+                        sim={"x0": 1e17, "n_steps": 50, "seed": 3}, analysis={"n_paths": 200})
+    assert main(["density", "--config", str(cfgp), "--quiet"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "CaseInconsistentError"
+    assert err["step"] == 0
 
 
 def test_reports_embed_fingerprint_and_version(tmp_path):

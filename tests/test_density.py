@@ -70,6 +70,18 @@ def test_ensemble_paths_match_standalone(generic_model):
         assert single.x[-1] == e.terminal_values[i]
 
 
+def test_ensemble_fresh_extreme_inconsistency_raises(additive_model):
+    # alpha = -1e17 rounds the fresh-max solve back onto the current max,
+    # which the standalone per-step loop already rejects at step 0
+    p = psde.validate_params(-1e17, 0.0)
+    c = cfg(n_steps=50, seed=3, x0=1e17)
+    with pytest.raises(psde.CaseInconsistentError) as excinfo:
+        psde.simulate_per_step(additive_model, p, c)
+    with pytest.raises(psde.CaseInconsistentError) as chunk_excinfo:
+        psde.generate_ensemble(additive_model, p, c, 200)
+    assert chunk_excinfo.value.step == excinfo.value.step
+
+
 def test_ensemble_chunking_invariant(unit_model):
     p = psde.validate_params(0.2, 0.1)
     a = psde.generate_ensemble(unit_model, p, cfg(seed=9), 300, chunk_size=37)

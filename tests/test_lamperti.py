@@ -70,6 +70,37 @@ def test_out_of_range_extension():
     for y in (-4.0, 3.5, 5.9):
         assert tr.g(y) == pytest.approx(wide.g(y), abs=1e-9)
     assert tr.g_inv(tr.g(5.0)) == pytest.approx(5.0, abs=1e-9)
+    assert tr.g_inv(tr.g(-4.0)) == pytest.approx(-4.0, abs=1e-9)
+    ys = np.array([-4.0, -1.5, 0.0, 1.5, 3.5, 5.0])
+    assert np.max(np.abs(tr.g_inv(tr.g(ys)) - ys)) <= 1e-9
+
+
+def test_inverse_far_past_table_with_steep_sigma():
+    # sigma = 1 + 0.9 sin u varies 19-fold: plain Newton from the table end
+    # overshoots and diverges here, the bracket's bisection keeps it on the root
+    model = psde.make_model(psde.constant(0.0), psde.sinusoidal(1.0, 0.9), name="steep")
+    tr = psde.build_transform(model, 0.0, -1.0, 1.0)
+    width = tr.g_nodes[-1] - tr.g_nodes[0]
+    zs = np.linspace(tr.g_nodes[0] - 5.0 * width, tr.g_nodes[-1] + 5.0 * width, 201)
+    assert np.max(np.abs(tr.g(tr.g_inv(zs)) - zs)) <= 1e-9
+
+
+def test_b_tilde_array_matches_scalar_calls():
+    model = psde.named_model("smooth-generic")
+    tr = psde.build_transform(model, 0.5, -3.0, 3.0)
+    # inside the table, on its nodes' images, and past both ends
+    zs = np.concatenate(
+        (np.linspace(tr.g_nodes[0] - 1.0, tr.g_nodes[-1] + 1.0, 57), tr.g_nodes[[0, 1, -1]], [0.0])
+    )
+    assert np.array_equal(tr.b_tilde(zs), np.array([tr.b_tilde(float(z)) for z in zs]))
+    assert np.array_equal(tr.g_inv(zs), np.array([tr.g_inv(float(z)) for z in zs]))
+
+
+def test_anchor_next_to_grid_node():
+    # 0.2 lies 1.7e-16 from a node of linspace(-3, 3, 4096)
+    tr = psde.build_transform(psde.named_model("smooth-generic"), 0.2, -3.0, 3.0)
+    assert np.all(np.diff(tr.g_nodes) > 0.0)
+    assert tr.g(0.2) == 0.0
 
 
 def test_sigma_not_positive_rejected():
