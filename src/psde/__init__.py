@@ -40,6 +40,7 @@ from .malliavin import (
     positivity_report,
     running_argmax,
     running_argmin,
+    terminal_h_norms,
 )
 from .models import (
     Coefficient,

@@ -327,15 +327,7 @@ def cmd_malliavin(args) -> int:
     positivity = None
     n_paths = args.paths if args.paths is not None else analysis.get("n_paths", 0)
     if n_paths:
-        import dataclasses
-
-        from .density import path_seed
-
-        h_values = []
-        for p in range(n_paths):
-            c = dataclasses.replace(sim_cfg, rng_seed=path_seed(sim_cfg.rng_seed, p))
-            f = malliavin_mod.derivative_field(simulate_per_step(model, params, c), model, params)
-            h_values.append(malliavin_mod.h_norm(f, sim_cfg.n_steps).value)
+        h_values = malliavin_mod.terminal_h_norms(model, params, sim_cfg, n_paths)
         positivity = malliavin_mod.positivity_report(
             h_values, t=sim_cfg.horizon, sigma_inf=model.sigma_inf
         ).to_dict()
@@ -351,18 +343,17 @@ def cmd_malliavin(args) -> int:
         artifacts.append("field.csv")
     eps = analysis.get("eps", 1e-4)
     n_intervals = analysis.get("n_intervals", 10)
-    edges = np.linspace(0.0, sim_cfg.horizon, n_intervals + 1)
+    edges = np.linspace(0.0, sim_cfg.horizon, n_intervals + 1).tolist()
+    windows = list(zip(edges[:-1], edges[1:]))
+    finite_differences = malliavin_mod.cameron_martin_directional(model, params, sim_cfg, windows, eps)
     checks = []
-    for k in range(n_intervals):
-        fd = malliavin_mod.cameron_martin_directional(
-            model, params, sim_cfg, float(edges[k]), float(edges[k + 1]), eps
-        )
-        fv = malliavin_mod.directional_from_field(field, float(edges[k]), float(edges[k + 1]))
+    for (r_lo, r_hi), fd in zip(windows, finite_differences):
+        fv = malliavin_mod.directional_from_field(field, r_lo, r_hi)
         denom = max(abs(fd.value), 1e-300)
         checks.append(
             {
-                "r_lo": float(edges[k]),
-                "r_hi": float(edges[k + 1]),
+                "r_lo": r_lo,
+                "r_hi": r_hi,
                 "field": fv,
                 "finite_difference": fd.value,
                 "rel_error": abs(fv - fd.value) / denom,

@@ -17,7 +17,13 @@ with p_k/q_k the running argmax/argmin indices.  A self-referencing extreme
 (p_k == k and/or q_k == k) moves to the left side, giving divisors 1,
 (1-alpha), (1-beta) or (1-alpha-beta); an extreme attained before r_j
 contributes nothing (the derivative of an earlier value vanishes).  The
-recursion is run column by column with running sums, O(n^2) total.
+recursion is run column by column with running sums, O(n^2) total, over a
+batch of paths at once (state laid out (n+1, batch)).  Besides the output it
+keeps four columns per path: the running source, the current column, and the
+columns at the path's current argmax and argmin.  A batch of one that stores
+every column is the full field of :func:`derivative_field`, capped at
+MAX_FIELD_STEPS; :func:`terminal_h_norms` stores none and needs only
+O(batch * n) memory for the terminal H-norms of a whole batch.
 """
 
 from __future__ import annotations
@@ -28,12 +34,14 @@ from typing import Sequence
 
 import numpy as np
 
+from .density import path_seed
 from .errors import EpsTooSmallWarning
 from .models import CoefficientModel
 from .params import PerturbationParams
-from .simulate import Path, SimConfig, brownian_driver, simulate_per_step
+from .simulate import Path, SimConfig, brownian_driver, per_step_terminal_chunk, simulate_per_step
 
 MAX_FIELD_STEPS = 4096
+H_NORM_CHUNK = 128  # paths per terminal_h_norms batch, each batch holds ~12 (n+1, chunk) arrays
 
 
 @dataclass(frozen=True)
@@ -73,18 +81,89 @@ class CameronMartinResult:
     eps_too_small: bool
 
 
+def _fresh_max(x: np.ndarray) -> np.ndarray:
+    """Fresh running maxima along axis 0: x_k > max_{j<k} x_j, and k = 0."""
+    fresh = np.ones(x.shape, dtype=bool)
+    fresh[1:] = x[1:] > np.maximum.accumulate(x, axis=0)[:-1]
+    return fresh
+
+
 def running_argmax(x: np.ndarray) -> np.ndarray:
     """Earliest index attaining the running maximum at each position."""
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    prev = np.concatenate(([-np.inf], np.maximum.accumulate(x)[:-1]))
-    fresh = x > prev
-    fresh[0] = True
-    return np.maximum.accumulate(np.where(fresh, np.arange(n), -1))
+    return np.maximum.accumulate(np.where(_fresh_max(x), np.arange(len(x)), -1))
 
 
 def running_argmin(x: np.ndarray) -> np.ndarray:
     return running_argmax(-np.asarray(x, dtype=float))
+
+
+def _fresh_paths(fresh: np.ndarray) -> list:
+    """For each grid index k, the batch columns flagged in fresh[k] (None if none)."""
+    ks, paths = np.nonzero(fresh)
+    bounds = np.searchsorted(ks, np.arange(len(fresh) + 1)).tolist()
+    return [paths[lo:hi] if lo < hi else None for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def _field_columns(
+    x: np.ndarray,
+    dw: np.ndarray,
+    dt: float,
+    model: CoefficientModel,
+    params: PerturbationParams,
+    store: np.ndarray | None = None,
+) -> np.ndarray:
+    """Forward recursion over columns k = 0..n for a batch of paths.
+
+    ``x`` is (n+1, batch) path values and ``dw`` (n, batch) driver
+    increments.  Returns the terminal column d[:, n] of every path as an
+    (n+1, batch) array; with ``store`` (n+1, n+1, batch) every column k is
+    written to store[:, k] as well.  Each entry follows the arithmetic order
+    of the per-path formula in the module docstring, so results are
+    bit-identical for any batch.
+    """
+    n = x.shape[0] - 1
+    alpha, beta = params.alpha, params.beta
+    sig = np.asarray(model.sigma(x), dtype=float)
+    step_weight = np.asarray(model.sigma_prime(x[:-1]), dtype=float) * dw + np.asarray(
+        model.b_prime(x[:-1]), dtype=float
+    ) * dt
+    fresh_max = _fresh_max(x)
+    fresh_min = _fresh_max(-x)
+    den = np.where(fresh_max, 1.0 - alpha, 1.0)
+    den = np.where(fresh_min, den - beta, den)
+    new_max = _fresh_paths(fresh_max)
+    new_min = _fresh_paths(fresh_min)
+    new_any = _fresh_paths(fresh_max | fresh_min)
+    source = np.zeros(x.shape)  # source[j] = sigma(x_j) + accumulated integral terms
+    # Adding -0.0 leaves every value, signed zeros included, unchanged: it
+    # stands for "no term", both in rows past an extreme's index (where the
+    # field is zero) and on a path whose extreme is fresh at k.
+    alpha_max = np.full(x.shape, -0.0)  # alpha * (column at the argmax)
+    beta_min = np.full(x.shape, -0.0)  # beta * (column at the argmin)
+    col = np.zeros(x.shape)
+    for k in range(n + 1):
+        if k > 0:  # col holds column k-1 until it is overwritten below
+            col[:k] *= step_weight[k - 1]
+            source[:k] += col[:k]
+        source[k] = sig[k]
+        up, down, fresh = new_max[k], new_min[k], new_any[k]
+        if up is not None:
+            alpha_max[: k + 1, up] = -0.0
+        if down is not None:
+            beta_min[: k + 1, down] = -0.0
+        out = col[: k + 1]
+        np.add(source[: k + 1], alpha_max[: k + 1], out=out)
+        out += beta_min[: k + 1]
+        if fresh is not None:
+            out[:, fresh] /= den[k, fresh]
+        if up is not None:
+            alpha_max[: k + 1, up] = alpha * out[:, up]
+        if down is not None:
+            beta_min[: k + 1, down] = beta * out[:, down]
+        if store is not None:
+            store[: k + 1, k] = out
+    return col
 
 
 def derivative_field(
@@ -93,42 +172,19 @@ def derivative_field(
     params: PerturbationParams,
     max_steps: int = MAX_FIELD_STEPS,
 ) -> DerivativeField:
-    """Forward recursion for the full field (see module docstring)."""
+    """Full field of one path: the column recursion on a batch of one."""
     x = path.x
     n = len(x) - 1
     if n > max_steps:
         raise ValueError(f"full field restricted to n <= {max_steps} steps, got {n}")
     dt = float(path.grid[1] - path.grid[0])
-    dw = np.diff(path.w)
-    alpha, beta = params.alpha, params.beta
-    sig = np.asarray(model.sigma(x), dtype=float)
-    step_weight = np.asarray(model.sigma_prime(x[:-1]), dtype=float) * dw + np.asarray(
-        model.b_prime(x[:-1]), dtype=float
-    ) * dt
-    p_idx = running_argmax(x)
-    q_idx = running_argmin(x)
     d = np.zeros((n + 1, n + 1))
-    source = np.zeros(n + 1)  # source[j] = sigma(x_j) + accumulated integral terms
-    for k in range(n + 1):
-        if k > 0:
-            source[:k] += step_weight[k - 1] * d[:k, k - 1]
-        source[k] = sig[k]
-        num = source[: k + 1].copy()
-        den = 1.0
-        p = int(p_idx[k])
-        q = int(q_idx[k])
-        if p == k:
-            den -= alpha
-        else:
-            num[: p + 1] += alpha * d[: p + 1, p]
-        if q == k:
-            den -= beta
-        else:
-            num[: q + 1] += beta * d[: q + 1, q]
-        d[: k + 1, k] = num / den
+    _field_columns(x[:, None], np.diff(path.w)[:, None], dt, model, params, store=d[:, :, None])
     if not np.all(np.isfinite(d)):
         raise FloatingPointError("non-finite entries in derivative field")
-    return DerivativeField(grid=path.grid, d=d, argmax_idx=p_idx, argmin_idx=q_idx)
+    return DerivativeField(
+        grid=path.grid, d=d, argmax_idx=running_argmax(x), argmin_idx=running_argmin(x)
+    )
 
 
 def h_norm(field: DerivativeField, k: int) -> HNorm:
@@ -146,61 +202,112 @@ def h_norm_profile(field: DerivativeField) -> np.ndarray:
     return (sq.sum(axis=0) - diag) * field.dt
 
 
-def directional_from_field(field: DerivativeField, r_lo: float, r_hi: float) -> float:
-    """<D X_T, 1_(r_lo, r_hi]>_H from the terminal column of the field."""
-    dt = field.dt
+def terminal_h_norms(
+    model: CoefficientModel,
+    params: PerturbationParams,
+    cfg: SimConfig,
+    n_paths: int,
+    chunk_size: int = H_NORM_CHUNK,
+) -> np.ndarray:
+    """||D X_T||_H^2 ~ dt * sum_{j<n} d[j,n]^2 for paths p < n_paths.
+
+    Path p runs on the driver of seed ``path_seed(cfg.rng_seed, p)``.  Each
+    chunk of paths goes through the batched per-step kernel (one bound check
+    per chunk) and the column recursion without storing columns, so memory
+    is O(chunk_size * n) and :data:`MAX_FIELD_STEPS` does not apply.
+    Every value equals ``h_norm(derivative_field(path), n).value`` bit for
+    bit.  Raises FloatingPointError wherever that field would: a non-finite
+    entry feeds its row's running source, which then stays non-finite, so it
+    reaches the terminal column.
+    """
+    n = cfg.n_steps
+    grid = cfg.grid()
+    dt = float(grid[1] - grid[0])  # the field's dt, as in h_norm
+    values = np.empty(n_paths)
+    for start in range(0, n_paths, chunk_size):
+        stop = min(start + chunk_size, n_paths)
+        drivers = np.stack(
+            [brownian_driver(n, cfg.horizon, path_seed(cfg.rng_seed, p)) for p in range(start, stop)]
+        )
+        x = np.empty((n + 1, stop - start))
+        _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, drivers, x)
+        model.check_bounds(lo, hi)
+        w = np.zeros(x.shape)
+        np.cumsum(drivers.T, axis=0, out=w[1:])
+        terminal = _field_columns(x, np.diff(w, axis=0), dt, model, params)
+        if not np.all(np.isfinite(terminal)):
+            raise FloatingPointError("non-finite entries in derivative field")
+        rows = np.ascontiguousarray(terminal[:n].T)  # per-path sums in h_norm's order
+        values[start:stop] = np.sum(rows * rows, axis=1) * dt
+    return values
+
+
+def _window_steps(r_lo: float, r_hi: float, dt: float, n_steps: int) -> tuple[int, int]:
+    """Grid steps j_lo <= j < j_hi of the window (r_lo, r_hi]."""
     j_lo = int(round(r_lo / dt))
     j_hi = int(round(r_hi / dt))
-    if not 0 <= j_lo < j_hi <= field.n_steps:
+    if not 0 <= j_lo < j_hi <= n_steps:
         raise ValueError(f"interval ({r_lo}, {r_hi}] does not map to grid steps")
+    return j_lo, j_hi
+
+
+def directional_from_field(field: DerivativeField, r_lo: float, r_hi: float) -> float:
+    """<D X_T, 1_(r_lo, r_hi]>_H from the terminal column of the field."""
+    j_lo, j_hi = _window_steps(r_lo, r_hi, field.dt, field.n_steps)
     col = field.d[j_lo:j_hi, field.n_steps]
-    return float(np.sum(col)) * dt
+    return float(np.sum(col)) * field.dt
 
 
 def cameron_martin_directional(
     model: CoefficientModel,
     params: PerturbationParams,
     cfg: SimConfig,
-    r_lo: float,
-    r_hi: float,
+    windows: Sequence[tuple[float, float]],
     eps: float = 1e-4,
-) -> CameronMartinResult:
-    """Finite-difference oracle for the directional derivative.
+) -> list[CameronMartinResult]:
+    """Finite-difference oracle for the directional derivative, per window.
 
-    Re-simulates on the same Brownian driver shifted by eps * int_0^s h(u) du
-    with h the indicator of (r_lo, r_hi]: every increment inside the window
-    gains eps*dt.  The quotient (X^eps_T - X_T)/eps matches the field-based
-    sum up to O(eps) + O(dt).
+    For each window (r_lo, r_hi], re-simulates on the same Brownian driver
+    shifted by eps * int_0^s h(u) du with h the window's indicator: every
+    increment inside the window gains eps*dt.  The base path is simulated
+    once; the shifted drivers run as one batch through the per-step kernel,
+    whose terminal values equal the scalar loop's bit for bit.  Each quotient
+    (X^eps_T - X_T)/eps matches the field-based sum up to O(eps) + O(dt).
     """
     if eps <= 0.0:
         raise ValueError("eps must be > 0")
+    if not windows:
+        raise ValueError("need at least one window")
     dt = cfg.dt
-    j_lo = int(round(r_lo / dt))
-    j_hi = int(round(r_hi / dt))
-    if not 0 <= j_lo < j_hi <= cfg.n_steps:
-        raise ValueError(f"interval ({r_lo}, {r_hi}] does not map to grid steps")
+    steps = [_window_steps(r_lo, r_hi, dt, cfg.n_steps) for r_lo, r_hi in windows]
     increments = brownian_driver(cfg.n_steps, cfg.horizon, cfg.rng_seed)
-    base = simulate_per_step(model, params, cfg, increments)
-    shifted = increments.copy()
-    shifted[j_lo:j_hi] += eps * dt
-    bumped = simulate_per_step(model, params, cfg, shifted)
-    x_t = float(base.x[-1])
-    diff = float(bumped.x[-1]) - x_t
+    x_t = float(simulate_per_step(model, params, cfg, increments).x[-1])
+    shifted = np.tile(increments, (len(steps), 1))
+    for row, (j_lo, j_hi) in zip(shifted, steps):
+        row[j_lo:j_hi] += eps * dt
+    bumped, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, dt, shifted)
+    model.check_bounds(lo, hi)
     floor = 10.0 * np.spacing(max(abs(x_t), 1.0))
-    too_small = bool(abs(diff) < floor)
-    if too_small:
-        warnings.warn(
-            f"finite difference {diff:.3e} below 10 ulp of X_T; increase eps",
-            EpsTooSmallWarning,
-            stacklevel=2,
+    results = []
+    for x_eps in bumped.tolist():
+        diff = x_eps - x_t
+        too_small = bool(abs(diff) < floor)
+        if too_small:
+            warnings.warn(
+                f"finite difference {diff:.3e} below 10 ulp of X_T; increase eps",
+                EpsTooSmallWarning,
+                stacklevel=2,
+            )
+        results.append(
+            CameronMartinResult(
+                value=diff / eps,
+                eps=eps,
+                base_terminal=x_t,
+                shifted_terminal=x_eps,
+                eps_too_small=too_small,
+            )
         )
-    return CameronMartinResult(
-        value=diff / eps,
-        eps=eps,
-        base_terminal=x_t,
-        shifted_terminal=float(bumped.x[-1]),
-        eps_too_small=too_small,
-    )
+    return results
 
 
 @dataclass(frozen=True)

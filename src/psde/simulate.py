@@ -184,6 +184,7 @@ def per_step_terminal_chunk(
     x0_seed_value: float,
     dt: float,
     drivers: np.ndarray,
+    trajectories: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, float]:
     """Vectorized per-step scheme over a (n_paths, n_steps) driver matrix.
 
@@ -192,6 +193,11 @@ def per_step_terminal_chunk(
     fresh-extreme solve that lands inside the band raises the same
     :class:`CaseInconsistentError`.  Returns terminal values plus the realized
     value range (for a bounds spot-check), read off the final running extremes.
+
+    With ``trajectories``, a caller-supplied (n_steps + 1, n_paths) array,
+    row k receives every path's value at step k (column p equals
+    ``simulate_per_step(...).x`` on drivers[p]), and every recorded value,
+    not only the terminal one, must be finite.
     """
     alpha, beta = params.alpha, params.beta
     n_steps = drivers.shape[1]
@@ -199,6 +205,8 @@ def per_step_terminal_chunk(
     x = np.full(drivers.shape[0], x0)
     m = x.copy()
     i_arr = x.copy()
+    if trajectories is not None:
+        trajectories[0] = x
     for k in range(n_steps):
         dw = drivers[:, k]
         u = x + np.asarray(model.sigma(x)) * dw + np.asarray(model.b(x)) * dt
@@ -215,9 +223,12 @@ def per_step_terminal_chunk(
             )
         m = np.where(up, x, m)
         i_arr = np.where(down, x, i_arr)
-    if not np.all(np.isfinite(x)):
-        bad = int(np.argmax(~np.isfinite(x)))
-        raise SimulationAborted(f"non-finite terminal value on chunk path {bad}")
+        if trajectories is not None:
+            trajectories[k + 1] = x
+    finite = np.isfinite(x) if trajectories is None else np.isfinite(trajectories).all(axis=0)
+    if not finite.all():
+        bad = int(np.argmax(~finite))
+        raise SimulationAborted(f"non-finite path value on chunk path {bad}")
     return x, float(np.min(i_arr)), float(np.max(m))
 
 

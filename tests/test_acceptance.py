@@ -192,13 +192,11 @@ def test_criterion_5_malliavin_field():
     cfg = SimConfig(x0_seed_value=0.5, horizon=1.0, n_steps=1000, rng_seed=101)
     path = psde.simulate_per_step(generic, params, cfg)
     field = psde.derivative_field(path, generic, params)
-    edges = np.linspace(0.0, 1.0, 21)
+    edges = np.linspace(0.0, 1.0, 21).tolist()
+    windows = list(zip(edges[:-1], edges[1:]))
     worst_rel = 0.0
-    for k in range(20):
-        fd = psde.cameron_martin_directional(
-            generic, params, cfg, float(edges[k]), float(edges[k + 1]), eps=1e-4
-        )
-        fv = psde.directional_from_field(field, float(edges[k]), float(edges[k + 1]))
+    for (r_lo, r_hi), fd in zip(windows, psde.cameron_martin_directional(generic, params, cfg, windows, eps=1e-4)):
+        fv = psde.directional_from_field(field, r_lo, r_hi)
         worst_rel = max(worst_rel, abs(fv - fd.value) / abs(fd.value))
     elapsed = time.perf_counter() - t0
     ok = worst_entry <= 1e-12 and worst_rel <= 0.01 and elapsed < 120.0
@@ -211,23 +209,20 @@ def test_criterion_5_malliavin_field():
     assert ok, line
 
 
-def _field_h_profiles(model, params, cfg, n_paths, old_time=False):
-    """H-norm profiles of n_paths per-path-seeded fields.
-
-    With ``old_time`` also returns, per path, :func:`_worst_old_time` of each
-    field; fields are dropped path by path (1000 fields at n = 200 would
-    take ~320 MB).
+def _field_h_profiles(model, params, cfg, n_paths):
+    """H-norm profiles of n_paths per-path-seeded fields, and per path
+    :func:`_worst_old_time` of each field; fields are dropped path by path
+    (1000 fields at n = 200 would take ~320 MB).
     """
     profiles = np.empty((n_paths, cfg.n_steps + 1))
-    worst_old = np.empty((n_paths, cfg.n_steps - 1)) if old_time else None
+    worst_old = np.empty((n_paths, cfg.n_steps - 1))
     for p in range(n_paths):
         c = dataclasses.replace(cfg, rng_seed=psde.path_seed(cfg.rng_seed, p))
         path = psde.simulate_per_step(model, params, c)
         field = psde.derivative_field(path, model, params)
         profiles[p] = psde.h_norm_profile(field)
-        if old_time:
-            worst_old[p] = _worst_old_time(field, profiles[p])
-    return (profiles, worst_old) if old_time else profiles
+        worst_old[p] = _worst_old_time(field, profiles[p])
+    return profiles, worst_old
 
 
 def _worst_old_time(field, profile):
@@ -248,8 +243,7 @@ def test_criterion_6a_hnorm_positivity():
     model = psde.named_model("smooth-generic")  # inf sigma = 0.5
     params = psde.validate_params(0.3, -0.2)
     cfg = SimConfig(x0_seed_value=0.5, horizon=1.0, n_steps=256, rng_seed=4000)
-    profiles = _field_h_profiles(model, params, cfg, 1000)
-    terminal = profiles[:, -1]
+    terminal = psde.terminal_h_norms(model, params, cfg, 1000)
     rep = psde.positivity_report(terminal, t=1.0, sigma_inf=model.sigma_inf)
     elapsed = time.perf_counter() - t0
     ok = rep.hypothesis_ok and rep.minimum > 0.0 and rep.fraction_at_or_below["0.0"] == 0.0
@@ -266,7 +260,7 @@ def additive_profiles():
     model = psde.named_model("additive-sine")  # ||b'|| = 1, sigma = 1
     params = psde.validate_params(0.05, 0.05)
     cfg = SimConfig(x0_seed_value=0.0, horizon=0.01, n_steps=200, rng_seed=6000)
-    profiles, worst_old = _field_h_profiles(model, params, cfg, 1000, old_time=True)
+    profiles, worst_old = _field_h_profiles(model, params, cfg, 1000)
     return model, params, cfg, profiles, worst_old
 
 

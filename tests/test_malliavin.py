@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -61,8 +63,8 @@ def test_directional_consistency_generic(generic_model):
     c = cfg(n_steps=1000, seed=5, x0=0.5)
     path = psde.simulate_per_step(generic_model, p, c)
     field = psde.derivative_field(path, generic_model, p)
-    for r_lo, r_hi in [(0.0, 1.0), (0.2, 0.5), (0.7, 0.9)]:
-        fd = psde.cameron_martin_directional(generic_model, p, c, r_lo, r_hi, eps=1e-4)
+    windows = [(0.0, 1.0), (0.2, 0.5), (0.7, 0.9)]
+    for (r_lo, r_hi), fd in zip(windows, psde.cameron_martin_directional(generic_model, p, c, windows, eps=1e-4)):
         fv = psde.directional_from_field(field, r_lo, r_hi)
         assert not fd.eps_too_small
         assert abs(fv - fd.value) <= 0.01 * abs(fd.value)
@@ -72,7 +74,7 @@ def test_unperturbed_full_window_directional(unit_model):
     # sum of d * dt over (0, T] is exactly T for the unperturbed driftless case
     p = psde.validate_params(0.0, 0.0)
     c = cfg(n_steps=250, seed=6)
-    fd = psde.cameron_martin_directional(unit_model, p, c, 0.0, 1.0, eps=1e-4)
+    (fd,) = psde.cameron_martin_directional(unit_model, p, c, [(0.0, 1.0)], eps=1e-4)
     assert fd.value == pytest.approx(1.0, abs=1e-4)
 
 
@@ -83,19 +85,34 @@ def test_eps_sweep_decreases_then_plateaus(generic_model):
     field = psde.derivative_field(path, generic_model, p)
     fv = psde.directional_from_field(field, 0.1, 0.6)
     errs = [
-        abs(psde.cameron_martin_directional(generic_model, p, c, 0.1, 0.6, eps=e).value - fv)
+        abs(psde.cameron_martin_directional(generic_model, p, c, [(0.1, 0.6)], eps=e)[0].value - fv)
         for e in (1e-3, 1e-4, 1e-5)
     ]
     assert errs[2] <= errs[0] + 1e-12
     assert errs[2] <= 0.01 * abs(fv)
 
 
+def test_cameron_martin_windows_match_scalar_simulation(generic_model):
+    p = psde.validate_params(0.3, -0.2)
+    c = cfg(n_steps=200, seed=5, x0=0.5)
+    windows = [(0.0, 0.3), (0.3, 0.35), (0.5, 1.0)]
+    increments = psde.brownian_driver(200, 1.0, 5)
+    base = psde.simulate_per_step(generic_model, p, c, increments).x[-1]
+    for (r_lo, r_hi), fd in zip(windows, psde.cameron_martin_directional(generic_model, p, c, windows)):
+        shifted = increments.copy()
+        shifted[round(r_lo / c.dt) : round(r_hi / c.dt)] += 1e-4 * c.dt
+        bumped = psde.simulate_per_step(generic_model, p, c, shifted).x[-1]
+        assert (fd.base_terminal, fd.shifted_terminal) == (base, bumped)
+        assert fd.value == (bumped - base) / 1e-4
+
+
 def test_eps_too_small_flagged(unit_model):
     p = psde.validate_params(0.0, 0.0)
     c = cfg(n_steps=50, seed=8)
-    with pytest.warns(psde.EpsTooSmallWarning):
-        fd = psde.cameron_martin_directional(unit_model, p, c, 0.0, 1.0, eps=1e-18)
-    assert fd.eps_too_small
+    with pytest.warns(psde.EpsTooSmallWarning) as record:
+        results = psde.cameron_martin_directional(unit_model, p, c, [(0.0, 1.0), (0.2, 0.4)], eps=1e-18)
+    assert all(fd.eps_too_small for fd in results)
+    assert sum(r.category is psde.EpsTooSmallWarning for r in record) == 2
 
 
 def test_interval_must_hit_grid(unit_model):
@@ -151,3 +168,109 @@ def test_h_norm_grid_refinement_stability(generic_model):
         field = psde.derivative_field(path, generic_model, p)
         vals[n] = psde.h_norm(field, n).value
     assert abs(vals[1000] - vals[500]) <= 0.05 * abs(vals[500])
+
+
+DEGENERATE = psde.make_model(psde.sinusoidal(0.0, 1.0), psde.constant(0.0), name="degenerate")
+
+
+def per_path_terminal_h_norms(model, p, c, n_paths):
+    values = []
+    for q in range(n_paths):
+        path = psde.simulate_per_step(model, p, dataclasses.replace(c, rng_seed=psde.path_seed(c.rng_seed, q)))
+        values.append(psde.h_norm(psde.derivative_field(path, model, p), c.n_steps).value)
+    return np.array(values)
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 64, 1000])
+@pytest.mark.parametrize(
+    "model, alpha, beta",
+    [
+        (psde.named_model("unit"), 0.5, 0.0),
+        (psde.named_model("smooth-generic"), 0.4, 0.3),
+        (psde.named_model("smooth-generic"), 0.3, -0.2),
+        (psde.named_model("additive-sine"), 0.05, 0.05),
+        (psde.named_model("multiplicative-sine"), 0.2, -0.3),
+        (DEGENERATE, 0.2, 0.1),
+    ],
+    ids=["unit", "generic+", "generic-", "additive", "multiplicative", "degenerate"],
+)
+def test_terminal_h_norms_bit_identical(model, alpha, beta, n_steps):
+    p = psde.validate_params(alpha, beta)
+    c = cfg(n_steps=n_steps, seed=77, x0=0.5)
+    batched = psde.terminal_h_norms(model, p, c, 6)
+    assert batched.tobytes() == per_path_terminal_h_norms(model, p, c, 6).tobytes()
+
+
+def test_terminal_h_norms_chunk_invariant(generic_model):
+    p = psde.validate_params(0.3, -0.2)
+    c = cfg(n_steps=100, seed=3, x0=0.5)
+    whole = psde.terminal_h_norms(generic_model, p, c, 20)
+    for chunk_size in (1, 3, 7, 19):
+        assert psde.terminal_h_norms(generic_model, p, c, 20, chunk_size).tobytes() == whole.tobytes()
+
+
+def test_terminal_h_norms_non_finite_raises():
+    # b is below 1e-100 everywhere, so paths stay finite, but |b'| reaches 1e200
+    # and the field overflows
+    steep = psde.make_model(psde.sinusoidal(0.0, 1e-100, 1e300), psde.constant(1.0), name="steep")
+    p = psde.validate_params(0.2, 0.1)
+    c = cfg(n_steps=20, seed=1, x0=0.5)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError):
+            per_path_terminal_h_norms(steep, p, c, 1)
+        with pytest.raises(FloatingPointError):
+            psde.terminal_h_norms(steep, p, c, 3)
+
+
+def reference_field(path, model, p):
+    """Per-path recursion down each column's rows, the field's reference."""
+    x = path.x
+    n = len(x) - 1
+    dt = float(path.grid[1] - path.grid[0])
+    dw = np.diff(path.w)
+    sig = np.asarray(model.sigma(x), dtype=float)
+    step_weight = np.asarray(model.sigma_prime(x[:-1]), dtype=float) * dw + np.asarray(
+        model.b_prime(x[:-1]), dtype=float
+    ) * dt
+    p_idx = psde.running_argmax(x)
+    q_idx = psde.running_argmin(x)
+    d = np.zeros((n + 1, n + 1))
+    source = np.zeros(n + 1)
+    for k in range(n + 1):
+        if k > 0:
+            source[:k] += step_weight[k - 1] * d[:k, k - 1]
+        source[k] = sig[k]
+        num = source[: k + 1].copy()
+        den = 1.0
+        if p_idx[k] == k:
+            den -= p.alpha
+        else:
+            num[: p_idx[k] + 1] += p.alpha * d[: p_idx[k] + 1, p_idx[k]]
+        if q_idx[k] == k:
+            den -= p.beta
+        else:
+            num[: q_idx[k] + 1] += p.beta * d[: q_idx[k] + 1, q_idx[k]]
+        d[: k + 1, k] = num / den
+    return d
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 64, 300])
+@pytest.mark.parametrize(
+    "model, alpha, beta",
+    [
+        (psde.named_model("unit"), 0.5, 0.0),
+        (psde.named_model("smooth-generic"), 0.3, -0.2),
+        (psde.named_model("additive-sine"), 0.05, 0.05),
+        (psde.named_model("multiplicative-sine"), -0.5, 0.4),
+        # sigma = -0.0 fills the field with signed zeros
+        (psde.make_model(psde.sinusoidal(0.0, 1.0), psde.constant(-0.0), name="negzero"), 0.2, 0.1),
+        (psde.make_model(psde.sinusoidal(0.0, 1.0), psde.constant(-0.0), name="negzero"), -0.3, 0.4),
+    ],
+    ids=["unit", "generic", "additive", "multiplicative", "negzero+", "negzero-"],
+)
+def test_field_matches_reference_recursion(model, alpha, beta, n_steps):
+    p = psde.validate_params(alpha, beta)
+    for seed in range(3):
+        path = psde.simulate_per_step(model, p, cfg(n_steps=n_steps, seed=seed, x0=0.5))
+        field = psde.derivative_field(path, model, p)
+        assert field.d.tobytes() == reference_field(path, model, p).tobytes()

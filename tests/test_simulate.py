@@ -186,9 +186,13 @@ def test_vectorized_chunk_bit_identical(generic_model):
         [psde.brownian_driver(64, 1.0, psde.path_seed(1000, i)) for i in range(8)]
     )
     terminals, lo, hi = per_step_terminal_chunk(generic_model, p, 0.5, base.dt, drivers)
+    trajectories = np.empty((65, 8))
+    recorded = per_step_terminal_chunk(generic_model, p, 0.5, base.dt, drivers, trajectories)
+    assert np.array_equal(recorded[0], terminals) and recorded[1:] == (lo, hi)
     for i in range(8):
         single = psde.simulate_per_step(
             generic_model, p, dataclasses.replace(base, rng_seed=psde.path_seed(1000, i))
         )
         assert single.x[-1] == terminals[i]
+        assert trajectories[:, i].tobytes() == single.x.tobytes()
         assert lo <= np.min(single.x) and hi >= np.max(single.x)
