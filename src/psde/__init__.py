@@ -12,6 +12,7 @@ from .density import (
     generate_ensemble,
     kde,
     ks_test,
+    path_drivers,
     path_seed,
     reference_gaussian,
     reference_singly_perturbed,

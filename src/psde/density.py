@@ -61,6 +61,14 @@ def path_seed(master_seed: int, path_index: int) -> int:
     return int(master_seed) ^ int(path_index)
 
 
+def path_drivers(cfg: SimConfig, start: int, stop: int) -> np.ndarray:
+    """Drivers of paths start <= p < stop, one row each, on seed path_seed(cfg.rng_seed, p)."""
+    drivers = np.empty((stop - start, cfg.n_steps))
+    for p, row in enumerate(drivers, start):
+        row[:] = brownian_driver(cfg.n_steps, cfg.horizon, path_seed(cfg.rng_seed, p))
+    return drivers
+
+
 def generate_ensemble(
     model: CoefficientModel,
     params: PerturbationParams,
@@ -84,21 +92,14 @@ def generate_ensemble(
     if cfg.scheme is Scheme.PICARD:
         values = np.empty(n_paths)
         for p in range(n_paths):
-            inc = brownian_driver(cfg.n_steps, cfg.horizon, path_seed(cfg.rng_seed, p))
-            values[p] = simulate(model, params, cfg, inc).x[-1]
+            values[p] = simulate(model, params, cfg, path_drivers(cfg, p, p + 1)[0]).x[-1]
         return Ensemble(values, n_paths, cfg.horizon, fp)
 
-    dt = cfg.dt
-    sqrt_dt = math.sqrt(dt)
     starts = list(range(0, n_paths, chunk_size))
 
     def run_chunk(start: int):
-        size = min(chunk_size, n_paths - start)
-        drivers = np.empty((size, cfg.n_steps))
-        for p in range(size):
-            rng = np.random.Generator(np.random.Philox(key=path_seed(cfg.rng_seed, start + p)))
-            drivers[p] = rng.standard_normal(cfg.n_steps) * sqrt_dt
-        return per_step_terminal_chunk(model, params, cfg.x0_seed_value, dt, drivers)
+        drivers = path_drivers(cfg, start, min(start + chunk_size, n_paths))
+        return per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, drivers)
 
     if threads is None:
         threads = int(os.environ.get("PSDE_THREADS", "1"))

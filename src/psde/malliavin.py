@@ -34,11 +34,19 @@ from typing import Sequence
 
 import numpy as np
 
-from .density import path_seed
+from .density import path_drivers
 from .errors import EpsTooSmallWarning
 from .models import CoefficientModel
 from .params import PerturbationParams
-from .simulate import Path, SimConfig, brownian_driver, per_step_terminal_chunk, simulate_per_step
+from .simulate import (
+    Path,
+    SimConfig,
+    _fresh_max,
+    brownian_driver,
+    per_step_terminal_chunk,
+    running_argmax,
+    running_argmin,
+)
 
 MAX_FIELD_STEPS = 4096
 H_NORM_CHUNK = 128  # paths per terminal_h_norms batch, each batch holds ~12 (n+1, chunk) arrays
@@ -79,23 +87,6 @@ class CameronMartinResult:
     base_terminal: float
     shifted_terminal: float
     eps_too_small: bool
-
-
-def _fresh_max(x: np.ndarray) -> np.ndarray:
-    """Fresh running maxima along axis 0: x_k > max_{j<k} x_j, and k = 0."""
-    fresh = np.ones(x.shape, dtype=bool)
-    fresh[1:] = x[1:] > np.maximum.accumulate(x, axis=0)[:-1]
-    return fresh
-
-
-def running_argmax(x: np.ndarray) -> np.ndarray:
-    """Earliest index attaining the running maximum at each position."""
-    x = np.asarray(x, dtype=float)
-    return np.maximum.accumulate(np.where(_fresh_max(x), np.arange(len(x)), -1))
-
-
-def running_argmin(x: np.ndarray) -> np.ndarray:
-    return running_argmax(-np.asarray(x, dtype=float))
 
 
 def _fresh_paths(fresh: np.ndarray) -> list:
@@ -226,9 +217,7 @@ def terminal_h_norms(
     values = np.empty(n_paths)
     for start in range(0, n_paths, chunk_size):
         stop = min(start + chunk_size, n_paths)
-        drivers = np.stack(
-            [brownian_driver(n, cfg.horizon, path_seed(cfg.rng_seed, p)) for p in range(start, stop)]
-        )
+        drivers = path_drivers(cfg, start, stop)
         x = np.empty((n + 1, stop - start))
         _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, drivers, x)
         model.check_bounds(lo, hi)
@@ -270,8 +259,8 @@ def cameron_martin_directional(
     For each window (r_lo, r_hi], re-simulates on the same Brownian driver
     shifted by eps * int_0^s h(u) du with h the window's indicator: every
     increment inside the window gains eps*dt.  The base path is simulated
-    once; the shifted drivers run as one batch through the per-step kernel,
-    whose terminal values equal the scalar loop's bit for bit.  Each quotient
+    once, as row 0 of one per-step kernel batch whose other rows are the
+    shifted drivers, under one bound check.  Each quotient
     (X^eps_T - X_T)/eps matches the field-based sum up to O(eps) + O(dt).
     """
     if eps <= 0.0:
@@ -281,15 +270,15 @@ def cameron_martin_directional(
     dt = cfg.dt
     steps = [_window_steps(r_lo, r_hi, dt, cfg.n_steps) for r_lo, r_hi in windows]
     increments = brownian_driver(cfg.n_steps, cfg.horizon, cfg.rng_seed)
-    x_t = float(simulate_per_step(model, params, cfg, increments).x[-1])
-    shifted = np.tile(increments, (len(steps), 1))
-    for row, (j_lo, j_hi) in zip(shifted, steps):
+    drivers = np.tile(increments, (len(steps) + 1, 1))
+    for row, (j_lo, j_hi) in zip(drivers[1:], steps):
         row[j_lo:j_hi] += eps * dt
-    bumped, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, dt, shifted)
+    terminals, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, dt, drivers)
     model.check_bounds(lo, hi)
+    x_t, *bumped = terminals.tolist()
     floor = 10.0 * np.spacing(max(abs(x_t), 1.0))
     results = []
-    for x_eps in bumped.tolist():
+    for x_eps in bumped:
         diff = x_eps - x_t
         too_small = bool(abs(diff) < floor)
         if too_small:

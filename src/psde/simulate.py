@@ -2,10 +2,12 @@
 
 Two independent schemes on the same uniform grid and Brownian driver:
 
-* ``simulate_per_step``: explicit Euler candidate, then an implicit one-step
-  solve whenever the candidate exits the current [min, max] band.  A fresh
-  maximum solves x' = u + alpha*(x' - m), i.e. x' = (u - alpha*m)/(1-alpha);
-  symmetrically with (1-beta) for a fresh minimum.
+* ``per_step_terminal_chunk``: explicit Euler candidate, then an implicit
+  one-step solve whenever the candidate exits the current [min, max] band.
+  A fresh maximum solves x' = u + alpha*(x' - m), i.e.
+  x' = (u - alpha*m)/(1-alpha); symmetrically with (1-beta) for a fresh
+  minimum.  It is the only implementation of the step and runs a batch of
+  paths at once; ``simulate_per_step`` is a batch of one.
 * ``simulate_picard``: the outer fixed-point iteration.  Each pass freezes
   the coefficients along the previous iterate, forms the driving path
   a_k = x + sum sigma(X_i) dW_i + sum b(X_i) dt by left-point sums, solves
@@ -124,58 +126,44 @@ def refine_increments(increments: np.ndarray, horizon: float, seed: int) -> np.n
     return out
 
 
-def _coef_scalar(fn, x: float) -> float:
-    return float(np.asarray(fn(x)))
+def _fresh_max(x: np.ndarray) -> np.ndarray:
+    """Fresh running maxima along axis 0: x_k > max_{j<k} x_j, and k = 0."""
+    fresh = np.ones(x.shape, dtype=bool)
+    fresh[1:] = x[1:] > np.maximum.accumulate(x, axis=0)[:-1]
+    return fresh
 
 
-def simulate_per_step(
-    model: CoefficientModel,
-    params: PerturbationParams,
-    cfg: SimConfig,
-    increments: np.ndarray | None = None,
-) -> Path:
-    """Per-step implicit Euler scheme (see module docstring for the cases)."""
-    n = cfg.n_steps
-    dt = cfg.dt
-    alpha, beta = params.alpha, params.beta
-    if increments is None:
-        increments = brownian_driver(n, cfg.horizon, cfg.rng_seed)
-    x = np.empty(n + 1)
-    m = np.empty(n + 1)
-    i_arr = np.empty(n + 1)
-    x0 = cfg.x0_seed_value / (1.0 - alpha - beta)
-    x[0] = m[0] = i_arr[0] = x0
-    xk, mk, ik = x0, x0, x0
-    for k in range(n):
-        dw = increments[k]
-        u = xk + _coef_scalar(model.sigma, xk) * dw + _coef_scalar(model.b, xk) * dt
-        if u > mk:
-            xk = (u - alpha * mk) / (1.0 - alpha)
-            if not xk > mk:
-                raise CaseInconsistentError(
-                    f"fresh-max solve landed at {xk} <= current max {mk} at step {k}", k
-                )
-            mk = xk
-        elif u < ik:
-            xk = (u - beta * ik) / (1.0 - beta)
-            if not xk < ik:
-                raise CaseInconsistentError(
-                    f"fresh-min solve landed at {xk} >= current min {ik} at step {k}", k
-                )
-            ik = xk
-        else:
-            # ties (u == m or u == i) classify as "no update": no division by
-            # a perturbation weight for a vacuous extreme increment
-            xk = u
-        x[k + 1] = xk
-        m[k + 1] = mk
-        i_arr[k + 1] = ik
-    if not np.all(np.isfinite(x)):
-        bad = int(np.argmax(~np.isfinite(x)))
-        raise SimulationAborted(f"non-finite path value at step {bad}")
-    model.check_bounds(float(np.min(x)), float(np.max(x)))
-    w = np.concatenate(([0.0], np.cumsum(increments)))
-    return Path(grid=cfg.grid(), x=x, m=m, i=i_arr, w=w)
+def running_argmax(x: np.ndarray) -> np.ndarray:
+    """Earliest index attaining the running maximum at each position."""
+    x = np.asarray(x, dtype=float)
+    return np.maximum.accumulate(np.where(_fresh_max(x), np.arange(len(x)), -1))
+
+
+def running_argmin(x: np.ndarray) -> np.ndarray:
+    return running_argmax(-np.asarray(x, dtype=float))
+
+
+def _solve_fresh(x, extreme, weight, beyond, k):
+    """Fresh-extreme solve x' = (u - weight*e)/(1-weight) at step k, in place.
+
+    Runs only on the paths whose candidate u = x is beyond(u, e) of their
+    running extreme e; a solve that lands back inside the band raises.
+    """
+    fresh = beyond(x, extreme)
+    if not np.count_nonzero(fresh):  # cheaper than fresh.any() on a batch of one
+        return
+    p = np.flatnonzero(fresh)
+    solved = (x[p] - weight * extreme[p]) / (1.0 - weight)
+    inside = ~beyond(solved, extreme[p])
+    if inside.any():
+        q = int(np.argmax(inside))
+        raise CaseInconsistentError(
+            f"fresh-extreme solve on chunk path {p[q]} landed at {solved[q]}, inside its "
+            f"running extreme {extreme[p[q]]}, at step {k}",
+            k,
+        )
+    x[p] = solved
+    extreme[p] = solved
 
 
 def per_step_terminal_chunk(
@@ -186,50 +174,65 @@ def per_step_terminal_chunk(
     drivers: np.ndarray,
     trajectories: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, float]:
-    """Vectorized per-step scheme over a (n_paths, n_steps) driver matrix.
+    """Per-step scheme over a (n_paths, n_steps) driver matrix.
 
-    Operation order mirrors :func:`simulate_per_step` exactly, so path p of a
-    chunk is bit-identical to the scalar simulation on drivers[p], and a
-    fresh-extreme solve that lands inside the band raises the same
-    :class:`CaseInconsistentError`.  Returns terminal values plus the realized
-    value range (for a bounds spot-check), read off the final running extremes.
+    Each step forms the Euler candidate u = x + sigma(x) dW + b(x) dt on
+    every path and divides only where u leaves the [i, m] band.  The
+    arithmetic of a path does not depend on the batch, so path p of a chunk
+    is bit-identical to a batch of one on drivers[p].  Returns terminal
+    values plus the realized value range (for a bounds spot-check), read off
+    the final running extremes.
 
     With ``trajectories``, a caller-supplied (n_steps + 1, n_paths) array,
-    row k receives every path's value at step k (column p equals
-    ``simulate_per_step(...).x`` on drivers[p]), and every recorded value,
-    not only the terminal one, must be finite.
+    row k receives every path's value at step k, and every recorded value,
+    not only the terminal one, must be finite (the abort names its step).
     """
     alpha, beta = params.alpha, params.beta
-    n_steps = drivers.shape[1]
     x0 = x0_seed_value / (1.0 - alpha - beta)
     x = np.full(drivers.shape[0], x0)
     m = x.copy()
     i_arr = x.copy()
     if trajectories is not None:
         trajectories[0] = x
-    for k in range(n_steps):
-        dw = drivers[:, k]
-        u = x + np.asarray(model.sigma(x)) * dw + np.asarray(model.b(x)) * dt
-        up = u > m
-        down = u < i_arr
-        x = np.where(up, (u - alpha * m) / (1.0 - alpha), np.where(down, (u - beta * i_arr) / (1.0 - beta), u))
-        inconsistent = (up & ~(x > m)) | (down & ~(x < i_arr))
-        if inconsistent.any():
-            p = int(np.argmax(inconsistent))
-            raise CaseInconsistentError(
-                f"fresh-extreme solve on chunk path {p} landed at {x[p]} inside "
-                f"[{i_arr[p]}, {m[p]}] at step {k}",
-                k,
-            )
-        m = np.where(up, x, m)
-        i_arr = np.where(down, x, i_arr)
+    for k in range(drivers.shape[1]):
+        noise = np.asarray(model.sigma(x)) * drivers[:, k]
+        drift = np.asarray(model.b(x)) * dt
+        x += noise
+        x += drift
+        # a fresh maximum lands above the minimum, so the minimum solve sees
+        # only unsolved candidates; ties (u == m or u == i) solve nothing
+        _solve_fresh(x, m, alpha, np.greater, k)
+        _solve_fresh(x, i_arr, beta, np.less, k)
         if trajectories is not None:
             trajectories[k + 1] = x
-    finite = np.isfinite(x) if trajectories is None else np.isfinite(trajectories).all(axis=0)
+    finite = np.isfinite(x if trajectories is None else trajectories)
     if not finite.all():
-        bad = int(np.argmax(~finite))
-        raise SimulationAborted(f"non-finite path value on chunk path {bad}")
+        *step, path = np.argwhere(~finite)[0]
+        at = f" at step {step[0]}" if step else ""
+        raise SimulationAborted(f"non-finite path value on chunk path {path}{at}")
     return x, float(np.min(i_arr)), float(np.max(m))
+
+
+def simulate_per_step(
+    model: CoefficientModel,
+    params: PerturbationParams,
+    cfg: SimConfig,
+    increments: np.ndarray | None = None,
+) -> Path:
+    """Per-step implicit Euler scheme: the chunk kernel on a batch of one.
+
+    m and i are the values at the earliest running argmax/argmin, as the
+    kernel keeps them (np.maximum.accumulate may take the later of -0.0, 0.0).
+    """
+    if increments is None:
+        increments = brownian_driver(cfg.n_steps, cfg.horizon, cfg.rng_seed)
+    increments = np.asarray(increments, dtype=float)
+    x = np.empty((cfg.n_steps + 1, 1))
+    _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, increments[None, :], x)
+    model.check_bounds(lo, hi)
+    x = x.reshape(-1)
+    w = np.concatenate(([0.0], np.cumsum(increments)))
+    return Path(grid=cfg.grid(), x=x, m=x[running_argmax(x)], i=x[running_argmin(x)], w=w)
 
 
 def simulate_picard(

@@ -1,8 +1,9 @@
-import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import psde
 from psde import Scheme, SimConfig
@@ -157,7 +158,7 @@ def test_overflow_aborts():
         name="blow-up",
     )
     p = psde.validate_params(0.2, 0.1)
-    with pytest.raises(psde.SimulationAborted):
+    with pytest.raises(psde.SimulationAborted, match=r"path 0 at step \d+"):
         psde.simulate_per_step(blow_up, p, cfg(n_steps=50, seed=1, x0=1.0))
 
 
@@ -179,20 +180,110 @@ def test_declared_bound_violation_detected():
         psde.simulate_per_step(lying, p, cfg(n_steps=200, seed=3))
 
 
+def _reference_per_step(model, params, x0_seed_value, dt, increments):
+    """The per-step scheme as a scalar loop over one path: x, m, i."""
+    alpha, beta = params.alpha, params.beta
+    n = len(increments)
+    x = np.empty(n + 1)
+    m = np.empty(n + 1)
+    i_arr = np.empty(n + 1)
+    x0 = x0_seed_value / (1.0 - alpha - beta)
+    x[0] = m[0] = i_arr[0] = x0
+    xk, mk, ik = x0, x0, x0
+    for k in range(n):
+        u = xk + float(np.asarray(model.sigma(xk))) * increments[k] + float(np.asarray(model.b(xk))) * dt
+        if u > mk:
+            xk = (u - alpha * mk) / (1.0 - alpha)
+            if not xk > mk:
+                raise psde.CaseInconsistentError(f"fresh-max solve at step {k}", k)
+            mk = xk
+        elif u < ik:
+            xk = (u - beta * ik) / (1.0 - beta)
+            if not xk < ik:
+                raise psde.CaseInconsistentError(f"fresh-min solve at step {k}", k)
+            ik = xk
+        else:
+            xk = u
+        x[k + 1] = xk
+        m[k + 1] = mk
+        i_arr[k + 1] = ik
+    return x, m, i_arr
+
+
+def _assert_kernel_matches_reference(model, p, x0_seed_value, horizon, drivers):
+    n_paths, n = drivers.shape
+    c = SimConfig(x0_seed_value=x0_seed_value, horizon=horizon, n_steps=n, rng_seed=0)
+    dt = c.dt
+    trajectories = np.empty((n + 1, n_paths))
+    terminals, lo, hi = per_step_terminal_chunk(model, p, x0_seed_value, dt, drivers, trajectories)
+    refs = [_reference_per_step(model, p, x0_seed_value, dt, row) for row in drivers]
+    for col, (x, _, _) in enumerate(refs):
+        assert trajectories[:, col].tobytes() == x.tobytes()
+    assert terminals.tobytes() == np.array([x[-1] for x, _, _ in refs]).tobytes()
+    lo_ref = min(i_arr[-1] for _, _, i_arr in refs)
+    hi_ref = max(m[-1] for _, m, _ in refs)
+    assert np.array([lo, hi]).tobytes() == np.array([lo_ref, hi_ref]).tobytes()
+    path = psde.simulate_per_step(model, p, c, drivers[0])
+    for got, want in zip((path.x, path.m, path.i), refs[0]):
+        assert got.tobytes() == want.tobytes()
+
+
 def test_vectorized_chunk_bit_identical(generic_model):
     p = psde.validate_params(0.3, -0.2)
-    base = cfg(n_steps=64, seed=1000, x0=0.5)
     drivers = np.stack(
         [psde.brownian_driver(64, 1.0, psde.path_seed(1000, i)) for i in range(8)]
     )
-    terminals, lo, hi = per_step_terminal_chunk(generic_model, p, 0.5, base.dt, drivers)
-    trajectories = np.empty((65, 8))
-    recorded = per_step_terminal_chunk(generic_model, p, 0.5, base.dt, drivers, trajectories)
-    assert np.array_equal(recorded[0], terminals) and recorded[1:] == (lo, hi)
-    for i in range(8):
-        single = psde.simulate_per_step(
-            generic_model, p, dataclasses.replace(base, rng_seed=psde.path_seed(1000, i))
-        )
-        assert single.x[-1] == terminals[i]
-        assert trajectories[:, i].tobytes() == single.x.tobytes()
-        assert lo <= np.min(single.x) and hi >= np.max(single.x)
+    _assert_kernel_matches_reference(generic_model, p, 0.5, 1.0, drivers)
+
+
+@pytest.mark.parametrize("n", [1, 2, 64, 1000])
+@pytest.mark.parametrize(
+    "name,alpha,beta,x0",
+    [
+        ("unit", 0.5, 0.0, 0.0),
+        ("unit", -0.7, 0.4, 0.0),
+        ("smooth-generic", 0.3, -0.2, 0.5),
+        ("additive-sine", 0.05, 0.05, -0.3),
+        ("multiplicative-sine", 0.2, -0.3, 0.25),
+    ],
+)
+def test_kernel_matches_reference_loop(name, alpha, beta, x0, n):
+    model = psde.named_model(name)
+    p = psde.validate_params(alpha, beta)
+    drivers = np.stack([psde.brownian_driver(n, 1.0, psde.path_seed(7 * n, q)) for q in range(5)])
+    _assert_kernel_matches_reference(model, p, x0, 1.0, drivers)
+
+
+def test_running_extremes_keep_signed_zero(unit_model):
+    # from x = -0.0 on zero increments every later value is +0.0: a tie, so
+    # the running extremes keep the earlier -0.0, as the scalar loop does
+    p = psde.validate_params(0.0, 0.0)
+    _assert_kernel_matches_reference(unit_model, p, -0.0, 1.0, np.zeros((2, 10)))
+    path = psde.simulate_per_step(unit_model, p, cfg(n_steps=10, x0=-0.0), np.zeros(10))
+    assert np.signbit(path.m).all() and np.signbit(path.i).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["unit", "smooth-generic", "additive-sine", "multiplicative-sine"]),
+    alpha=st.floats(min_value=-2.0, max_value=0.9),
+    beta=st.floats(min_value=-2.0, max_value=0.9),
+    n=st.integers(min_value=1, max_value=64),
+    batch=st.integers(min_value=1, max_value=9),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_batch_rows_match_batch_of_one(name, alpha, beta, n, batch, seed):
+    try:
+        p = psde.validate_params(alpha, beta)
+    except psde.ParameterRejection:
+        assume(False)
+    model = psde.named_model(name)
+    drivers = np.stack([psde.brownian_driver(n, 1.0, psde.path_seed(seed, q)) for q in range(batch)])
+    trajectories = np.empty((n + 1, batch))
+    terminals, _, _ = per_step_terminal_chunk(model, p, 0.3, 1.0 / n, drivers, trajectories)
+    for q in range(batch):
+        one = np.empty((n + 1, 1))
+        terminal, lo, hi = per_step_terminal_chunk(model, p, 0.3, 1.0 / n, drivers[q : q + 1], one)
+        assert terminal.tobytes() == terminals[q : q + 1].tobytes()
+        assert one[:, 0].tobytes() == trajectories[:, q].tobytes()
+        assert np.array([lo, hi]).tobytes() == np.array([one.min(), one.max()]).tobytes()
