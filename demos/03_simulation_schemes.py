@@ -14,10 +14,9 @@ from psde import Scheme, SimConfig
 model = psde.named_model("smooth-generic")
 params = psde.validate_params(0.4, 0.3)
 
-print("Scheme agreement on a shared driver:")
-for n in (100, 200, 400):
-    cfg = SimConfig(x0_seed_value=0.5, horizon=1.0, n_steps=n, rng_seed=1)
-    inc = psde.brownian_driver(n, 1.0, 1)
+print("Scheme agreement on a shared driver, refined by Brownian bridges:")
+for cfg, inc in psde.refinement_ladder(SimConfig(x0_seed_value=0.5, horizon=1.0, n_steps=100, rng_seed=1), 3):
+    n = cfg.n_steps
     per_step = psde.simulate_per_step(model, params, cfg, inc)
     picard = psde.simulate_picard(model, params, cfg, inc)
     gap = np.max(np.abs(per_step.x - picard.x))

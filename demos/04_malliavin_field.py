@@ -44,7 +44,7 @@ for (r_lo, r_hi), fd in zip(windows, psde.cameron_martin_directional(model, para
           f"finite diff {fd.value:+.6f}  rel err {abs(fv - fd.value) / abs(fd.value):.1e}")
 
 print("\nPositivity summary over 200 paths (absolute-continuity proxy):")
-# path p runs on seed path_seed(0, p) = p
+# path p runs on seed path_seed(0, p) = p << 64
 c = SimConfig(x0_seed_value=0.5, horizon=1.0, n_steps=128, rng_seed=0)
 h_values = psde.terminal_h_norms(model, params, c, 200)
 rep = psde.positivity_report(h_values, t=1.0, sigma_inf=model.sigma_inf)

@@ -1,8 +1,8 @@
 """Terminal-law statistics: moments, KS against the analytic law, atom scan.
 
 For beta = 0, sigma = 1, b = 0, x = 0 the terminal value is
-W_T + c * max W_T with c = alpha/(1-alpha), whose density follows from the
-joint endpoint/maximum law by one-dimensional quadrature.  The ensemble
+W_T + c * max W_T with c = alpha/(1-alpha), whose density is the closed-form
+integral of the joint endpoint/maximum law along w + c*m = v.  The ensemble
 below uses a fairly fine grid because the discrete running maximum is
 biased low by about 0.58*sqrt(dt).
 """
@@ -28,7 +28,7 @@ print(f"sample mean {np.mean(vals):.5f} vs E[X_1] = sqrt(2/pi) = {target:.5f} "
 
 law = psde.reference_singly_perturbed(params.alpha, 1.0)
 ks = psde.ks_test(ensemble, law)
-print(f"KS vs quadrature reference: {ks.statistic:.5f} "
+print(f"KS vs closed-form reference: {ks.statistic:.5f} "
       f"(1% critical {ks.critical_1pct:.5f}, passes: {ks.passes_1pct})")
 
 print("\nAtom scan: max bin mass shrinks linearly with the bin width")

@@ -12,8 +12,6 @@ from .density import (
     generate_ensemble,
     kde,
     ks_test,
-    path_drivers,
-    path_seed,
     reference_gaussian,
     reference_singly_perturbed,
 )
@@ -23,8 +21,8 @@ from .errors import (
     EpsTooSmallWarning,
     NoConvergenceError,
     ParameterRejection,
+    PathFailure,
     PsdeError,
-    QuadratureError,
     SigmaNotPositiveError,
     SimulationAborted,
 )
@@ -71,8 +69,11 @@ from .simulate import (
     Scheme,
     SimConfig,
     brownian_driver,
+    path_drivers,
     path_residual,
+    path_seed,
     refine_increments,
+    refinement_ladder,
     simulate,
     simulate_per_step,
     simulate_picard,

@@ -34,14 +34,7 @@ from .artifacts import (
     write_json_report,
     write_path_csv,
 )
-from .errors import (
-    CaseInconsistentError,
-    NoConvergenceError,
-    ParameterRejection,
-    QuadratureError,
-    SigmaNotPositiveError,
-    SimulationAborted,
-)
+from .errors import NoConvergenceError, ParameterRejection, PathFailure, SigmaNotPositiveError
 from .models import CoefficientModel, coefficient_from_spec, make_model, named_model, tabulated
 from .params import (
     hnorm_lower_bound,
@@ -49,15 +42,7 @@ from .params import (
     smoothness_constant,
     validate_params,
 )
-from .simulate import (
-    Scheme,
-    SimConfig,
-    brownian_driver,
-    simulate,
-    simulate_per_step,
-    simulate_picard,
-    with_resolution,
-)
+from .simulate import Scheme, SimConfig, refinement_ladder, simulate, simulate_per_step, simulate_picard
 
 EXIT_OK = 0
 EXIT_REJECTED = 2
@@ -99,7 +84,7 @@ CONFIG_SCHEMA = {
                 "x0": {"type": "number"},
                 "horizon": {"type": "number", "exclusiveMinimum": 0},
                 "n_steps": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
+                "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
                 "scheme": {"enum": ["per-step", "picard"]},
                 "picard_outer_iters": {"type": "integer", "minimum": 1},
                 "fixed_point_tol": {"type": "number", "exclusiveMinimum": 0},
@@ -132,7 +117,9 @@ class _CliFailure(Exception):
         self.kind = kind
 
 
-def _load_config(path: str) -> dict:
+def _load_config(args) -> dict:
+    """The config file with --seed and --steps applied, checked against the schema."""
+    path = args.config
     try:
         with open(path) as fh:
             raw = json.load(fh)
@@ -140,6 +127,11 @@ def _load_config(path: str) -> dict:
         raise _CliFailure(EXIT_IO, "IOError", f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _CliFailure(EXIT_IO, "JSONDecodeError", f"config {path} is not valid JSON: {exc}") from exc
+    sim = raw.get("sim") if isinstance(raw, dict) else None
+    if isinstance(sim, dict):
+        for key, value in (("seed", args.seed), ("n_steps", args.steps)):
+            if value is not None:
+                sim[key] = value
     if jsonschema is not None:
         try:
             jsonschema.validate(raw, CONFIG_SCHEMA)
@@ -171,12 +163,8 @@ def _coef(spec: dict, base_dir: FsPath):
     return coefficient_from_spec(spec)
 
 
-def _sim_config(cfg: dict, args) -> SimConfig:
-    sim = dict(cfg["sim"])
-    if args.seed is not None:
-        sim["seed"] = args.seed
-    if args.steps is not None:
-        sim["n_steps"] = args.steps
+def _sim_config(cfg: dict) -> SimConfig:
+    sim = cfg["sim"]
     return SimConfig(
         x0_seed_value=sim["x0"],
         horizon=sim["horizon"],
@@ -190,7 +178,7 @@ def _sim_config(cfg: dict, args) -> SimConfig:
 
 def _load(args):
     """Config, model, validated parameters and output directory of a run."""
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     model = _build_model(cfg, FsPath(args.config).resolve().parent)
     params = validate_params(cfg["params"]["alpha"], cfg["params"]["beta"])
     out_dir = FsPath(args.out or cfg.get("output_dir", "psde_out"))
@@ -199,7 +187,7 @@ def _load(args):
 
 def _context(args):
     cfg, model, params, out_dir = _load(args)
-    sim_cfg = _sim_config(cfg, args)
+    sim_cfg = _sim_config(cfg)
     analysis = cfg.get("analysis", {})
     fp = fingerprint(
         {
@@ -296,16 +284,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_picard_compare(args) -> int:
     _, model, params, sim_cfg, analysis, out_dir, fp = _context(args)
-    levels = analysis.get("refinements", 3)
     rows = []
-    n = sim_cfg.n_steps
-    for _ in range(levels):
-        level_cfg = with_resolution(sim_cfg, n)
-        inc = brownian_driver(n, sim_cfg.horizon, sim_cfg.rng_seed)
+    for level_cfg, inc in refinement_ladder(sim_cfg, analysis.get("refinements", 3)):
         a = simulate_per_step(model, params, level_cfg, inc)
         b = simulate_picard(model, params, level_cfg, inc)
-        rows.append((n, level_cfg.dt, float(np.max(np.abs(a.x - b.x)))))
-        n *= 2
+        rows.append((level_cfg.n_steps, level_cfg.dt, float(np.max(np.abs(a.x - b.x)))))
     write_csv(out_dir / "scheme_discrepancy.csv", ["n_steps", "dt", "sup_discrepancy"], rows)
     report = write_json_report(
         out_dir / "picard_compare.json",
@@ -498,17 +481,10 @@ def main(argv=None) -> int:
     except (ValueError,) as exc:
         _error("ValueError", str(exc), EXIT_REJECTED)
         return EXIT_REJECTED
-    except (
-        NoConvergenceError,
-        QuadratureError,
-        CaseInconsistentError,
-        SimulationAborted,
-        SigmaNotPositiveError,
-        FloatingPointError,
-    ) as exc:
+    except (NoConvergenceError, PathFailure, SigmaNotPositiveError, FloatingPointError) as exc:
         diagnostics = {}
-        if isinstance(exc, CaseInconsistentError):
-            diagnostics["step"] = exc.step
+        if isinstance(exc, PathFailure):
+            diagnostics.update(path=exc.path, step=exc.step)
         if isinstance(exc, NoConvergenceError):
             diagnostics["history"] = exc.history[-5:]
         _error(type(exc).__name__, str(exc), EXIT_NUMERICAL, **diagnostics)

@@ -4,7 +4,7 @@ The regularity theory is qualitative (absolute continuity, smooth density);
 at desk scale it is operationalized as: no-atom mass scaling under shrinking
 bins, Kolmogorov-Smirnov agreement with analytic laws in the solvable special
 cases, and kernel density estimates.  The singly perturbed reference law
-(beta = 0) comes from one-dimensional quadrature of the joint density of the
+(beta = 0) is the closed form of the integral of the joint density of the
 Brownian endpoint and running maximum along the line w + c*m = v with
 c = alpha/(1-alpha).
 """
@@ -19,14 +19,12 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, quad
-from scipy.interpolate import PchipInterpolator
+from scipy.special import ndtr
 
 from .artifacts import fingerprint
-from .errors import QuadratureError
 from .models import CoefficientModel
 from .params import PerturbationParams
-from .simulate import Scheme, SimConfig, brownian_driver, per_step_terminal_chunk, simulate
+from .simulate import Scheme, SimConfig, path_drivers, per_step_terminal_chunk, simulate
 
 KS_CRITICAL_1PCT = 1.63
 KS_CRITICAL_5PCT = 1.36
@@ -56,19 +54,6 @@ class ReferenceLaw:
     cdf: Callable[[np.ndarray], np.ndarray]
 
 
-def path_seed(master_seed: int, path_index: int) -> int:
-    """Documented splitting rule: per-path key = master_seed XOR path_index."""
-    return int(master_seed) ^ int(path_index)
-
-
-def path_drivers(cfg: SimConfig, start: int, stop: int) -> np.ndarray:
-    """Drivers of paths start <= p < stop, one row each, on seed path_seed(cfg.rng_seed, p)."""
-    drivers = np.empty((stop - start, cfg.n_steps))
-    for p, row in enumerate(drivers, start):
-        row[:] = brownian_driver(cfg.n_steps, cfg.horizon, path_seed(cfg.rng_seed, p))
-    return drivers
-
-
 def generate_ensemble(
     model: CoefficientModel,
     params: PerturbationParams,
@@ -80,8 +65,9 @@ def generate_ensemble(
     """n_paths terminal values with deterministically split per-path seeds.
 
     Results are independent of chunking and thread scheduling: path p always
-    uses the driver of seed (rng_seed XOR p) and the same arithmetic as a
-    standalone per-step simulation.
+    uses the driver of seed ``path_seed(rng_seed, p)`` and the same
+    arithmetic as a standalone per-step simulation.  Ensembles on different
+    master seeds draw disjoint streams.
     """
     fp = fingerprint(
         {"model": model.describe(), "alpha": params.alpha, "beta": params.beta,
@@ -126,32 +112,19 @@ def reference_gaussian(mean: float, variance: float) -> ReferenceLaw:
 
     def cdf(v):
         v = np.asarray(v, dtype=float)
-        from scipy.special import ndtr
-
         return ndtr((v - mean) / sd)
 
     return ReferenceLaw(LawKind.GAUSSIAN, density, cdf)
 
 
-def _joint_max_integrand(m: np.ndarray, v: float, c: float, t: float) -> np.ndarray:
-    # joint density of (W_t, max W_t) at w = v - c*m:
-    # f(w, m) = 2(2m - w)/sqrt(2 pi t^3) * exp(-(2m - w)^2 / (2t)), m >= max(w, 0)
-    u = (2.0 + c) * m - v
-    return 2.0 * u / math.sqrt(2.0 * math.pi * t**3) * np.exp(-(u**2) / (2.0 * t))
-
-
-def reference_singly_perturbed(
-    alpha: float,
-    t: float,
-    n_grid: int = 4001,
-    tol: float = 1e-8,
-) -> ReferenceLaw:
+def reference_singly_perturbed(alpha: float, t: float) -> ReferenceLaw:
     """Law of X_t = W_t + c * max_{s<=t} W_s with c = alpha/(1-alpha).
 
-    Density by quadrature of the joint endpoint/maximum law along
-    w + c*m = v; cdf by a second (cumulative) quadrature of the density
-    tabulation.  Raises :class:`QuadratureError` if the density quadrature
-    cannot reach ``tol``.
+    By the reflection principle (W_t, max W_t) has density
+    2(2m - w)/sqrt(2 pi t^3) exp(-(2m - w)^2/(2t)) on m >= max(w, 0).  Its
+    integral along w + c*m = v is elementary: the density of X_t is
+    2/((2+c) sqrt(2 pi t)) times exp(-v^2/(2t)) for v < 0 and
+    exp(-v^2/(2t(1+c)^2)) for v >= 0, and the cdf follows with ndtr.
     """
     if not (alpha < 1.0):
         raise ValueError("alpha must be < 1")
@@ -159,47 +132,16 @@ def reference_singly_perturbed(
         raise ValueError("t must be > 0")
     c = alpha / (1.0 - alpha)
     sd = math.sqrt(t)
-    lo = -8.5 * sd
-    hi = 8.5 * max(1.0, 1.0 + c) * sd
-    grid = np.linspace(lo, hi, n_grid)
-
-    dens_vals = np.empty(n_grid)
-    for idx, v in enumerate(grid):
-        m0 = max(0.0, v / (1.0 + c))
-        val, err = quad(
-            _joint_max_integrand,
-            m0,
-            m0 + 10.0 * sd,
-            args=(float(v), c, t),
-            epsabs=tol * 1e-2,
-            epsrel=1e-10,
-            limit=200,
-        )
-        if err > tol:
-            raise QuadratureError(
-                f"density quadrature error {err:.2e} above {tol} at v={v}"
-            )
-        dens_vals[idx] = val
-
-    fine = np.linspace(lo, hi, 8 * (n_grid - 1) + 1)
-    dens_interp = PchipInterpolator(grid, dens_vals)
-    cdf_fine = cumulative_trapezoid(dens_interp(fine), fine, initial=0.0)
-    total = float(cdf_fine[-1])
-    if abs(total - 1.0) > 1e-6:
-        raise QuadratureError(f"density integrates to {total}, not 1 within 1e-6")
-    cdf_interp = PchipInterpolator(fine, np.minimum(cdf_fine, total))
+    weight = 2.0 / (2.0 + c)
 
     def density(v):
         v = np.asarray(v, dtype=float)
-        out = np.zeros(v.shape)
-        inside = (v >= lo) & (v <= hi)
-        out[inside] = dens_interp(v[inside])
-        return np.maximum(out, 0.0)
+        scale = np.where(v < 0.0, sd, (1.0 + c) * sd)
+        return weight / math.sqrt(2.0 * math.pi * t) * np.exp(-0.5 * (v / scale) ** 2)
 
     def cdf(v):
         v = np.asarray(v, dtype=float)
-        out = np.where(v <= lo, 0.0, np.where(v >= hi, 1.0, cdf_interp(np.clip(v, lo, hi))))
-        return np.clip(out, 0.0, 1.0)
+        return np.where(v < 0.0, weight * ndtr(v / sd), 1.0 - (1.0 + c) * weight * ndtr(-v / ((1.0 + c) * sd)))
 
     return ReferenceLaw(LawKind.SINGLY_PERTURBED_BM, density, cdf)
 

@@ -1,5 +1,7 @@
 """Exception and warning types shared across the package."""
 
+from __future__ import annotations
+
 
 class PsdeError(Exception):
     """Base class for all package errors."""
@@ -27,23 +29,29 @@ class NoConvergenceError(PsdeError):
         self.history = list(history)
 
 
-class CaseInconsistentError(PsdeError):
+class PathFailure(PsdeError):
+    """A simulation failed on one path of a batch at one step.
+
+    ``path`` is the row of the failing path in its batch (0 for a single
+    path) and ``step`` the grid step, or None where the failure was only
+    seen in the terminal values.
+    """
+
+    def __init__(self, message: str, step: int | None = None, path: int | None = None):
+        super().__init__(message)
+        self.step = step
+        self.path = path
+
+
+class CaseInconsistentError(PathFailure):
     """A per-step implicit solve contradicts its own case classification.
 
     Indicates a NaN/overflow or logic fault, never a modeling outcome.
     """
 
-    def __init__(self, message: str, step: int):
-        super().__init__(message)
-        self.step = step
 
-
-class SimulationAborted(PsdeError):
+class SimulationAborted(PathFailure):
     """Non-finite value produced while generating a path."""
-
-
-class QuadratureError(PsdeError):
-    """A quadrature failed to reach its requested tolerance."""
 
 
 class SigmaNotPositiveError(PsdeError):

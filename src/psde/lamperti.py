@@ -25,13 +25,7 @@ from scipy.interpolate import PchipInterpolator
 from .errors import NoConvergenceError, SigmaNotPositiveError
 from .models import Coefficient, CoefficientModel, constant, make_model
 from .params import PerturbationParams
-from .simulate import (
-    SimConfig,
-    brownian_driver,
-    refine_increments,
-    simulate_per_step,
-    with_resolution,
-)
+from .simulate import SimConfig, refinement_ladder, simulate_per_step
 
 TABULATION_NODES = 4096
 QUADRATURE_TOL = 1e-10
@@ -250,12 +244,12 @@ def pathwise_reduction_check(
 
     The tabulation range comes from a pilot path padded by
     range_pad_stds * max|sigma| * sqrt(T); refinements reuse the same
-    Brownian path through bridge splitting.
+    Brownian path through bridge splitting (:func:`refinement_ladder`).
     """
     if n_refinements < 1:
         raise ValueError("n_refinements must be >= 1")
-    increments = brownian_driver(cfg.n_steps, cfg.horizon, cfg.rng_seed)
-    pilot = simulate_per_step(model, params, cfg, increments)
+    ladder = refinement_ladder(cfg, n_refinements)
+    pilot = simulate_per_step(model, params, cfg, ladder[0][1])
     sig_max = float(np.max(np.abs(np.asarray(model.sigma(pilot.x)))))
     pad = range_pad_stds * sig_max * np.sqrt(cfg.horizon)
     lo = float(np.min(pilot.x)) - pad
@@ -265,12 +259,7 @@ def pathwise_reduction_check(
     additive = make_model(transform.reduced_drift_coefficient(), constant(1.0), name=f"{model.name}-reduced")
     levels = []
     commutation = True
-    level_cfg = cfg
-    level_inc = increments
-    for level in range(n_refinements):
-        if level > 0:
-            level_inc = refine_increments(level_inc, cfg.horizon, seed=cfg.rng_seed + 1 + level)
-            level_cfg = with_resolution(level_cfg, 2 * level_cfg.n_steps)
+    for level, (level_cfg, level_inc) in enumerate(ladder):
         x_path = simulate_per_step(model, params, level_cfg, level_inc) if level else pilot
         y_path = simulate_per_step(additive, params, replace(level_cfg, x0_seed_value=0.0), level_inc)
         gx = transform.g(x_path.x)

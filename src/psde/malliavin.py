@@ -34,7 +34,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .density import path_drivers
 from .errors import EpsTooSmallWarning
 from .models import CoefficientModel
 from .params import PerturbationParams
@@ -43,6 +42,7 @@ from .simulate import (
     SimConfig,
     _fresh_max,
     brownian_driver,
+    path_drivers,
     per_step_terminal_chunk,
     running_argmax,
     running_argmin,

@@ -14,9 +14,16 @@ Two independent schemes on the same uniform grid and Brownian driver:
   the running max/min system for a, and recombines X = a + alpha*M + beta*I.
 
 Both start from X_0 = x/(1-alpha-beta): at time zero the maximum and minimum
-both equal X_0, so the dynamics force that value.  Drivers are bit
-reproducible per seed via a counter-based generator; ensemble work derives
-per-path seeds as (seed XOR path_index).
+both equal X_0, so the dynamics force that value.
+
+Drivers are bit reproducible per seed on the counter-based Philox generator
+(Salmon et al. 2011, "Parallel random numbers: as easy as 1, 2, 3").  A seed
+below 2**64 is a master seed; path p of its ensemble has seed
+``path_seed(master, p) = master | (p << 64)``.  A seed's stream has key
+(purpose tag, master) and starts at counter (0, p, 0, 0): normals consume
+only counter word 0, so every path owns 2**64 blocks and can be drawn on its
+own, bit-identical to its row of any ensemble chunk.  Drivers and bridge
+midpoints use different tags, so they never share draws.
 """
 
 from __future__ import annotations
@@ -99,31 +106,109 @@ def path_residual(path: Path, model: CoefficientModel, params: PerturbationParam
     )
 
 
+_MASK64 = (1 << 64) - 1
+_DRIVER_TAG = 0
+_BRIDGE_TAG = 1
+_BLOCK_BYTES = 1 << 19  # one block of normals stays in L2
+
+
+def path_seed(master_seed: int, path_index: int) -> int:
+    """Seed of path path_index of the ensemble on master_seed: master | (p << 64)."""
+    if not (0 <= master_seed <= _MASK64 and 0 <= path_index <= _MASK64):
+        raise ValueError(f"path_seed needs 0 <= master, path < 2**64, got {master_seed}, {path_index}")
+    return int(master_seed) | (int(path_index) << 64)
+
+
+def _philox(tag: int, seed: int) -> np.random.Philox:
+    """Stream of seed for one purpose: key (tag, master), counter (0, p, 0, 0)."""
+    if not 0 <= seed < 1 << 128:
+        raise ValueError(f"seed must lie in [0, 2**128), got {seed}")
+    key = np.array([tag, seed & _MASK64], dtype=np.uint64)
+    return np.random.Philox(key=key, counter=np.array([0, seed >> 64, 0, 0], dtype=np.uint64))
+
+
+def _normal_rows(tag: int, seed: int, out: np.ndarray, scale: float) -> np.ndarray:
+    """Fill out[r] with scale * standard normals of seed + r * 2**64 (path p + r).
+
+    One generator serves every row: each row resets its state to counter
+    word 1 = its path, which costs far less than a fresh Philox.  Rows are
+    drawn into a C-order block of at most 64 paths and _BLOCK_BYTES, then
+    scaled into ``out`` in whatever order it has.
+    """
+    n_rows, n = out.shape
+    gen = np.random.Generator(_philox(tag, seed))
+    state = gen.bit_generator.state
+    counter = state["state"]["counter"]
+    first = seed >> 64
+    rows = max(1, min(64, _BLOCK_BYTES // (8 * n)))
+    block = np.empty((min(rows, n_rows), n))
+    for start in range(0, n_rows, rows):
+        part = block[: min(rows, n_rows - start)]
+        for r, row in enumerate(part, start):
+            counter[1] = first + r
+            gen.bit_generator.state = state
+            gen.standard_normal(out=row)
+        np.multiply(part, scale, out=out[start : start + len(part)])
+    return out
+
+
 def brownian_driver(n_steps: int, horizon: float, seed: int) -> np.ndarray:
-    """n_steps independent N(0, dt) increments, bit-reproducible per seed."""
+    """n_steps independent N(0, dt) increments, bit-reproducible per seed.
+
+    ``brownian_driver(n, T, path_seed(s, p))`` is row p of the ensemble
+    drivers on master seed s.
+    """
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     dt = horizon / n_steps
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    return rng.standard_normal(n_steps) * math.sqrt(dt)
+    return _normal_rows(_DRIVER_TAG, seed, np.empty((1, n_steps)), math.sqrt(dt))[0]
+
+
+def path_drivers(cfg: SimConfig, start: int, stop: int) -> np.ndarray:
+    """Drivers of paths start <= p < stop of the ensemble on cfg.rng_seed.
+
+    Row p - start is ``brownian_driver(cfg.n_steps, cfg.horizon,
+    path_seed(cfg.rng_seed, p))``.  The array is column-major (Fortran
+    order), so the per-step kernel reads each step's column contiguously.
+    """
+    drivers = np.empty((stop - start, cfg.n_steps), order="F")
+    return _normal_rows(_DRIVER_TAG, path_seed(cfg.rng_seed, start), drivers, math.sqrt(cfg.dt))
 
 
 def refine_increments(increments: np.ndarray, horizon: float, seed: int) -> np.ndarray:
     """Split each increment in two by Brownian-bridge midpoints.
 
     The refined sequence drives the same Brownian path at twice the
-    resolution; fresh midpoint noise comes from a dedicated stream.
+    resolution; fresh midpoint noise comes from the bridge stream of seed,
+    which shares no draws with any driver.
     """
     increments = np.asarray(increments, dtype=float)
     n = len(increments)
     dt = horizon / n
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    z = rng.standard_normal(n)
+    z = _normal_rows(_BRIDGE_TAG, seed, np.empty((1, n)), 1.0)[0]
     first = 0.5 * increments + 0.5 * math.sqrt(dt) * z
     out = np.empty(2 * n)
     out[0::2] = first
     out[1::2] = increments - first
     return out
+
+
+def refinement_ladder(cfg: SimConfig, n_levels: int) -> list[tuple[SimConfig, np.ndarray]]:
+    """(config, increments) of n_levels resolutions of one Brownian path.
+
+    Level 0 is cfg's driver; level l > 0 halves every step of level l - 1 by
+    bridge midpoints on seed ``path_seed(cfg.rng_seed, l)``.
+    """
+    levels = [(cfg, brownian_driver(cfg.n_steps, cfg.horizon, cfg.rng_seed))]
+    for level in range(1, n_levels):
+        level_cfg, increments = levels[-1]
+        levels.append(
+            (
+                with_resolution(level_cfg, 2 * level_cfg.n_steps),
+                refine_increments(increments, cfg.horizon, path_seed(cfg.rng_seed, level)),
+            )
+        )
+    return levels
 
 
 def _fresh_max(x: np.ndarray) -> np.ndarray:
@@ -160,7 +245,8 @@ def _solve_fresh(x, extreme, weight, beyond, k):
         raise CaseInconsistentError(
             f"fresh-extreme solve on chunk path {p[q]} landed at {solved[q]}, inside its "
             f"running extreme {extreme[p[q]]}, at step {k}",
-            k,
+            step=k,
+            path=int(p[q]),
         )
     x[p] = solved
     extreme[p] = solved
@@ -177,7 +263,10 @@ def per_step_terminal_chunk(
     """Per-step scheme over a (n_paths, n_steps) driver matrix.
 
     Each step forms the Euler candidate u = x + sigma(x) dW + b(x) dt on
-    every path and divides only where u leaves the [i, m] band.  The
+    every path and divides only where u leaves the [i, m] band.  Drivers are
+    read column by column, drivers[:, k] at step k, so a column-major matrix
+    (as ``path_drivers`` builds) is read contiguously; results do not depend
+    on the layout.  The
     arithmetic of a path does not depend on the batch, so path p of a chunk
     is bit-identical to a batch of one on drivers[p].  Returns terminal
     values plus the realized value range (for a bounds spot-check), read off
@@ -207,9 +296,10 @@ def per_step_terminal_chunk(
             trajectories[k + 1] = x
     finite = np.isfinite(x if trajectories is None else trajectories)
     if not finite.all():
-        *step, path = np.argwhere(~finite)[0]
-        at = f" at step {step[0]}" if step else ""
-        raise SimulationAborted(f"non-finite path value on chunk path {path}{at}")
+        *step, path = (int(v) for v in np.argwhere(~finite)[0])
+        step = step[0] if step else None
+        at = "" if step is None else f" at step {step}"
+        raise SimulationAborted(f"non-finite path value on chunk path {path}{at}", step=step, path=path)
     return x, float(np.min(i_arr)), float(np.max(m))
 
 
@@ -256,8 +346,10 @@ def simulate_picard(
         sig = np.asarray(model.sigma(x_iter[:-1]))
         drift = np.asarray(model.b(x_iter[:-1]))
         a_vals = cfg.x0_seed_value + np.concatenate(([0.0], np.cumsum(sig * increments + drift * dt)))
-        if not np.all(np.isfinite(a_vals)):
-            raise SimulationAborted("non-finite driving path in outer iteration")
+        finite = np.isfinite(a_vals)
+        if not finite.all():
+            step = int(np.argmin(finite))
+            raise SimulationAborted(f"non-finite driving path in outer iteration at step {step}", step=step, path=0)
         solution = solve_max_min(DrivingPath(times=grid, values=a_vals), params)
         x_next = a_vals + alpha * solution.m_path + beta * solution.i_path
         change = float(np.max(np.abs(x_next - x_iter)))

@@ -86,6 +86,16 @@ def test_simulate_seed_override_changes_output(tmp_path):
     assert (tmp_path / "out" / "path.csv").read_bytes() != first
 
 
+def test_seed_range(tmp_path, capsys):
+    top = 2**64 - 1
+    assert main(["simulate", "--config", str(write_config(tmp_path, sim={"seed": top})), "--quiet"]) == 0
+    cfgp = write_config(tmp_path, sim={"seed": top + 1})
+    assert main(["simulate", "--config", str(cfgp), "--quiet"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+    assert main(["simulate", "--config", str(write_config(tmp_path)), "--quiet", "--seed", str(top + 1)]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
 def test_picard_compare_levels(tmp_path, capsys):
     cfgp = write_config(tmp_path, model={"preset": "smooth-generic"},
                         params={"alpha": 0.3, "beta": 0.2}, sim={"x0": 0.5})
@@ -154,6 +164,21 @@ def test_case_inconsistency_reports_step(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "CaseInconsistentError"
     assert err["step"] == 0
+    assert f"chunk path {err['path']} " in err["message"]
+
+
+def test_non_finite_abort_reports_path_and_step(tmp_path, capsys):
+    cfgp = write_config(
+        tmp_path,
+        model={"b": {"kind": "constant", "value": 1e308}, "sigma": {"kind": "constant", "value": 1.0}},
+        params={"alpha": 0.0, "beta": 0.0},
+        sim={"x0": 1e308},
+    )
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["simulate", "--config", str(cfgp), "--quiet"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "SimulationAborted"
+    assert err["path"] == 0 and err["message"].endswith(f"at step {err['step']}")
 
 
 def test_reports_embed_fingerprint_and_version(tmp_path):

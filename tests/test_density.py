@@ -72,14 +72,19 @@ def test_ensemble_paths_match_standalone(generic_model):
 
 def test_ensemble_fresh_extreme_inconsistency_raises(additive_model):
     # alpha = -1e17 rounds the fresh-max solve back onto the current max,
-    # which the standalone per-step loop already rejects at step 0
+    # which the standalone per-step loop rejects; the chunk stops at its
+    # earliest failing step, on the path (batch row) it names
     p = psde.validate_params(-1e17, 0.0)
     c = cfg(n_steps=50, seed=3, x0=1e17)
     with pytest.raises(psde.CaseInconsistentError) as excinfo:
         psde.simulate_per_step(additive_model, p, c)
     with pytest.raises(psde.CaseInconsistentError) as chunk_excinfo:
         psde.generate_ensemble(additive_model, p, c, 200)
-    assert chunk_excinfo.value.step == excinfo.value.step
+    chunk_err = chunk_excinfo.value
+    with pytest.raises(psde.CaseInconsistentError) as row_excinfo:
+        psde.simulate_per_step(additive_model, p, dataclasses.replace(c, rng_seed=psde.path_seed(3, chunk_err.path)))
+    assert chunk_err.step == row_excinfo.value.step
+    assert chunk_err.step <= excinfo.value.step
 
 
 def test_ensemble_chunking_invariant(unit_model):

@@ -84,12 +84,15 @@ def test_eps_sweep_decreases_then_plateaus(generic_model):
     path = psde.simulate_per_step(generic_model, p, c)
     field = psde.derivative_field(path, generic_model, p)
     fv = psde.directional_from_field(field, 0.1, 0.6)
-    errs = [
-        abs(psde.cameron_martin_directional(generic_model, p, c, [(0.1, 0.6)], eps=e)[0].value - fv)
+    fds = [
+        psde.cameron_martin_directional(generic_model, p, c, [(0.1, 0.6)], eps=e)[0].value
         for e in (1e-3, 1e-4, 1e-5)
     ]
-    assert errs[2] <= errs[0] + 1e-12
-    assert errs[2] <= 0.01 * abs(fv)
+    # the O(eps) part of the quotient shrinks about tenfold per decade; what
+    # is left is the O(dt) gap to the field, whose sign against the O(eps)
+    # part is a property of the path, so |fd - fv| itself need not decrease
+    assert abs(fds[2] - fds[1]) <= 0.2 * abs(fds[1] - fds[0])
+    assert abs(fds[2] - fv) <= 0.01 * abs(fv)
 
 
 def test_cameron_martin_windows_match_scalar_simulation(generic_model):

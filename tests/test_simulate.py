@@ -41,6 +41,51 @@ def test_refine_preserves_brownian_path():
     assert abs(float(np.var(many)) - 0.5e-3) < 0.02e-3
 
 
+def test_bridge_midpoints_do_not_replay_driver():
+    # the midpoint normals of seed s are not the driver normals of seed s
+    inc = psde.brownian_driver(256, 1.0, 11)
+    fine = psde.refine_increments(inc, 1.0, seed=11)
+    z = (2.0 * fine[0::2] - inc) / math.sqrt(1.0 / 256)
+    assert not np.allclose(z, inc / math.sqrt(1.0 / 256))
+
+
+def test_refinement_ladder_refines_one_path():
+    ladder = psde.refinement_ladder(cfg(n_steps=50, seed=4), 3)
+    assert [c.n_steps for c, _ in ladder] == [50, 100, 200]
+    assert np.array_equal(ladder[0][1], psde.brownian_driver(50, 1.0, 4))
+    for (_, coarse), (_, fine) in zip(ladder, ladder[1:]):
+        assert np.max(np.abs(fine[0::2] + fine[1::2] - coarse)) <= 4e-16 * np.max(np.abs(coarse))
+    assert np.array_equal(ladder[2][1], psde.refine_increments(ladder[1][1], 1.0, psde.path_seed(4, 2)))
+
+
+def test_path_seed_range():
+    top = 2**64 - 1
+    assert psde.path_seed(5, 3) == 5 + 3 * 2**64
+    assert psde.path_seed(top, top) == 2**128 - 1
+    for master, path in ((-1, 0), (0, -1), (2**64, 0), (0, 2**64)):
+        with pytest.raises(ValueError):
+            psde.path_seed(master, path)
+    for seed in (-1, 2**128):
+        with pytest.raises(ValueError):
+            psde.brownian_driver(4, 1.0, seed)
+
+
+def test_path_drivers_column_major_rows_match_standalone():
+    # 1000 steps make 64-path blocks; 5..140 crosses two block boundaries
+    c = cfg(n_steps=1000, seed=12)
+    drivers = psde.path_drivers(c, 5, 140)
+    assert drivers.shape == (135, 1000) and drivers.flags.f_contiguous
+    for p in (5, 68, 69, 70, 133, 134, 139):
+        assert drivers[p - 5].tobytes() == psde.brownian_driver(1000, 1.0, psde.path_seed(12, p)).tobytes()
+
+
+def test_ensembles_on_different_seeds_draw_different_drivers():
+    multisets = [np.sort(psde.path_drivers(cfg(n_steps=32, seed=s), 0, 64), axis=None) for s in range(4)]
+    for a in range(4):
+        for b in range(a + 1, 4):
+            assert not np.array_equal(multisets[a], multisets[b])
+
+
 def test_unperturbed_path_is_driver(unit_model):
     p = psde.validate_params(0.0, 0.0)
     path = psde.simulate_per_step(unit_model, p, cfg(n_steps=500, seed=9))
@@ -158,8 +203,10 @@ def test_overflow_aborts():
         name="blow-up",
     )
     p = psde.validate_params(0.2, 0.1)
-    with pytest.raises(psde.SimulationAborted, match=r"path 0 at step \d+"):
+    with pytest.raises(psde.SimulationAborted, match=r"path 0 at step \d+") as excinfo:
         psde.simulate_per_step(blow_up, p, cfg(n_steps=50, seed=1, x0=1.0))
+    assert excinfo.value.path == 0
+    assert str(excinfo.value).endswith(f"at step {excinfo.value.step}")
 
 
 def test_declared_bound_violation_detected():
