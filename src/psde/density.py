@@ -22,6 +22,7 @@ import numpy as np
 from scipy.special import ndtr
 
 from .artifacts import fingerprint
+from .errors import PathFailure
 from .models import CoefficientModel
 from .params import PerturbationParams
 from .simulate import Scheme, SimConfig, path_drivers, per_step_terminal_chunk, simulate
@@ -67,7 +68,8 @@ def generate_ensemble(
     Results are independent of chunking and thread scheduling: path p always
     uses the driver of seed ``path_seed(rng_seed, p)`` and the same
     arithmetic as a standalone per-step simulation.  Ensembles on different
-    master seeds draw disjoint streams.
+    master seeds draw disjoint streams.  A ``PathFailure`` names the failing
+    path by that index p, whichever chunk it ran in.
     """
     fp = fingerprint(
         {"model": model.describe(), "alpha": params.alpha, "beta": params.beta,
@@ -78,14 +80,22 @@ def generate_ensemble(
     if cfg.scheme is Scheme.PICARD:
         values = np.empty(n_paths)
         for p in range(n_paths):
-            values[p] = simulate(model, params, cfg, path_drivers(cfg, p, p + 1)[0]).x[-1]
+            try:
+                values[p] = simulate(model, params, cfg, path_drivers(cfg, p, p + 1)[0]).x[-1]
+            except PathFailure as err:
+                err.renumber(p)
+                raise
         return Ensemble(values, n_paths, cfg.horizon, fp)
 
     starts = list(range(0, n_paths, chunk_size))
 
     def run_chunk(start: int):
         drivers = path_drivers(cfg, start, min(start + chunk_size, n_paths))
-        return per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, drivers)
+        try:
+            return per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, drivers)
+        except PathFailure as err:
+            err.renumber(start)
+            raise
 
     if threads is None:
         threads = int(os.environ.get("PSDE_THREADS", "1"))

@@ -32,15 +32,21 @@ class NoConvergenceError(PsdeError):
 class PathFailure(PsdeError):
     """A simulation failed on one path of a batch at one step.
 
-    ``path`` is the row of the failing path in its batch (0 for a single
-    path) and ``step`` the grid step, or None where the failure was only
-    seen in the terminal values.
+    ``path`` is the failing path's index in its ensemble, the one
+    ``path_seed`` takes (its row for a bare batch, 0 for a single path),
+    and ``step`` the grid step, or None where the failure was only seen in
+    the terminal values.
     """
 
     def __init__(self, message: str, step: int | None = None, path: int | None = None):
         super().__init__(message)
         self.step = step
         self.path = path
+
+    def renumber(self, first_path: int) -> None:
+        """Count ``path`` from first_path: a chunk's row becomes its ensemble index."""
+        self.path += first_path
+        self.args = (f"{self.args[0]} (ensemble path {self.path})",)
 
 
 class CaseInconsistentError(PathFailure):

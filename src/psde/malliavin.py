@@ -34,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EpsTooSmallWarning
+from .errors import EpsTooSmallWarning, PathFailure
 from .models import CoefficientModel
 from .params import PerturbationParams
 from .simulate import (
@@ -219,7 +219,11 @@ def terminal_h_norms(
         stop = min(start + chunk_size, n_paths)
         drivers = path_drivers(cfg, start, stop)
         x = np.empty((n + 1, stop - start))
-        _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, drivers, x)
+        try:
+            _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, drivers, x)
+        except PathFailure as err:
+            err.renumber(start)
+            raise
         model.check_bounds(lo, hi)
         w = np.zeros(x.shape)
         np.cumsum(drivers.T, axis=0, out=w[1:])

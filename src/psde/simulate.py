@@ -167,7 +167,9 @@ def brownian_driver(n_steps: int, horizon: float, seed: int) -> np.ndarray:
 def path_drivers(cfg: SimConfig, start: int, stop: int) -> np.ndarray:
     """Drivers of paths start <= p < stop of the ensemble on cfg.rng_seed.
 
-    Row p - start is ``brownian_driver(cfg.n_steps, cfg.horizon,
+    cfg.rng_seed must be a master seed, below 2**64 (ValueError otherwise):
+    a per-path seed ``path_seed(s, p)`` has no ensemble of its own.  Row
+    p - start is ``brownian_driver(cfg.n_steps, cfg.horizon,
     path_seed(cfg.rng_seed, p))``.  The array is column-major (Fortran
     order), so the per-step kernel reads each step's column contiguously.
     """
@@ -197,8 +199,13 @@ def refinement_ladder(cfg: SimConfig, n_levels: int) -> list[tuple[SimConfig, np
     """(config, increments) of n_levels resolutions of one Brownian path.
 
     Level 0 is cfg's driver; level l > 0 halves every step of level l - 1 by
-    bridge midpoints on seed ``path_seed(cfg.rng_seed, l)``.
+    bridge midpoints on seed ``path_seed(cfg.rng_seed, l)``, so cfg.rng_seed
+    must be a master seed, below 2**64 (ValueError otherwise, even for one
+    level).  To refine ensemble path p, pass its driver to
+    ``refine_increments`` with seeds of your own choosing.
     """
+    if not 0 <= cfg.rng_seed <= _MASK64:
+        raise ValueError(f"refinement_ladder needs a master seed below 2**64, got {cfg.rng_seed}")
     levels = [(cfg, brownian_driver(cfg.n_steps, cfg.horizon, cfg.rng_seed))]
     for level in range(1, n_levels):
         level_cfg, increments = levels[-1]

@@ -87,6 +87,41 @@ def test_ensemble_fresh_extreme_inconsistency_raises(additive_model):
     assert chunk_err.step <= excinfo.value.step
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_ensemble_failure_names_its_ensemble_path():
+    # b overflows once x passes ~3.55, so some paths of x0 = 2 abort; the
+    # first to fail lies past the first 2-path chunk, and every report must
+    # name the index path_seed takes, not the row within its chunk
+    edge = psde.make_model(
+        psde.Coefficient(
+            f=lambda x: np.exp(np.asarray(x, dtype=float) * 200.0) * 1e-300,
+            f_prime=lambda x: np.zeros(np.shape(np.asarray(x))),
+            lipschitz=0.0,
+            prime_sup=0.0,
+            inf_abs=0.0,
+            spec={"kind": "test-edge"},
+        ),
+        psde.constant(1.0),
+        name="edge",
+    )
+    p = psde.validate_params(0.0, 0.0)
+    c = cfg(n_steps=50, seed=0, x0=2.0)
+    with pytest.raises(psde.SimulationAborted) as whole:
+        psde.generate_ensemble(edge, p, c, 40, chunk_size=40)
+    failing = whole.value.path
+    assert failing >= 2
+    psde.generate_ensemble(edge, p, c, failing, chunk_size=2)  # the paths before it are finite
+    with pytest.raises(psde.SimulationAborted) as chunked:
+        psde.generate_ensemble(edge, p, c, 40, chunk_size=2, threads=2)
+    assert chunked.value.path == failing
+    assert str(chunked.value).endswith(f"(ensemble path {failing})")
+    with pytest.raises(psde.SimulationAborted) as alone:
+        psde.simulate_per_step(edge, p, dataclasses.replace(c, rng_seed=psde.path_seed(0, failing)))
+    with pytest.raises(psde.SimulationAborted) as h_norms:
+        psde.terminal_h_norms(edge, p, c, 40, chunk_size=2)
+    assert (h_norms.value.path, h_norms.value.step) == (failing, alone.value.step)
+
+
 def test_ensemble_chunking_invariant(unit_model):
     p = psde.validate_params(0.2, 0.1)
     a = psde.generate_ensemble(unit_model, p, cfg(seed=9), 300, chunk_size=37)

@@ -58,6 +58,16 @@ def test_refinement_ladder_refines_one_path():
     assert np.array_equal(ladder[2][1], psde.refine_increments(ladder[1][1], 1.0, psde.path_seed(4, 2)))
 
 
+def test_ladder_and_ensemble_drivers_need_a_master_seed():
+    # a per-path seed has a driver of its own, but no ensemble and no ladder
+    c = cfg(n_steps=8, seed=psde.path_seed(4, 1))
+    own = psde.brownian_driver(8, 1.0, c.rng_seed)
+    assert np.array_equal(own, psde.path_drivers(cfg(n_steps=8, seed=4), 1, 2)[0])
+    for build in (lambda: psde.refinement_ladder(c, 1), lambda: psde.path_drivers(c, 0, 1)):
+        with pytest.raises(ValueError, match=r"2\*\*64"):
+            build()
+
+
 def test_path_seed_range():
     top = 2**64 - 1
     assert psde.path_seed(5, 3) == 5 + 3 * 2**64
