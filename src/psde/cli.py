@@ -486,7 +486,7 @@ def main(argv=None) -> int:
         if isinstance(exc, PathFailure):
             diagnostics.update(path=exc.path, step=exc.step)
         if isinstance(exc, NoConvergenceError):
-            diagnostics["history"] = exc.history[-5:]
+            diagnostics.update(path=exc.path, history=exc.history[-5:])
         _error(type(exc).__name__, str(exc), EXIT_NUMERICAL, **diagnostics)
         return EXIT_NUMERICAL
     except OSError as exc:

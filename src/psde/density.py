@@ -22,10 +22,10 @@ import numpy as np
 from scipy.special import ndtr
 
 from .artifacts import fingerprint
-from .errors import PathFailure
+from .errors import NoConvergenceError, PathFailure
 from .models import CoefficientModel
 from .params import PerturbationParams
-from .simulate import Scheme, SimConfig, path_drivers, per_step_terminal_chunk, simulate
+from .simulate import Scheme, SimConfig, path_drivers, per_step_terminal_chunk, picard_block_rows, picard_chunk
 
 KS_CRITICAL_1PCT = 1.63
 KS_CRITICAL_5PCT = 1.36
@@ -67,8 +67,13 @@ def generate_ensemble(
 
     Results are independent of chunking and thread scheduling: path p always
     uses the driver of seed ``path_seed(rng_seed, p)`` and the same
-    arithmetic as a standalone per-step simulation.  Ensembles on different
-    master seeds draw disjoint streams.  A ``PathFailure`` names the failing
+    arithmetic as a standalone simulation of its scheme.  Ensembles on
+    different master seeds draw disjoint streams.  Chunks of ``chunk_size``
+    paths run on the thread pool; a per-step chunk is one kernel call, a
+    Picard chunk runs the row-batched Picard kernel on blocks of
+    ``picard_block_rows`` paths, drawing each block's drivers on its own.
+    One ``check_bounds`` covers the realized range of the whole ensemble.
+    A ``PathFailure`` or Picard ``NoConvergenceError`` names the failing
     path by that index p, whichever chunk it ran in.
     """
     fp = fingerprint(
@@ -77,33 +82,40 @@ def generate_ensemble(
     )
     if n_paths == 0:
         return Ensemble(np.empty(0), 0, cfg.horizon, fp)
-    if cfg.scheme is Scheme.PICARD:
-        values = np.empty(n_paths)
-        for p in range(n_paths):
-            try:
-                values[p] = simulate(model, params, cfg, path_drivers(cfg, p, p + 1)[0]).x[-1]
-            except PathFailure as err:
-                err.renumber(p)
-                raise
-        return Ensemble(values, n_paths, cfg.horizon, fp)
+    if cfg.scheme is Scheme.PER_STEP:
+        block = chunk_size
+
+        def kernel(drivers):
+            return per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, drivers)
+
+    else:
+        block = picard_block_rows(cfg.n_steps)
+
+        def kernel(drivers):
+            x = picard_chunk(model, params, cfg, drivers)[0]
+            return x[:, -1].copy(), float(np.min(x)), float(np.max(x))
 
     starts = list(range(0, n_paths, chunk_size))
 
     def run_chunk(start: int):
-        drivers = path_drivers(cfg, start, min(start + chunk_size, n_paths))
-        try:
-            return per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, drivers)
-        except PathFailure as err:
-            err.renumber(start)
-            raise
+        stop = min(start + chunk_size, n_paths)
+        parts = []
+        for first in range(start, stop, block):
+            try:
+                parts.append(kernel(path_drivers(cfg, first, min(first + block, stop))))
+            except (PathFailure, NoConvergenceError) as err:
+                err.renumber(first)
+                raise
+        return parts
 
     if threads is None:
         threads = int(os.environ.get("PSDE_THREADS", "1"))
     if threads > 1 and len(starts) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run_chunk, starts))
+            chunks = list(pool.map(run_chunk, starts))
     else:
-        results = [run_chunk(s) for s in starts]
+        chunks = [run_chunk(s) for s in starts]
+    results = [part for parts in chunks for part in parts]
     values = np.concatenate([r[0] for r in results])
     lo = min(r[1] for r in results)
     hi = max(r[2] for r in results)

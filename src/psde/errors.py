@@ -18,35 +18,43 @@ class ParameterRejection(PsdeError):
         self.code = code
 
 
-class NoConvergenceError(PsdeError):
+class _OnPath(PsdeError):
+    """An error that may name the path of a batch it happened on."""
+
+    path: int | None
+
+    def renumber(self, first_path: int) -> None:
+        """Count ``path`` from first_path: a chunk's row becomes its ensemble index."""
+        self.path += first_path
+        self.args = (f"{self.args[0]} (ensemble path {self.path})",)
+
+
+class NoConvergenceError(_OnPath):
     """An iteration exhausted its budget above tolerance.
 
-    Carries the residual (or change) history of the failed run.
+    Carries the residual (or change) history of the failed run, and for a
+    path iteration (max/min sweeps, Picard passes) the failing ``path``,
+    numbered as :class:`PathFailure` numbers it; None elsewhere.
     """
 
-    def __init__(self, message: str, history):
+    def __init__(self, message: str, history, path: int | None = None):
         super().__init__(message)
         self.history = list(history)
+        self.path = path
 
 
-class PathFailure(PsdeError):
+class PathFailure(_OnPath):
     """A simulation failed on one path of a batch at one step.
 
     ``path`` is the failing path's index in its ensemble, the one
     ``path_seed`` takes (its row for a bare batch, 0 for a single path),
-    and ``step`` the grid step, or None where the failure was only seen in
-    the terminal values.
+    and ``step`` the grid step.
     """
 
     def __init__(self, message: str, step: int | None = None, path: int | None = None):
         super().__init__(message)
         self.step = step
         self.path = path
-
-    def renumber(self, first_path: int) -> None:
-        """Count ``path`` from first_path: a chunk's row becomes its ensemble index."""
-        self.path += first_path
-        self.args = (f"{self.args[0]} (ensemble path {self.path})",)
 
 
 class CaseInconsistentError(PathFailure):

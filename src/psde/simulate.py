@@ -8,10 +8,13 @@ Two independent schemes on the same uniform grid and Brownian driver:
   x' = (u - alpha*m)/(1-alpha); symmetrically with (1-beta) for a fresh
   minimum.  It is the only implementation of the step and runs a batch of
   paths at once; ``simulate_per_step`` is a batch of one.
-* ``simulate_picard``: the outer fixed-point iteration.  Each pass freezes
+* ``picard_chunk``: the outer fixed-point iteration.  Each pass freezes
   the coefficients along the previous iterate, forms the driving path
   a_k = x + sum sigma(X_i) dW_i + sum b(X_i) dt by left-point sums, solves
   the running max/min system for a, and recombines X = a + alpha*M + beta*I.
+  It is the only implementation of the scheme and runs a block of paths
+  at once, each stopping at its own tolerance; ``simulate_picard`` is a
+  batch of one.
 
 Both start from X_0 = x/(1-alpha-beta): at time zero the maximum and minimum
 both equal X_0, so the dynamics force that value.
@@ -37,7 +40,7 @@ import numpy as np
 from .errors import CaseInconsistentError, NoConvergenceError, SimulationAborted
 from .models import CoefficientModel
 from .params import PerturbationParams
-from .skorokhod import DrivingPath, solve_max_min
+from .skorokhod import DEFAULT_TOL, max_min_rows, no_convergence
 
 
 class Scheme(enum.Enum):
@@ -110,6 +113,7 @@ _MASK64 = (1 << 64) - 1
 _DRIVER_TAG = 0
 _BRIDGE_TAG = 1
 _BLOCK_BYTES = 1 << 19  # one block of normals stays in L2
+_PICARD_BLOCK_BYTES = 1 << 18  # one (rows, n+1) Picard iterate stays in L2
 
 
 def path_seed(master_seed: int, path_index: int) -> int:
@@ -281,7 +285,9 @@ def per_step_terminal_chunk(
 
     With ``trajectories``, a caller-supplied (n_steps + 1, n_paths) array,
     row k receives every path's value at step k, and every recorded value,
-    not only the terminal one, must be finite (the abort names its step).
+    not only the terminal one, must be finite.  Without it only terminal
+    values are checked; a non-finite one is replayed as a batch of one with
+    its trajectory, so the abort names its step either way.
     """
     alpha, beta = params.alpha, params.beta
     x0 = x0_seed_value / (1.0 - alpha - beta)
@@ -303,10 +309,19 @@ def per_step_terminal_chunk(
             trajectories[k + 1] = x
     finite = np.isfinite(x if trajectories is None else trajectories)
     if not finite.all():
-        *step, path = (int(v) for v in np.argwhere(~finite)[0])
-        step = step[0] if step else None
-        at = "" if step is None else f" at step {step}"
-        raise SimulationAborted(f"non-finite path value on chunk path {path}{at}", step=step, path=path)
+        if trajectories is None:
+            # only terminal values were kept: replay the first non-finite path
+            # as a batch of one, bit-identical, with its trajectory for the step
+            path = int(np.argmin(finite))
+            try:
+                per_step_terminal_chunk(
+                    model, params, x0_seed_value, dt, drivers[path : path + 1], np.empty((drivers.shape[1] + 1, 1))
+                )
+            except SimulationAborted as replayed:
+                step = replayed.step
+        else:
+            step, path = (int(v) for v in np.argwhere(~finite)[0])
+        raise SimulationAborted(f"non-finite path value on chunk path {path} at step {step}", step=step, path=path)
     return x, float(np.min(i_arr)), float(np.max(m))
 
 
@@ -332,46 +347,100 @@ def simulate_per_step(
     return Path(grid=cfg.grid(), x=x, m=x[running_argmax(x)], i=x[running_argmin(x)], w=w)
 
 
+def picard_block_rows(n_steps: int) -> int:
+    """Rows per Picard kernel call for an ensemble: one (rows, n_steps + 1)
+    iterate in _PICARD_BLOCK_BYTES (32 rows at n_steps = 1000)."""
+    return max(1, _PICARD_BLOCK_BYTES // (8 * (n_steps + 1)))
+
+
+def picard_chunk(
+    model: CoefficientModel,
+    params: PerturbationParams,
+    cfg: SimConfig,
+    drivers: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Outer fixed-point iteration over a (rows, n_steps) driver block.
+
+    Row r is the path on drivers[r].  Each pass freezes sigma and b along
+    every live row's previous iterate, forms the driving paths, solves their
+    max/min systems in one ``max_min_rows`` call and recombines.  A row
+    whose change falls to cfg.fixed_point_tol leaves the block and is never
+    iterated again, so row r is bit-identical to a batch of one on
+    drivers[r].  Returns the (rows, n_steps + 1) arrays x, m, i of the
+    converged iterates.
+
+    A row that fails (non-finite driving path, max/min or outer iteration
+    above tolerance) leaves the block too; when every row is done, the
+    failure of the lowest failing row is raised with ``path`` = that row.
+    """
+    alpha, beta = params.alpha, params.beta
+    inc = np.ascontiguousarray(drivers, dtype=float)
+    rows = len(inc)
+    x = np.full((rows, cfg.n_steps + 1), cfg.x0_seed_value / (1.0 - alpha))
+    m = np.empty_like(x)
+    i = np.empty_like(x)
+    history = np.empty((cfg.picard_outer_iters, rows))
+    failures = {}
+    live = np.arange(rows)
+    x_live = x
+    for k in range(cfg.picard_outer_iters):
+        a = np.empty_like(x_live)
+        a[:, 0] = 0.0
+        sig = np.asarray(model.sigma(x_live[:, :-1]))
+        drift = np.asarray(model.b(x_live[:, :-1]))
+        np.cumsum(sig * inc + drift * cfg.dt, axis=1, out=a[:, 1:])
+        a += cfg.x0_seed_value
+        finite = np.isfinite(a)
+        ok = finite.all(axis=1)
+        for r in np.flatnonzero(~ok):
+            step, path = int(np.argmin(finite[r])), int(live[r])
+            failures[path] = SimulationAborted(
+                f"non-finite driving path on chunk path {path} in outer iteration at step {step}", step=step, path=path
+            )
+        if not ok.all():
+            live, x_live, inc, a = live[ok], x_live[ok], inc[ok], a[ok]
+        m_live, i_live, sweeps, sweep_history = max_min_rows(a, alpha, beta)
+        stuck = sweeps == 0
+        for r in np.flatnonzero(stuck):
+            failures[int(live[r])] = no_convergence(sweep_history[:, r], DEFAULT_TOL, path=int(live[r]))
+        x_next = a + alpha * m_live + beta * i_live
+        change = np.max(np.abs(x_next - x_live), axis=1)
+        history[k, live] = change
+        done = (change <= cfg.fixed_point_tol) & ~stuck
+        if done.any():
+            x[live[done]], m[live[done]], i[live[done]] = x_next[done], m_live[done], i_live[done]
+        left = ~(done | stuck)
+        if not left.all():
+            live, x_next, inc = live[left], x_next[left], inc[left]
+        x_live = x_next
+        if not len(live):
+            break
+    for path in live.tolist():
+        failures[path] = NoConvergenceError(
+            f"outer iteration on chunk path {path} above tol={cfg.fixed_point_tol} after "
+            f"{cfg.picard_outer_iters} passes (last change {history[-1, path]:.3e})",
+            history[:, path].tolist(),
+            path=path,
+        )
+    if failures:
+        raise failures[min(failures)]
+    return x, m, i
+
+
 def simulate_picard(
     model: CoefficientModel,
     params: PerturbationParams,
     cfg: SimConfig,
     increments: np.ndarray | None = None,
 ) -> Path:
-    """Outer fixed-point iteration over whole paths (see module docstring)."""
-    n = cfg.n_steps
-    dt = cfg.dt
-    alpha, beta = params.alpha, params.beta
+    """Outer fixed-point iteration over whole paths: the Picard kernel on a batch of one."""
     if increments is None:
-        increments = brownian_driver(n, cfg.horizon, cfg.rng_seed)
-    grid = cfg.grid()
+        increments = brownian_driver(cfg.n_steps, cfg.horizon, cfg.rng_seed)
+    increments = np.asarray(increments, dtype=float)
+    x, m, i = picard_chunk(model, params, cfg, increments[None, :])
+    model.check_bounds(float(np.min(x)), float(np.max(x)))
     w = np.concatenate(([0.0], np.cumsum(increments)))
-    x_iter = np.full(n + 1, cfg.x0_seed_value / (1.0 - alpha))
-    history = []
-    solution = None
-    for _ in range(cfg.picard_outer_iters):
-        sig = np.asarray(model.sigma(x_iter[:-1]))
-        drift = np.asarray(model.b(x_iter[:-1]))
-        a_vals = cfg.x0_seed_value + np.concatenate(([0.0], np.cumsum(sig * increments + drift * dt)))
-        finite = np.isfinite(a_vals)
-        if not finite.all():
-            step = int(np.argmin(finite))
-            raise SimulationAborted(f"non-finite driving path in outer iteration at step {step}", step=step, path=0)
-        solution = solve_max_min(DrivingPath(times=grid, values=a_vals), params)
-        x_next = a_vals + alpha * solution.m_path + beta * solution.i_path
-        change = float(np.max(np.abs(x_next - x_iter)))
-        history.append(change)
-        x_iter = x_next
-        if change <= cfg.fixed_point_tol:
-            break
-    else:
-        raise NoConvergenceError(
-            f"outer iteration above tol={cfg.fixed_point_tol} after "
-            f"{cfg.picard_outer_iters} passes (last change {history[-1]:.3e})",
-            history,
-        )
-    model.check_bounds(float(np.min(x_iter)), float(np.max(x_iter)))
-    return Path(grid=grid, x=x_iter, m=solution.m_path, i=solution.i_path, w=w)
+    return Path(grid=cfg.grid(), x=x[0], m=m[0], i=i[0], w=w)
 
 
 def simulate(

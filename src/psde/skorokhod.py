@@ -10,6 +10,10 @@ Eliminating I gives a self-map of M whose sup-norm contraction factor is
 |rho| = |alpha*beta| / ((1-alpha)(1-beta)) < 1, so plain iteration converges
 geometrically.  All maxima are taken over grid indices; ties resolve to the
 earliest index (running maxima of arrays do this naturally).
+
+``max_min_rows`` is the only implementation of the iteration: it sweeps a
+(rows, n+1) block of driving paths along the last axis, and each row stops
+at its own tolerance.  ``solve_max_min`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -60,10 +64,64 @@ class MaxMinSolution:
 
 
 def _sweep(av: np.ndarray, m: np.ndarray, alpha: float, beta: float) -> np.ndarray:
-    # One Gauss-Seidel sweep of the M self-map: the inner running max is the
-    # (beta-1)*I candidate built from the current M iterate.
-    inner = np.maximum.accumulate(-av - alpha * m)
-    return np.maximum.accumulate(av + beta / (beta - 1.0) * inner) / (1.0 - alpha)
+    # One Gauss-Seidel sweep of the M self-map along the last axis: the inner
+    # running max is the (beta-1)*I candidate built from the current M iterate.
+    inner = np.maximum.accumulate(-av - alpha * m, axis=-1)
+    return np.maximum.accumulate(av + beta / (beta - 1.0) * inner, axis=-1) / (1.0 - alpha)
+
+
+def max_min_rows(
+    av: np.ndarray,
+    alpha: float,
+    beta: float,
+    tol: float = DEFAULT_TOL,
+    max_iter: int = DEFAULT_MAX_ITER,
+    m_init: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Iterate the M self-map on every row of a (rows, n+1) block of driving paths.
+
+    Each row starts from M == its a_0 (or its row of ``m_init``) and stops
+    sweeping at the first sweep whose sup-norm residual is within ``tol``;
+    a stopped row is never swept again, so its arithmetic, iterate and
+    residuals do not depend on the other rows of the block.  I is recovered
+    from the (beta-1)*I identity with each row's final M.
+
+    Returns (m, i, sweeps, history): sweeps[r] is the number of sweeps row r
+    took, 0 if it was still above ``tol`` after ``max_iter``, and
+    history[k, r] the residual of its sweep k + 1 (valid for k < sweeps[r],
+    every k for a row that did not converge).  Never raises on a row that
+    fails to converge; see :func:`no_convergence`.
+    """
+    m = np.repeat(av[:, :1], av.shape[1], axis=1) if m_init is None else np.array(m_init, dtype=float)
+    sweeps = np.zeros(len(av), dtype=int)
+    history = np.empty((max_iter, len(av)))
+    live = np.arange(len(av))
+    a_live, m_live = av, m
+    for k in range(max_iter):
+        m_next = _sweep(a_live, m_live, alpha, beta)
+        residual = np.max(np.abs(m_next - m_live), axis=-1)
+        history[k, live] = residual
+        m_live = m_next
+        done = residual <= tol
+        if done.any():
+            m[live[done]] = m_live[done]
+            sweeps[live[done]] = k + 1
+            left = ~done
+            live, a_live, m_live = live[left], a_live[left], m_live[left]
+        if not len(live):
+            break
+    i = np.maximum.accumulate(-av - alpha * m, axis=-1) / (beta - 1.0)
+    return m, i, sweeps, history
+
+
+def no_convergence(history: np.ndarray, tol: float, path: int) -> NoConvergenceError:
+    """The failure of row ``path`` of :func:`max_min_rows`, with its residual history."""
+    return NoConvergenceError(
+        f"max/min fixed point above tol={tol} after {len(history)} sweeps "
+        f"(last residual {history[-1]:.3e})",
+        history.tolist(),
+        path=path,
+    )
 
 
 def solve_max_min(
@@ -73,7 +131,7 @@ def solve_max_min(
     max_iter: int = DEFAULT_MAX_ITER,
     m_init: np.ndarray | None = None,
 ) -> MaxMinSolution:
-    """Iterate the M self-map to sup-norm tolerance ``tol``.
+    """Iterate the M self-map to sup-norm tolerance ``tol``: a batch of one.
 
     Starts from M == a_0 (constant) unless a warm start ``m_init`` is given.
     After M converges, I is recovered from the (beta-1)*I identity with the
@@ -84,25 +142,12 @@ def solve_max_min(
         raise ValueError("tol must be > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    av = a.values
-    alpha, beta = params.alpha, params.beta
-    m = np.full_like(av, av[0]) if m_init is None else np.asarray(m_init, dtype=float).copy()
-    history = []
-    for iterations in range(1, max_iter + 1):
-        m_next = _sweep(av, m, alpha, beta)
-        residual = float(np.max(np.abs(m_next - m)))
-        history.append(residual)
-        m = m_next
-        if residual <= tol:
-            break
-    else:
-        raise NoConvergenceError(
-            f"max/min fixed point above tol={tol} after {max_iter} sweeps "
-            f"(last residual {history[-1]:.3e})",
-            history,
-        )
-    i = np.maximum.accumulate(-av - alpha * m) / (beta - 1.0)
-    return MaxMinSolution(m_path=m, i_path=i, iterations=iterations, residual=residual)
+    m_rows = None if m_init is None else np.asarray(m_init, dtype=float)[None, :]
+    m, i, sweeps, history = max_min_rows(a.values[None, :], params.alpha, params.beta, tol, max_iter, m_rows)
+    iterations = int(sweeps[0])
+    if not iterations:
+        raise no_convergence(history[:, 0], tol, path=0)
+    return MaxMinSolution(m_path=m[0], i_path=i[0], iterations=iterations, residual=float(history[iterations - 1, 0]))
 
 
 def contraction_rate(

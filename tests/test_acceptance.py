@@ -22,6 +22,7 @@ import pytest
 import psde
 from psde import ParameterRejection, SimConfig
 from psde.malliavin import field_closed_form_singly_perturbed
+from psde.simulate import per_step_terminal_chunk, running_argmax, running_argmin
 
 
 def report(tag: str, ok: bool, detail: str) -> str:
@@ -209,19 +210,28 @@ def test_criterion_5_malliavin_field():
     assert ok, line
 
 
-def _field_h_profiles(model, params, cfg, n_paths):
+def _field_h_profiles(model, params, cfg, n_paths, chunk_size=128):
     """H-norm profiles of n_paths per-path-seeded fields, and per path
-    :func:`_worst_old_time` of each field; fields are dropped path by path
-    (1000 fields at n = 200 would take ~320 MB).
+    :func:`_worst_old_time` of each field.  Paths run in chunks through the
+    per-step kernel, each built as :func:`psde.simulate_per_step` builds it
+    (a kernel row is bit-identical to its standalone path); fields are
+    dropped path by path (1000 fields at n = 200 would take ~320 MB).
     """
-    profiles = np.empty((n_paths, cfg.n_steps + 1))
-    worst_old = np.empty((n_paths, cfg.n_steps - 1))
-    for p in range(n_paths):
-        c = dataclasses.replace(cfg, rng_seed=psde.path_seed(cfg.rng_seed, p))
-        path = psde.simulate_per_step(model, params, c)
-        field = psde.derivative_field(path, model, params)
-        profiles[p] = psde.h_norm_profile(field)
-        worst_old[p] = _worst_old_time(field, profiles[p])
+    n = cfg.n_steps
+    grid = cfg.grid()
+    profiles = np.empty((n_paths, n + 1))
+    worst_old = np.empty((n_paths, n - 1))
+    for start in range(0, n_paths, chunk_size):
+        drivers = psde.path_drivers(cfg, start, min(start + chunk_size, n_paths))
+        trajectories = np.empty((n + 1, len(drivers)))
+        _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, drivers, trajectories)
+        model.check_bounds(lo, hi)
+        for p, (x, increments) in enumerate(zip(trajectories.T.copy(), drivers), start):
+            w = np.concatenate(([0.0], np.cumsum(increments)))
+            path = psde.Path(grid=grid, x=x, m=x[running_argmax(x)], i=x[running_argmin(x)], w=w)
+            field = psde.derivative_field(path, model, params)
+            profiles[p] = psde.h_norm_profile(field)
+            worst_old[p] = _worst_old_time(field, profiles[p])
     return profiles, worst_old
 
 

@@ -154,6 +154,7 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "NoConvergenceError"
     assert len(err["history"]) == 1
+    assert err["path"] == 0
 
 
 def test_case_inconsistency_reports_step(tmp_path, capsys):
@@ -179,6 +180,11 @@ def test_non_finite_abort_reports_path_and_step(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "SimulationAborted"
     assert err["path"] == 0 and err["message"].endswith(f"at step {err['step']}")
+    # an ensemble keeps only terminal values, yet names the same step
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        assert main(["density", "--config", str(cfgp), "--paths", "10", "--quiet"]) == 3
+    ensemble_err = json.loads(capsys.readouterr().err)
+    assert (ensemble_err["path"], ensemble_err["step"]) == (0, err["step"])
 
 
 def test_reports_embed_fingerprint_and_version(tmp_path):

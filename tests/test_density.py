@@ -6,7 +6,7 @@ import pytest
 from scipy.special import ndtr
 
 import psde
-from psde.simulate import SimConfig
+from psde.simulate import SimConfig, path_drivers, picard_chunk
 
 
 def cfg(n_steps=50, seed=0, x0=0.0):
@@ -136,6 +136,38 @@ def test_ensemble_picard_scheme(unit_model):
     e = psde.generate_ensemble(unit_model, p, c, 5)
     ref = psde.generate_ensemble(unit_model, p, cfg(n_steps=40, seed=11), 5)
     assert np.max(np.abs(e.terminal_values - ref.terminal_values)) <= 1e-8
+
+
+def test_picard_ensemble_chunking_and_threads_invariant(generic_model):
+    # n = 200 puts 163 paths in a Picard kernel block, so a 300-path chunk
+    # spans two blocks and a 37-path chunk one
+    p = psde.validate_params(0.4, 0.3)
+    c = dataclasses.replace(cfg(n_steps=200, seed=9, x0=0.5), scheme=psde.Scheme.PICARD)
+    rows = picard_chunk(generic_model, p, c, path_drivers(c, 0, 300))[0][:, -1]
+    for chunk_size, threads in ((37, 1), (300, 1), (37, 2)):
+        e = psde.generate_ensemble(generic_model, p, c, 300, chunk_size=chunk_size, threads=threads)
+        assert np.array_equal(e.terminal_values, rows)
+
+
+def test_picard_ensemble_failure_names_its_ensemble_path(generic_model):
+    # 14 outer passes leave a few paths above tol = 1e-10 at n = 50; the
+    # first lies past the first 2-path chunk, and every report must name
+    # the index path_seed takes, with that path's own change history
+    p = psde.validate_params(0.4, 0.3)
+    c = dataclasses.replace(cfg(n_steps=50, seed=5, x0=0.5), scheme=psde.Scheme.PICARD, picard_outer_iters=14)
+    with pytest.raises(psde.NoConvergenceError) as whole:
+        psde.generate_ensemble(generic_model, p, c, 40)
+    failing = whole.value.path
+    assert failing >= 2
+    psde.generate_ensemble(generic_model, p, c, failing, chunk_size=2)  # the paths before it converge
+    with pytest.raises(psde.NoConvergenceError) as chunked:
+        psde.generate_ensemble(generic_model, p, c, 40, chunk_size=2, threads=2)
+    assert chunked.value.path == failing
+    assert str(chunked.value).endswith(f"(ensemble path {failing})")
+    with pytest.raises(psde.NoConvergenceError) as alone:
+        psde.simulate_picard(generic_model, p, dataclasses.replace(c, rng_seed=psde.path_seed(5, failing)))
+    assert chunked.value.history == alone.value.history == whole.value.history
+    assert len(alone.value.history) == 14
 
 
 def test_reference_alpha_zero_is_gaussian():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import psde
 from psde import Scheme, SimConfig
-from psde.simulate import per_step_terminal_chunk
+from psde.simulate import path_drivers, per_step_terminal_chunk, picard_block_rows, picard_chunk
 
 
 def cfg(n_steps=200, seed=0, x0=0.0, horizon=1.0, **kw):
@@ -182,6 +182,21 @@ def test_picard_matches_per_step(generic_model):
         a = psde.simulate_per_step(generic_model, p, c, inc)
         b = psde.simulate_picard(generic_model, p, c, inc)
         assert np.max(np.abs(a.x - b.x)) <= 100.0 * c.fixed_point_tol
+
+
+def test_picard_kernel_rows_match_batch_of_one(generic_model):
+    # 35 rows at n = 1000 cross the ensemble's 32-row Picard block
+    p = psde.validate_params(0.4, 0.3)
+    c = cfg(n_steps=1000, seed=31, x0=0.5, scheme=Scheme.PICARD)
+    rows = picard_block_rows(c.n_steps) + 3
+    drivers = path_drivers(c, 0, rows)
+    x, m, i = picard_chunk(generic_model, p, c, drivers)
+    for r in range(rows):
+        one = psde.simulate_picard(generic_model, p, c, drivers[r])
+        for got, want in zip((x[r], m[r], i[r]), (one.x, one.m, one.i)):
+            assert got.tobytes() == want.tobytes()
+    e = psde.generate_ensemble(generic_model, p, c, rows)
+    assert e.terminal_values.tobytes() == x[:, -1].tobytes()
 
 
 def test_picard_no_convergence_raises(generic_model):

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import psde
 from conftest import random_driving_path
+from psde.skorokhod import max_min_rows
 
 
 def solve(a, alpha, beta, **kw):
@@ -108,6 +109,41 @@ def test_scale_covariance(c, seed):
     scale = max(1.0, c) * max(1.0, float(np.max(np.abs(base.m_path))))
     assert np.max(np.abs(scaled.m_path - c * base.m_path)) < 1e-10 * scale
     assert np.max(np.abs(scaled.i_path - c * base.i_path)) < 1e-10 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(min_value=-2.0, max_value=0.9),
+    beta=st.floats(min_value=-2.0, max_value=0.9),
+    rows=st.integers(min_value=1, max_value=8),
+    n=st.integers(min_value=0, max_value=80),
+    tol=st.sampled_from([1e-14, 1e-12, 1e-8]),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_rows_match_batch_of_one(alpha, beta, rows, n, tol, seed):
+    # rows of different scales take different sweep counts, so rows leave
+    # the block at different sweeps
+    try:
+        params = psde.validate_params(alpha, beta)
+    except psde.ParameterRejection:
+        assume(False)
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** rng.uniform(-3.0, 3.0, size=(rows, 1))
+    av = np.concatenate((rng.standard_normal((rows, 1)), scales * rng.standard_normal((rows, n))), axis=1)
+    av = np.cumsum(av, axis=1)
+    m, i, sweeps, history = max_min_rows(av, alpha, beta, tol, 60)
+    times = np.arange(n + 1.0)
+    for r in range(rows):
+        try:
+            one = psde.solve_max_min(psde.DrivingPath(times, av[r]), params, tol=tol, max_iter=60)
+        except psde.NoConvergenceError as err:
+            assert sweeps[r] == 0 and err.path == 0
+            assert err.history == history[:, r].tolist()
+            continue
+        assert one.iterations == sweeps[r]
+        assert one.residual == history[sweeps[r] - 1, r]
+        assert one.m_path.tobytes() == m[r].tobytes()
+        assert one.i_path.tobytes() == i[r].tobytes()
 
 
 def test_refinement_idempotence():
