@@ -118,7 +118,8 @@ class _CliFailure(Exception):
 
 
 def _load_config(args) -> dict:
-    """The config file with --seed and --steps applied, checked against the schema."""
+    """The config file with --seed and --steps applied, checked against the
+    schema, and --paths checked against the schema's bound on n_paths."""
     path = args.config
     try:
         with open(path) as fh:
@@ -132,6 +133,9 @@ def _load_config(args) -> dict:
         for key, value in (("seed", args.seed), ("n_steps", args.steps)):
             if value is not None:
                 sim[key] = value
+    paths_min = CONFIG_SCHEMA["properties"]["analysis"]["properties"]["n_paths"]["minimum"]
+    if args.paths is not None and args.paths < paths_min:
+        raise _CliFailure(EXIT_REJECTED, "ConfigError", f"--paths must be >= {paths_min}, got {args.paths}")
     if jsonschema is not None:
         try:
             jsonschema.validate(raw, CONFIG_SCHEMA)
@@ -158,7 +162,7 @@ def _build_model(cfg: dict, base_dir: FsPath) -> CoefficientModel:
 
 def _coef(spec: dict, base_dir: FsPath):
     if spec.get("kind") == "tabulated" and "path" in spec:
-        table = np.loadtxt(base_dir / spec["path"], delimiter=",", skiprows=1)
+        table = np.loadtxt(base_dir / spec["path"], delimiter=",", skiprows=1, ndmin=2, usecols=(0, 1))
         return tabulated(table[:, 0], table[:, 1])
     return coefficient_from_spec(spec)
 

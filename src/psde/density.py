@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .artifacts import fingerprint
 from .errors import NoConvergenceError, PathFailure
@@ -124,6 +123,8 @@ def generate_ensemble(
 
 
 def reference_gaussian(mean: float, variance: float) -> ReferenceLaw:
+    from scipy.special import ndtr  # here, so that only a KS run imports scipy
+
     if variance <= 0.0:
         raise ValueError("variance must be > 0")
     sd = math.sqrt(variance)
@@ -148,6 +149,8 @@ def reference_singly_perturbed(alpha: float, t: float) -> ReferenceLaw:
     2/((2+c) sqrt(2 pi t)) times exp(-v^2/(2t)) for v < 0 and
     exp(-v^2/(2t(1+c)^2)) for v >= 0, and the cdf follows with ndtr.
     """
+    from scipy.special import ndtr  # here, so that only a KS run imports scipy
+
     if not (alpha < 1.0):
         raise ValueError("alpha must be < 1")
     if t <= 0.0:

@@ -8,7 +8,9 @@ Y = G(X), with unit diffusion and reduced drift
     b_tilde(z) = b(G^{-1}(z))/sigma(G^{-1}(z)) - sigma'(G^{-1}(z))/2.
 
 G is tabulated by adaptive composite Simpson (the same rule extends it past
-the table); G^{-1} is Newton with G' = 1/sigma from the inverted table.
+the table) and interpolated by the in-package PCHIP table
+:class:`~psde.models.MonotoneCubic`; G^{-1} is Newton with G' = 1/sigma from
+the inverted table, in Python floats for a single point.
 Anchoring G at X_0 makes the reduced identity seed-free: Y then solves the
 additive equation with seed value 0 on the same Brownian driver.  Only the
 inf sigma > 0 branch is implemented; a model with sup sigma < 0 is handled by
@@ -17,13 +19,13 @@ negating sigma and the driver first.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import NoConvergenceError, SigmaNotPositiveError
-from .models import Coefficient, CoefficientModel, constant, make_model
+from .models import Coefficient, CoefficientModel, MonotoneCubic, constant, make_model
 from .params import PerturbationParams
 from .simulate import SimConfig, refinement_ladder, simulate_per_step
 
@@ -40,9 +42,9 @@ class Transform:
     anchor: float
     nodes: np.ndarray
     g_nodes: np.ndarray
-    _g: PchipInterpolator
-    _g_inv: PchipInterpolator
-    _b_tilde: PchipInterpolator
+    _g: MonotoneCubic
+    _g_inv: MonotoneCubic
+    _b_tilde: MonotoneCubic
     _model: CoefficientModel
 
     def g(self, y):
@@ -65,10 +67,14 @@ class Transform:
         """G^{-1}(z): Newton steps y <- y - (G(y) - z) sigma(y) from the inverted
         table's interpolant until each step is a few ulp; a step leaving the
         bracket that G's monotonicity gives bisects instead.  Entries stop on
-        their own, so array and scalar calls agree bit for bit.  Non-finite z
-        gives NaN; raises :class:`NoConvergenceError` at the step cap."""
+        their own, and a single point takes the same steps in Python floats
+        (:meth:`_g_inv_point`), so array and scalar calls agree bit for bit.
+        Non-finite z gives NaN; raises :class:`NoConvergenceError` at the
+        step cap."""
         z = np.asarray(z, dtype=float)
-        flat = np.atleast_1d(z).ravel()
+        if z.size == 1:
+            return _shaped(z, self._g_inv_point(z.item()))
+        flat = z.ravel()
         y = self._g_inv(np.clip(flat, self.g_nodes[0], self.g_nodes[-1]))
         finite = np.isfinite(flat)
         y[~finite] = np.nan
@@ -81,11 +87,7 @@ class Transform:
         history = []
         while todo.size:
             if len(history) == NEWTON_MAX_STEPS:
-                raise NoConvergenceError(
-                    f"G^-1 Newton iteration on {todo.size} points above a few ulp after "
-                    f"{NEWTON_MAX_STEPS} steps (last step {history[-1]:.3e})",
-                    history,
-                )
+                raise _newton_cap(todo.size, history)
             yt = y[todo]
             sig = np.asarray(self._model.sigma(yt), dtype=float)
             resid = self.g(yt) - flat[todo]
@@ -99,13 +101,48 @@ class Transform:
             history.append(float(np.max(np.abs(step))))
             floor = NEWTON_ULPS * (np.spacing(np.maximum(np.abs(yt), y_scale)) + sig * z_ulp[todo])
             todo = todo[~(np.abs(step) <= floor)]
-        return float(y[0]) if z.ndim == 0 else y.reshape(z.shape)
+        return y.reshape(z.shape)
+
+    def _g_inv_point(self, z: float) -> float:
+        # g_inv's iteration for one entry: the same start, bracket, bisection,
+        # step floor and cap, with G from the table's one-point evaluation
+        if not math.isfinite(z):
+            return math.nan
+        g_lo, g_hi = float(self.g_nodes[0]), float(self.g_nodes[-1])
+        y_lo, y_hi = float(self.nodes[0]), float(self.nodes[-1])
+        y = self._g_inv.at(min(max(z, g_lo), g_hi))
+        lo, hi = -math.inf, math.inf
+        y_scale = max(abs(y_lo), abs(y_hi))
+        z_ulp = math.ulp(max(abs(z), max(abs(g_lo), abs(g_hi))))
+        history = []
+        while True:
+            if len(history) == NEWTON_MAX_STEPS:
+                raise _newton_cap(1, history)
+            sig = float(self._model.sigma(y))
+            resid = (self._g.at(y) if y_lo <= y <= y_hi else self.g(y)) - z
+            if resid > 0.0:
+                hi = y
+            else:
+                lo = y
+            new = y - resid * sig
+            if not lo <= new <= hi:
+                new = 0.5 * (lo + hi)
+            step = y - new
+            history.append(abs(step))
+            # math.ulp(inf) is inf where np.spacing gives NaN, but an infinite y
+            # only comes from an infinite bracket end, and its step is then NaN
+            floor = NEWTON_ULPS * (math.ulp(max(abs(y), y_scale)) + sig * z_ulp)
+            y = new
+            if abs(step) <= floor:
+                return y
 
     def b_tilde(self, z):
         """Reduced drift b(G^-1)/sigma(G^-1) - sigma'(G^-1)/2, composed exactly
         through the inverse (not through the tabulated interpolant)."""
-        out = _reduced_drift(self._model, self.g_inv(z))
-        return float(out) if np.ndim(z) == 0 else out
+        z = np.asarray(z, dtype=float)
+        if z.size == 1:
+            return _shaped(z, float(_reduced_drift(self._model, self._g_inv_point(z.item()))))
+        return _reduced_drift(self._model, self.g_inv(z))
 
     def reduced_drift_coefficient(self) -> Coefficient:
         """b_tilde packaged as a registry coefficient for the additive model.
@@ -124,6 +161,19 @@ class Transform:
         vals = self._b_tilde(gn)
         inf_abs = float(np.min(np.abs(vals)))
         return Coefficient(self.b_tilde, f_prime, prime_sup, prime_sup, inf_abs, {"kind": "reduced-drift"})
+
+
+def _shaped(z: np.ndarray, value: float):
+    # a one-point result as a float for 0-d z, else as an array of z's shape
+    return value if z.ndim == 0 else np.full(z.shape, value)
+
+
+def _newton_cap(points: int, history: list) -> NoConvergenceError:
+    return NoConvergenceError(
+        f"G^-1 Newton iteration on {points} points above a few ulp after "
+        f"{NEWTON_MAX_STEPS} steps (last step {history[-1]:.3e})",
+        history,
+    )
 
 
 def _reduced_drift(model: CoefficientModel, y):
@@ -198,9 +248,9 @@ def build_transform(
         anchor=float(x),
         nodes=nodes,
         g_nodes=g_nodes,
-        _g=PchipInterpolator(nodes, g_nodes),
-        _g_inv=PchipInterpolator(g_nodes, nodes),
-        _b_tilde=PchipInterpolator(g_nodes, _reduced_drift(model, nodes)),
+        _g=MonotoneCubic(nodes, g_nodes),
+        _g_inv=MonotoneCubic(g_nodes, nodes),
+        _b_tilde=MonotoneCubic(g_nodes, _reduced_drift(model, nodes)),
         _model=model,
     )
 

@@ -2,21 +2,99 @@
 
 Coefficients come from a small registry of named analytic families (constant,
 affine-clipped, sinusoidal, logistic) plus tabulated functions with monotone
-interpolation.  Each family supplies exact derivative functions and its bound
-constants, so the declared bounds are verifiable rather than guessed.
+interpolation (:class:`MonotoneCubic`).  Each family supplies exact derivative
+functions and its bound constants, so the declared bounds are verifiable
+rather than guessed.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 BOUND_CHECK_POINTS = 10_000
 _BOUND_SLACK = 1e-9
+
+
+class MonotoneCubic:
+    """Monotone piecewise cubic Hermite table (PCHIP; Fritsch & Carlson 1980).
+
+    Interior node slopes are the weighted harmonic mean of the neighbouring
+    secants (zero where they change sign or vanish), end slopes Moler's
+    one-sided three-point formula, and a two-point table is linear.  Both end
+    cubics extend past the nodes.  Slopes, coefficients and evaluation follow
+    scipy's ``PchipInterpolator`` operation for operation, so the values agree
+    with it bit for bit.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        h = np.diff(x)
+        m = np.diff(y) / h
+        d = np.full(len(x), m[0])
+        if len(x) > 2:
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            sm = np.sign(m)
+            flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+            d[0] = _end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self._set(x, np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1])))
+
+    def _set(self, x: np.ndarray, c: np.ndarray) -> None:
+        # c[k, i] multiplies (v - x[i])**(degree - k) on interval i
+        self.x, self.c = x, c
+        self._xs = x.tolist()
+        self._rows = c[::-1].T.tolist()
+
+    def __call__(self, v):
+        v = np.asarray(v, dtype=float)
+        i = np.clip(np.searchsorted(self.x, v, side="right") - 1, 0, len(self.x) - 2)
+        s = v - self.x[i]
+        c = self.c[:, i]
+        # a power sum with a running power of s, not Horner, as scipy evaluates
+        # it; inf - inf past the ends gives NaN there silently, as in scipy
+        out, z = 0.0 + c[-1], 1.0
+        with np.errstate(invalid="ignore", over="ignore"):
+            for coef in c[-2::-1]:
+                z = z * s
+                out = out + coef * z
+        return out
+
+    def at(self, v: float) -> float:
+        """The table at one Python float, with the arithmetic of ``__call__``."""
+        i = min(max(bisect_right(self._xs, v) - 1, 0), len(self._xs) - 2)
+        s = v - self._xs[i]
+        row = self._rows[i]
+        out, z = 0.0 + row[0], 1.0
+        for coef in row[1:]:
+            z *= s
+            out += coef * z
+        return out
+
+    def derivative(self) -> "MonotoneCubic":
+        """The piecewise quadratic derivative on the same intervals."""
+        table = MonotoneCubic.__new__(MonotoneCubic)
+        table._set(self.x, self.c[:-1] * np.array([3.0, 2.0, 1.0])[:, None])
+        return table
+
+
+def _end_slope(h0, h1, m0, m1):
+    # one-sided three-point slope, kept to the secant's sign and within 3 secants
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
 
 
 @dataclass(frozen=True)
@@ -176,7 +254,7 @@ def logistic(lo: float, hi: float, rate: float, center: float = 0.0) -> Coeffici
 
 
 def tabulated(xs, ys) -> Coefficient:
-    """Monotone (PCHIP) interpolation of a coefficient table.
+    """Monotone (PCHIP, :class:`MonotoneCubic`) interpolation of a coefficient table.
 
     Outside the table range the function is clamped to its end values, which
     keeps it Lipschitz with derivative zero there.  Bound constants are
@@ -188,7 +266,7 @@ def tabulated(xs, ys) -> Coefficient:
         raise ValueError("need two equal-length 1-d arrays with >= 2 points")
     if not np.all(np.diff(xs) > 0):
         raise ValueError("table abscissae must be strictly increasing")
-    interp = PchipInterpolator(xs, ys, extrapolate=False)
+    interp = MonotoneCubic(xs, ys)
     dinterp = interp.derivative()
     x_lo, x_hi = float(xs[0]), float(xs[-1])
     y_lo, y_hi = float(ys[0]), float(ys[-1])

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import psde
 from psde.cli import main
 
 
@@ -210,3 +215,43 @@ def test_bad_coefficient_kind_rejected(tmp_path, capsys):
     cfgp = write_config(tmp_path, model={"b": {"kind": "nope"},
                                          "sigma": {"kind": "constant", "value": 1.0}})
     assert main(["simulate", "--config", str(cfgp), "--quiet"]) == 2
+
+
+def test_one_row_coefficient_table_rejected(tmp_path, capsys):
+    (tmp_path / "sigma.csv").write_text("x,sigma\n0.0,1.0\n")
+    cfgp = write_config(tmp_path, model={"b": {"kind": "constant", "value": 0.0},
+                                         "sigma": {"kind": "tabulated", "path": "sigma.csv"}})
+    assert main(["validate", "--config", str(cfgp), "--quiet"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert ">= 2 points" in err["message"]
+    (tmp_path / "sigma.csv").write_text("x\n0.0\n1.0\n")
+    assert main(["validate", "--config", str(cfgp), "--quiet"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize("command", ["density", "malliavin"])
+def test_negative_paths_rejected(tmp_path, capsys, command):
+    cfgp = write_config(tmp_path)
+    assert main([command, "--config", str(cfgp), "--quiet", "--paths", "-3"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert "--paths" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_startup_imports_no_scipy(tmp_path):
+    # scipy is loaded only by a KS test's reference law; start-up and a
+    # tabulated model must not import it
+    (tmp_path / "sigma.csv").write_text("x,sigma\n-2.0,1.0\n0.0,1.5\n1.0,1.2\n3.0,2.0\n")
+    cfgp = write_config(tmp_path, model={"b": {"kind": "sinusoidal", "offset": 0.0, "amplitude": 0.5},
+                                         "sigma": {"kind": "tabulated", "path": "sigma.csv"}})
+    src = Path(psde.__file__).resolve().parent.parent
+    script = (
+        "import sys; import psde.cli; "
+        f"code = psde.cli.main(['validate', '--config', {str(cfgp)!r}, '--quiet']); "
+        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+    assert result.stdout.split() == ["0", "[]"]

@@ -78,22 +78,51 @@ def test_out_of_range_extension():
 def test_inverse_far_past_table_with_steep_sigma():
     # sigma = 1 + 0.9 sin u varies 19-fold: plain Newton from the table end
     # overshoots and diverges here, the bracket's bisection keeps it on the root
-    model = psde.make_model(psde.constant(0.0), psde.sinusoidal(1.0, 0.9), name="steep")
-    tr = psde.build_transform(model, 0.0, -1.0, 1.0)
+    tr = _steep_transform()
     width = tr.g_nodes[-1] - tr.g_nodes[0]
     zs = np.linspace(tr.g_nodes[0] - 5.0 * width, tr.g_nodes[-1] + 5.0 * width, 201)
     assert np.max(np.abs(tr.g(tr.g_inv(zs)) - zs)) <= 1e-9
 
 
-def test_b_tilde_array_matches_scalar_calls():
-    model = psde.named_model("smooth-generic")
-    tr = psde.build_transform(model, 0.5, -3.0, 3.0)
-    # inside the table, on its nodes' images, and past both ends
-    zs = np.concatenate(
-        (np.linspace(tr.g_nodes[0] - 1.0, tr.g_nodes[-1] + 1.0, 57), tr.g_nodes[[0, 1, -1]], [0.0])
+def _steep_transform():
+    return psde.build_transform(
+        psde.make_model(psde.constant(0.0), psde.sinusoidal(1.0, 0.9), name="steep"), 0.0, -1.0, 1.0
     )
-    assert np.array_equal(tr.b_tilde(zs), np.array([tr.b_tilde(float(z)) for z in zs]))
-    assert np.array_equal(tr.g_inv(zs), np.array([tr.g_inv(float(z)) for z in zs]))
+
+
+def test_b_tilde_array_matches_scalar_calls():
+    for tr in (psde.build_transform(psde.named_model("smooth-generic"), 0.5, -3.0, 3.0), _steep_transform()):
+        width = tr.g_nodes[-1] - tr.g_nodes[0]
+        # inside the table, on its nodes' images, past both ends (far past
+        # them for the steep sigma, where the bracket bisects), and non-finite
+        zs = np.concatenate(
+            (
+                np.linspace(tr.g_nodes[0] - 1.0, tr.g_nodes[-1] + 1.0, 57),
+                np.linspace(tr.g_nodes[0] - 5.0 * width, tr.g_nodes[-1] + 5.0 * width, 21),
+                tr.g_nodes[[0, 1, -1]],
+                [0.0, np.nan, np.inf, -np.inf],
+            )
+        )
+        for f in (tr.g_inv, tr.b_tilde):
+            whole = f(zs)
+            scalars = np.array([f(float(z)) for z in zs])
+            singles = np.concatenate([f(zs[k : k + 1]) for k in range(len(zs))])
+            assert np.array_equal(whole, scalars, equal_nan=True)
+            assert np.array_equal(whole, singles, equal_nan=True)
+            assert np.isnan(whole[-3:]).all()
+            assert f(zs[:1].reshape(1, 1)).shape == (1, 1)
+
+
+def test_capped_newton_fails_alike_for_one_point_and_arrays(monkeypatch):
+    tr = _steep_transform()
+    z = float(tr.g_nodes[-1] + 5.0 * (tr.g_nodes[-1] - tr.g_nodes[0]))
+    monkeypatch.setattr(psde.lamperti, "NEWTON_MAX_STEPS", 3)
+    with pytest.raises(psde.NoConvergenceError) as one:
+        tr.g_inv(z)
+    with pytest.raises(psde.NoConvergenceError) as many:
+        tr.g_inv(np.array([z, z]))
+    assert len(one.value.history) == 3
+    assert one.value.history == many.value.history
 
 
 def test_anchor_next_to_grid_node():
