@@ -27,8 +27,7 @@ def write_csv(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_float(v) if isinstance(v, float) else v for v in row])
+        writer.writerows([format_float(v) if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def write_json_report(path, payload: dict, config_fingerprint: str) -> dict:

@@ -18,11 +18,6 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover
-    jsonschema = None
-
 from . import density as density_mod
 from . import lamperti as lamperti_mod
 from . import malliavin as malliavin_mod
@@ -110,11 +105,55 @@ CONFIG_SCHEMA = {
 }
 
 
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "number": (int, float), "integer": int}
+
+
 class _CliFailure(Exception):
     def __init__(self, code: int, kind: str, message: str):
         super().__init__(message)
         self.code = code
         self.kind = kind
+
+
+def _check_schema(value, schema: dict, path: str = "") -> None:
+    """Reject value (ConfigError, exit 2) unless it matches schema.
+
+    Knows the keywords CONFIG_SCHEMA uses: type, properties, required,
+    additionalProperties, minimum, maximum, exclusiveMinimum, enum and
+    items.  A bool is neither a number nor an integer, and an integer must
+    be an int: 100.0 is not one.  The message names the key path.
+    """
+
+    def reject(why: str):
+        raise _CliFailure(EXIT_REJECTED, "ConfigError", f"config rejected at {path or 'top level'}: {why}")
+
+    kind = schema.get("type")
+    if kind is not None and (
+        not isinstance(value, _TYPES[kind]) or (isinstance(value, bool) and kind in ("number", "integer"))
+    ):
+        reject(f"{value!r} is not of type {kind!r}")
+    if "enum" in schema and value not in schema["enum"]:
+        reject(f"{value!r} is not one of {schema['enum']}")
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if "minimum" in schema and value < schema["minimum"]:
+            reject(f"{value!r} is less than the minimum of {schema['minimum']}")
+        if "maximum" in schema and value > schema["maximum"]:
+            reject(f"{value!r} is greater than the maximum of {schema['maximum']}")
+        if "exclusiveMinimum" in schema and value <= schema["exclusiveMinimum"]:
+            reject(f"{value!r} is not greater than {schema['exclusiveMinimum']}")
+    if isinstance(value, dict):
+        for key in schema.get("required", ()):
+            if key not in value:
+                reject(f"{key!r} is a required property")
+        properties = schema.get("properties", {})
+        for key, item in value.items():
+            if key in properties:
+                _check_schema(item, properties[key], f"{path}.{key}" if path else key)
+            elif schema.get("additionalProperties", True) is False:
+                reject(f"unexpected key {key!r}")
+    if isinstance(value, list) and "items" in schema:
+        for k, item in enumerate(value):
+            _check_schema(item, schema["items"], f"{path}[{k}]")
 
 
 def _load_config(args) -> dict:
@@ -136,11 +175,7 @@ def _load_config(args) -> dict:
     paths_min = CONFIG_SCHEMA["properties"]["analysis"]["properties"]["n_paths"]["minimum"]
     if args.paths is not None and args.paths < paths_min:
         raise _CliFailure(EXIT_REJECTED, "ConfigError", f"--paths must be >= {paths_min}, got {args.paths}")
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(raw, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise _CliFailure(EXIT_REJECTED, "ConfigError", f"config rejected: {exc.message}") from exc
+    _check_schema(raw, CONFIG_SCHEMA)
     return raw
 
 

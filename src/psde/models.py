@@ -151,6 +151,13 @@ class CoefficientModel:
                 f"model {self.name!r}: |sigma| falls to {si} < declared {self.sigma_inf}"
             )
 
+    def constant_value(self, name: str) -> float | None:
+        """The value of coefficient ``name`` ("b" or "sigma") if its spec is
+        kind ``constant``, else None.  A kernel multiplies by it in place of
+        the array ``constant`` returns; the products are the same bit for bit."""
+        spec = self.spec.get(name, {})
+        return spec["value"] if spec.get("kind") == "constant" else None
+
     def describe(self) -> dict:
         """JSON-serializable description used in artifact fingerprints."""
         return {
@@ -258,7 +265,8 @@ def tabulated(xs, ys) -> Coefficient:
 
     Outside the table range the function is clamped to its end values, which
     keeps it Lipschitz with derivative zero there.  Bound constants are
-    sampled on a fine grid over the table range.
+    exact: the derivative's sup is taken per interval at the ends and at the
+    vertex of its quadratic, and inf |f| from the node values.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -282,10 +290,17 @@ def tabulated(xs, ys) -> Coefficient:
         out = np.where(inside, dinterp(np.clip(x, x_lo, x_hi)), 0.0)
         return out
 
-    grid = np.linspace(x_lo, x_hi, BOUND_CHECK_POINTS)
-    dvals = np.abs(dinterp(grid))
-    prime_sup = float(np.max(dvals))
-    inf_abs = float(np.min(np.abs(interp(grid))))
+    # f' is the quadratic (a*s + b)*s + c on each interval 0 <= s <= h: its
+    # sup is at an end or at the vertex -b/(2a), clipped to the interval
+    a, b, c = dinterp.c
+    h = np.diff(xs)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.where(a != 0.0, -b / (2.0 * a), 0.0)
+    s = np.stack((np.zeros_like(h), h, np.clip(vertex, 0.0, h)))
+    prime_sup = float(np.max(np.abs((a * s + b) * s + c)))
+    # PCHIP does not overshoot its nodes, so |f| is smallest at a node, or 0
+    y_min, y_max = float(np.min(ys)), float(np.max(ys))
+    inf_abs = 0.0 if y_min <= 0.0 <= y_max else min(abs(y_min), abs(y_max))
     return Coefficient(
         f,
         f_prime,

@@ -112,7 +112,8 @@ def path_residual(path: Path, model: CoefficientModel, params: PerturbationParam
 _MASK64 = (1 << 64) - 1
 _DRIVER_TAG = 0
 _BRIDGE_TAG = 1
-_BLOCK_BYTES = 1 << 19  # one block of normals stays in L2
+_BLOCK_BYTES = 1 << 20  # one block of normals stays in L2
+_BLOCK_ROWS = 128
 _PICARD_BLOCK_BYTES = 1 << 18  # one (rows, n+1) Picard iterate stays in L2
 
 
@@ -136,15 +137,16 @@ def _normal_rows(tag: int, seed: int, out: np.ndarray, scale: float) -> np.ndarr
 
     One generator serves every row: each row resets its state to counter
     word 1 = its path, which costs far less than a fresh Philox.  Rows are
-    drawn into a C-order block of at most 64 paths and _BLOCK_BYTES, then
-    scaled into ``out`` in whatever order it has.
+    drawn into a C-order block of at most _BLOCK_ROWS paths and _BLOCK_BYTES
+    (128 rows at n = 1000), then scaled into ``out`` through transposed
+    views, so a column-major ``out`` is written along its columns.
     """
     n_rows, n = out.shape
     gen = np.random.Generator(_philox(tag, seed))
     state = gen.bit_generator.state
     counter = state["state"]["counter"]
     first = seed >> 64
-    rows = max(1, min(64, _BLOCK_BYTES // (8 * n)))
+    rows = max(1, min(_BLOCK_ROWS, _BLOCK_BYTES // (8 * n)))
     block = np.empty((min(rows, n_rows), n))
     for start in range(0, n_rows, rows):
         part = block[: min(rows, n_rows - start)]
@@ -152,7 +154,7 @@ def _normal_rows(tag: int, seed: int, out: np.ndarray, scale: float) -> np.ndarr
             counter[1] = first + r
             gen.bit_generator.state = state
             gen.standard_normal(out=row)
-        np.multiply(part, scale, out=out[start : start + len(part)])
+        np.multiply(part.T, scale, out=out[start : start + len(part)].T)
     return out
 
 
@@ -168,17 +170,21 @@ def brownian_driver(n_steps: int, horizon: float, seed: int) -> np.ndarray:
     return _normal_rows(_DRIVER_TAG, seed, np.empty((1, n_steps)), math.sqrt(dt))[0]
 
 
-def path_drivers(cfg: SimConfig, start: int, stop: int) -> np.ndarray:
+def path_drivers(cfg: SimConfig, start: int, stop: int, out: np.ndarray | None = None) -> np.ndarray:
     """Drivers of paths start <= p < stop of the ensemble on cfg.rng_seed.
 
     cfg.rng_seed must be a master seed, below 2**64 (ValueError otherwise):
     a per-path seed ``path_seed(s, p)`` has no ensemble of its own.  Row
     p - start is ``brownian_driver(cfg.n_steps, cfg.horizon,
-    path_seed(cfg.rng_seed, p))``.  The array is column-major (Fortran
-    order), so the per-step kernel reads each step's column contiguously.
+    path_seed(cfg.rng_seed, p))``.  The drivers are written into ``out``,
+    a (stop - start, n_steps) array, and returned; by default a new
+    column-major (Fortran order) one, so the per-step kernel reads each
+    step's column contiguously.  The values do not depend on the layout of
+    ``out`` or on what it held.
     """
-    drivers = np.empty((stop - start, cfg.n_steps), order="F")
-    return _normal_rows(_DRIVER_TAG, path_seed(cfg.rng_seed, start), drivers, math.sqrt(cfg.dt))
+    if out is None:
+        out = np.empty((stop - start, cfg.n_steps), order="F")
+    return _normal_rows(_DRIVER_TAG, path_seed(cfg.rng_seed, start), out, math.sqrt(cfg.dt))
 
 
 def refine_increments(increments: np.ndarray, horizon: float, seed: int) -> np.ndarray:
@@ -277,7 +283,8 @@ def per_step_terminal_chunk(
     every path and divides only where u leaves the [i, m] band.  Drivers are
     read column by column, drivers[:, k] at step k, so a column-major matrix
     (as ``path_drivers`` builds) is read contiguously; results do not depend
-    on the layout.  The
+    on the layout.  A constant coefficient (``model.constant_value``) enters
+    as its scalar value.  The
     arithmetic of a path does not depend on the batch, so path p of a chunk
     is bit-identical to a batch of one on drivers[p].  Returns terminal
     values plus the realized value range (for a bounds spot-check), read off
@@ -294,11 +301,12 @@ def per_step_terminal_chunk(
     x = np.full(drivers.shape[0], x0)
     m = x.copy()
     i_arr = x.copy()
+    sigma_c, b_c = model.constant_value("sigma"), model.constant_value("b")
     if trajectories is not None:
         trajectories[0] = x
     for k in range(drivers.shape[1]):
-        noise = np.asarray(model.sigma(x)) * drivers[:, k]
-        drift = np.asarray(model.b(x)) * dt
+        noise = (np.asarray(model.sigma(x)) if sigma_c is None else sigma_c) * drivers[:, k]
+        drift = (np.asarray(model.b(x)) if b_c is None else b_c) * dt
         x += noise
         x += drift
         # a fresh maximum lands above the minimum, so the minimum solve sees
@@ -383,11 +391,12 @@ def picard_chunk(
     failures = {}
     live = np.arange(rows)
     x_live = x
+    sigma_c, b_c = model.constant_value("sigma"), model.constant_value("b")
     for k in range(cfg.picard_outer_iters):
         a = np.empty_like(x_live)
         a[:, 0] = 0.0
-        sig = np.asarray(model.sigma(x_live[:, :-1]))
-        drift = np.asarray(model.b(x_live[:, :-1]))
+        sig = np.asarray(model.sigma(x_live[:, :-1])) if sigma_c is None else sigma_c
+        drift = np.asarray(model.b(x_live[:, :-1])) if b_c is None else b_c
         np.cumsum(sig * inc + drift * cfg.dt, axis=1, out=a[:, 1:])
         a += cfg.x0_seed_value
         finite = np.isfinite(a)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import psde
-from psde.cli import main
+from psde.cli import CONFIG_SCHEMA, _check_schema, _CliFailure, main
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -240,18 +241,99 @@ def test_negative_paths_rejected(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
-def test_startup_imports_no_scipy(tmp_path):
-    # scipy is loaded only by a KS test's reference law; start-up and a
-    # tabulated model must not import it
-    (tmp_path / "sigma.csv").write_text("x,sigma\n-2.0,1.0\n0.0,1.5\n1.0,1.2\n3.0,2.0\n")
-    cfgp = write_config(tmp_path, model={"b": {"kind": "sinusoidal", "offset": 0.0, "amplitude": 0.5},
-                                         "sigma": {"kind": "tabulated", "path": "sigma.csv"}})
+def _imports_of_a_run(argv):
+    """Exit code of main(argv) in a fresh interpreter, and the scipy and
+    jsonschema modules it loaded."""
     src = Path(psde.__file__).resolve().parent.parent
     script = (
         "import sys; import psde.cli; "
-        f"code = psde.cli.main(['validate', '--config', {str(cfgp)!r}, '--quiet']); "
-        "print(code, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+        f"code = psde.cli.main({argv!r}); "
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH")))))
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    assert result.stdout.split() == ["0", "[]"]
+    return result.stdout.split()
+
+
+def test_startup_imports_no_scipy(tmp_path):
+    # neither start-up with a tabulated model nor a density run with its KS
+    # test (unit model, alpha = 0.5, beta = 0) imports scipy or jsonschema
+    (tmp_path / "sigma.csv").write_text("x,sigma\n-2.0,1.0\n0.0,1.5\n1.0,1.2\n3.0,2.0\n")
+    cfgp = write_config(tmp_path, model={"b": {"kind": "sinusoidal", "offset": 0.0, "amplitude": 0.5},
+                                         "sigma": {"kind": "tabulated", "path": "sigma.csv"}})
+    assert _imports_of_a_run(["validate", "--config", str(cfgp), "--quiet"]) == ["0", "[]"]
+    unit = write_config(tmp_path, name="unit.json")
+    assert _imports_of_a_run(["density", "--config", str(unit), "--quiet"]) == ["0", "[]"]
+    assert json.loads((tmp_path / "out" / "density.json").read_text())["ks"]["reference"] == "singly-perturbed-bm"
+
+
+@pytest.mark.parametrize(
+    "command,section,key,value",
+    [
+        ("simulate", "sim", "n_steps", 100.0),
+        ("density", "sim", "n_steps", 100.0),
+        ("density", "analysis", "n_paths", 5.0),
+        ("simulate", "sim", "seed", 3.0),
+        ("density", "sim", "seed", 3.0),
+        ("validate", "sim", "n_steps", True),
+    ],
+)
+def test_integer_valued_float_rejected(tmp_path, capsys, command, section, key, value):
+    cfgp = write_config(tmp_path, **{section: {key: value}})
+    assert main([command, "--config", str(cfgp), "--quiet"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert f"{section}.{key}" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_config_checker_agrees_with_jsonschema():
+    import jsonschema
+
+    jsonschema.Draft7Validator.check_schema(CONFIG_SCHEMA)
+    validator = jsonschema.Draft7Validator(CONFIG_SCHEMA)
+    base = {
+        "model": {"b": {"kind": "constant", "value": 0.0}, "sigma": {"kind": "sinusoidal", "offset": 2.0}},
+        "params": {"alpha": 0.5, "beta": 0},
+        "sim": {"x0": 0, "horizon": 1.0, "n_steps": 10, "seed": 2**64 - 1, "scheme": "picard"},
+        "analysis": {"n_paths": 0, "bin_widths": [0.1, 1], "bandwidth": "auto", "t_values": [0, 0.5],
+                     "export_field": False},
+        "output_dir": "out",
+    }
+    edits = [
+        (), ("params", "beta", None), ("params", "beta", True), ("params", "beta", "0"),
+        ("sim", "seed", -1), ("sim", "seed", 2**64), ("sim", "horizon", 0), ("sim", "horizon", -1.5),
+        ("sim", "scheme", "euler"), ("sim", "n_steps", 0), ("sim", "fixed_point_tol", 0.0),
+        ("sim", "bogus", 1), ("analysis", "bin_widths", [0.1, 0.0]), ("analysis", "bin_widths", 0.1),
+        ("analysis", "t_values", [-1]), ("analysis", "export_field", 1), ("analysis", "bandwidth", [1, "x"]),
+        ("model", "b", {"value": 1.0}), ("model", "sigma", {"kind": 3}), ("model", "preset", None),
+        ("model", "extra", {}), (None, "output_dir", 3), (None, "sim", None), (None, "extra", 1),
+    ]
+    for edit in edits:
+        cfg = json.loads(json.dumps(base))
+        if edit:
+            section, key, value = edit
+            target = cfg if section is None else cfg[section]
+            if value is None:
+                target.pop(key, None)
+            else:
+                target[key] = value
+        try:
+            _check_schema(cfg, CONFIG_SCHEMA)
+            ours = True
+        except _CliFailure:
+            ours = False
+        assert ours == validator.is_valid(cfg), edit
+    assert validator.is_valid(dict(base, sim=dict(base["sim"], n_steps=10.0)))  # where the two differ
+
+
+def test_tabulated_bound_holds_between_grid_points(tmp_path, capsys):
+    # this sigma table's derivative peaks between the points of a 10 000-point
+    # grid; a bound sampled on that grid fell below the range check's and
+    # rejected the run with exit 2
+    rows = [(-6 + 0.37 * k, 1.2 + 0.5 * math.sin(1.3 * (-6 + 0.37 * k)) + 0.1 * (k % 3)) for k in range(33)]
+    (tmp_path / "sigma.csv").write_text("x,sigma\n" + "".join(f"{x!r},{y!r}\n" for x, y in rows))
+    cfgp = write_config(tmp_path, model={"b": {"kind": "sinusoidal", "offset": 0.1, "amplitude": 0.5},
+                                         "sigma": {"kind": "tabulated", "path": "sigma.csv"}},
+                        params={"alpha": 0.3, "beta": -0.2}, sim={"n_steps": 400})
+    assert main(["simulate", "--config", str(cfgp), "--quiet", "--seed", "3"]) == 0

@@ -122,12 +122,16 @@ def test_ensemble_failure_names_its_ensemble_path():
     assert (h_norms.value.path, h_norms.value.step) == (failing, alone.value.step)
 
 
-def test_ensemble_chunking_invariant(unit_model):
+def test_ensemble_chunking_invariant(unit_model, generic_model):
+    # 300 paths in chunks of 37 or 128 leave a short last chunk, which draws
+    # into the front of its thread's reused driver buffer
     p = psde.validate_params(0.2, 0.1)
-    a = psde.generate_ensemble(unit_model, p, cfg(seed=9), 300, chunk_size=37)
-    b = psde.generate_ensemble(unit_model, p, cfg(seed=9), 300, chunk_size=300)
-    assert np.array_equal(a.terminal_values, b.terminal_values)
-    assert a.config_fingerprint == b.config_fingerprint
+    for model in (unit_model, generic_model):
+        b = psde.generate_ensemble(model, p, cfg(seed=9), 300, chunk_size=300)
+        for chunk_size, threads in ((37, 1), (37, 2), (128, 2)):
+            a = psde.generate_ensemble(model, p, cfg(seed=9), 300, chunk_size=chunk_size, threads=threads)
+            assert np.array_equal(a.terminal_values, b.terminal_values)
+            assert a.config_fingerprint == b.config_fingerprint
 
 
 def test_ensemble_picard_scheme(unit_model):
@@ -144,7 +148,7 @@ def test_picard_ensemble_chunking_and_threads_invariant(generic_model):
     p = psde.validate_params(0.4, 0.3)
     c = dataclasses.replace(cfg(n_steps=200, seed=9, x0=0.5), scheme=psde.Scheme.PICARD)
     rows = picard_chunk(generic_model, p, c, path_drivers(c, 0, 300))[0][:, -1]
-    for chunk_size, threads in ((37, 1), (300, 1), (37, 2)):
+    for chunk_size, threads in ((37, 1), (300, 1), (37, 2), (128, 2)):
         e = psde.generate_ensemble(generic_model, p, c, 300, chunk_size=chunk_size, threads=threads)
         assert np.array_equal(e.terminal_values, rows)
 
@@ -238,6 +242,38 @@ def test_kde_singly_perturbed_sup_distance(unit_model):
     est = psde.kde(e)
     law = psde.reference_singly_perturbed(0.5, 1.0)
     assert float(np.max(np.abs(est.density - law.density(est.grid)))) <= 0.03
+
+
+def _one_shot_kde(v, grid, bandwidth, chunk):
+    """The estimate as one (grid, chunk) array per chunk of values."""
+    out = np.zeros(grid.shape)
+    for start in range(0, len(v), chunk):
+        z = (grid[:, None] - v[None, start : start + chunk]) / bandwidth
+        out += np.exp(-0.5 * z * z).sum(axis=1)
+    return out * (1.0 / (len(v) * bandwidth * math.sqrt(2.0 * math.pi)))
+
+
+def test_kde_matches_one_shot_formula(unit_model, monkeypatch):
+    p = psde.validate_params(0.5, 0.0)
+    e = psde.generate_ensemble(unit_model, p, cfg(seed=3), 20_003)
+    # a caller's grid at the real chunk size: two chunks, the second of 3 values
+    grid = np.linspace(-4.0, 6.0, 41)
+    est = psde.kde(e, 0.1, grid=grid)
+    assert est.density.tobytes() == _one_shot_kde(e.terminal_values, grid, 0.1, 20_000).tobytes()
+    # the default 512-point grid with short chunks and 3-row blocks: 512 is
+    # not a multiple of 3, nor 20 003 of 700
+    monkeypatch.setattr(psde.density, "DEFAULT_CHUNK", 700)
+    monkeypatch.setattr(psde.density, "_KDE_BLOCK_BYTES", 3 * 8 * 700)
+    est = psde.kde(e)
+    assert est.density.tobytes() == _one_shot_kde(e.terminal_values, est.grid, est.bandwidth, 700).tobytes()
+
+
+def test_ndtr_matches_scipy():
+    x = np.linspace(-40.0, 40.0, 400_001)
+    assert np.max(np.abs(psde.density._ndtr(x) - ndtr(x))) <= 2.3e-16
+    edges = psde.density._ndtr(np.array([-np.inf, np.inf, np.nan]))
+    assert edges[0] == 0.0 and edges[1] == 1.0 and np.isnan(edges[2])
+    assert psde.density._ndtr(np.empty((0, 2))).shape == (0, 2)
 
 
 def test_kde_rejects_empty(unit_model):

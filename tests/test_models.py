@@ -48,3 +48,18 @@ def test_tabulated_coefficient_clamps_past_the_table():
     assert np.all(coef.f_prime(v)[~inside] == 0.0)
     with pytest.raises(ValueError, match=">= 2 points"):
         psde.tabulated([0.0], [1.0])
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_tabulated_bounds_are_exact(name):
+    # the declared sup |f'| and inf |f| hold on 1001 points per interval,
+    # and the sup is attained there to a relative 1e-6
+    x, y = TABLES[name]
+    coef = psde.tabulated(x, y)
+    v = np.concatenate([np.linspace(a, b, 1001) for a, b in zip(x[:-1], x[1:])])
+    dense_prime = np.max(np.abs(coef.f_prime(v)))
+    assert dense_prime <= coef.prime_sup + 1e-12
+    assert dense_prime >= coef.prime_sup * (1.0 - 1e-6)
+    dense_inf = np.min(np.abs(coef.f(v)))
+    assert coef.inf_abs <= dense_inf
+    assert coef.inf_abs == np.min(np.abs(y)) or coef.inf_abs == 0.0

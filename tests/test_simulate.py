@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -81,12 +82,17 @@ def test_path_seed_range():
 
 
 def test_path_drivers_column_major_rows_match_standalone():
-    # 1000 steps make 64-path blocks; 5..140 crosses two block boundaries
+    # 1000 steps make 128-path blocks; 5..140 crosses a block boundary at path 133
     c = cfg(n_steps=1000, seed=12)
     drivers = psde.path_drivers(c, 5, 140)
     assert drivers.shape == (135, 1000) and drivers.flags.f_contiguous
-    for p in (5, 68, 69, 70, 133, 134, 139):
+    for p in (5, 68, 69, 70, 132, 133, 134, 139):
         assert drivers[p - 5].tobytes() == psde.brownian_driver(1000, 1.0, psde.path_seed(12, p)).tobytes()
+    # a caller's buffer, in either order and holding anything, gets the same values
+    for order in ("C", "F"):
+        out = np.full((135, 1000), np.nan, order=order)
+        assert psde.path_drivers(c, 5, 140, out) is out
+        assert np.array_equal(out, drivers)
 
 
 def test_ensembles_on_different_seeds_draw_different_drivers():
@@ -154,6 +160,27 @@ def test_picard_constant_coefficients_single_pass(unit_model):
     pic = psde.simulate_picard(unit_model, p, c)
     ps = psde.simulate_per_step(unit_model, p, c)
     assert np.max(np.abs(pic.x - ps.x)) <= 1e-12
+
+
+@pytest.mark.parametrize("name", ["unit", "additive-sine", "multiplicative-sine"])
+def test_constant_coefficients_enter_as_scalars(name):
+    # a constant b or sigma is multiplied in as its value; the same model
+    # without its spec evaluates the arrays, and both kernels agree bit for bit
+    model = psde.named_model(name)
+    assert model.constant_value("b") is not None or model.constant_value("sigma") is not None
+    arrays = dataclasses.replace(model, spec={})
+    assert arrays.constant_value("b") is None and arrays.constant_value("sigma") is None
+    p = psde.validate_params(0.4, -0.3)
+    c = cfg(n_steps=100, seed=4, x0=-0.0)
+    drivers = path_drivers(c, 0, 6)
+
+    def per_step(m):
+        trajectories = np.empty((101, 6))
+        return (*per_step_terminal_chunk(m, p, c.x0_seed_value, c.dt, drivers, trajectories), trajectories)
+
+    for kernel in (per_step, lambda m: picard_chunk(m, p, c, drivers)):
+        for got, want in zip(kernel(model), kernel(arrays)):
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
 
 def test_picard_unperturbed_is_euler_maruyama(generic_model):
