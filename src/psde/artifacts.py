@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from pathlib import Path
@@ -20,14 +19,35 @@ def format_float(v: float) -> str:
     return f"{float(v):.17g}"
 
 
+_QUOTED = frozenset(',"\r\n')
+
+
+def _plain_cell(v) -> str:
+    """str(v) for a cell csv.writer writes bare, as it writes it: not
+    None, not empty, and without a comma, quote or line break."""
+    cell = str(v)
+    if v is None or not cell or not _QUOTED.isdisjoint(cell):
+        raise ValueError(f"CSV cell {v!r} is not a number or a plain name")
+    return cell
+
+
+def _csv_line(row) -> str:
+    return ",".join([format_float(v) if isinstance(v, float) else _plain_cell(v) for v in row]) + "\r\n"
+
+
 def write_csv(path, header, rows) -> None:
-    """CSV with header row, CRLF line endings, 17-significant-digit floats."""
+    """CSV with header row, CRLF line endings, 17-significant-digit floats.
+
+    Records are joined as strings and streamed, the bytes csv.writer
+    writes: every cell is a number or a plain header name, which it writes
+    bare, and a cell it would quote, or write empty, raises ValueError.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
+    head = _csv_line(header)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([format_float(v) if isinstance(v, float) else v for v in row] for row in rows)
+        fh.write(head)
+        fh.writelines(map(_csv_line, rows))
 
 
 def write_json_report(path, payload: dict, config_fingerprint: str) -> dict:

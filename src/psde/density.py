@@ -15,7 +15,6 @@ import enum
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable
 
@@ -25,7 +24,7 @@ from .artifacts import fingerprint
 from .errors import NoConvergenceError, PathFailure
 from .models import CoefficientModel
 from .params import PerturbationParams
-from .simulate import Scheme, SimConfig, path_drivers, per_step_terminal_chunk, picard_block_rows, picard_chunk
+from .simulate import Scheme, SimConfig, ensemble_block_rows, path_drivers, per_step_terminal_chunk, picard_chunk
 
 KS_CRITICAL_1PCT = 1.63
 KS_CRITICAL_5PCT = 1.36
@@ -71,10 +70,11 @@ def generate_ensemble(
     uses the driver of seed ``path_seed(rng_seed, p)`` and the same
     arithmetic as a standalone simulation of its scheme.  Ensembles on
     different master seeds draw disjoint streams.  Chunks of ``chunk_size``
-    paths run on the thread pool; a per-step chunk is one kernel call, a
-    Picard chunk runs the row-batched Picard kernel on blocks of
-    ``picard_block_rows`` paths, drawing each block's drivers on its own.
-    Each thread draws its drivers into one buffer, reused for every block.
+    paths run on the thread pool (imported only when ``threads`` > 1).  Each
+    chunk runs its scheme's kernel on blocks of ``ensemble_block_rows``
+    paths, drawing each block's drivers on its own: a per-step block holds
+    at most 80 MB of drivers, a Picard block one 256 KB iterate.  Each
+    thread draws its drivers into one buffer, reused for every block.
     One ``check_bounds`` covers the realized range of the whole ensemble.
     A ``PathFailure`` or Picard ``NoConvergenceError`` names the failing
     path by that index p, whichever chunk it ran in.
@@ -86,20 +86,18 @@ def generate_ensemble(
     if n_paths == 0:
         return Ensemble(np.empty(0), 0, cfg.horizon, fp)
     if cfg.scheme is Scheme.PER_STEP:
-        block = chunk_size
 
         def kernel(drivers):
             return per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, drivers)
 
     else:
-        block = picard_block_rows(cfg.n_steps)
 
         def kernel(drivers):
             x = picard_chunk(model, params, cfg, drivers)[0]
             return x[:, -1].copy(), float(np.min(x)), float(np.max(x))
 
     starts = list(range(0, n_paths, chunk_size))
-    block = min(block, chunk_size, n_paths)
+    block = ensemble_block_rows(cfg, min(chunk_size, n_paths))
     buffers = threading.local()
 
     def run_chunk(start: int):
@@ -119,6 +117,8 @@ def generate_ensemble(
     if threads is None:
         threads = int(os.environ.get("PSDE_THREADS", "1"))
     if threads > 1 and len(starts) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             chunks = list(pool.map(run_chunk, starts))
     else:

@@ -114,6 +114,7 @@ _DRIVER_TAG = 0
 _BRIDGE_TAG = 1
 _BLOCK_BYTES = 1 << 20  # one block of normals stays in L2
 _BLOCK_ROWS = 128
+_DRIVER_BLOCK_BYTES = 80 << 20  # one thread's per-step drivers; 64 MB blocks ran sigma(x) models slower
 _PICARD_BLOCK_BYTES = 1 << 18  # one (rows, n+1) Picard iterate stays in L2
 
 
@@ -249,19 +250,25 @@ def _solve_fresh(x, extreme, weight, beyond, k):
     """Fresh-extreme solve x' = (u - weight*e)/(1-weight) at step k, in place.
 
     Runs only on the paths whose candidate u = x is beyond(u, e) of their
-    running extreme e; a solve that lands back inside the band raises.
+    running extreme e; a solve that lands back inside the band raises.  A
+    zero weight only moves the extreme: (u - 0*e)/1 is u bit for bit unless
+    u = -0.0, and a sum is -0.0 only if the previous value was, which lies
+    inside the band, so u is never beyond it.
     """
-    fresh = beyond(x, extreme)
-    if not np.count_nonzero(fresh):  # cheaper than fresh.any() on a batch of one
+    if weight == 0.0:
+        np.copyto(extreme, x, where=beyond(x, extreme))
         return
-    p = np.flatnonzero(fresh)
-    solved = (x[p] - weight * extreme[p]) / (1.0 - weight)
-    inside = ~beyond(solved, extreme[p])
-    if inside.any():
-        q = int(np.argmax(inside))
+    p = beyond(x, extreme).nonzero()[0]
+    if not len(p):
+        return
+    e = extreme[p]
+    solved = (x[p] - weight * e) / (1.0 - weight)
+    landed = beyond(solved, e)
+    if not landed.all():
+        q = int(np.argmin(landed))
         raise CaseInconsistentError(
             f"fresh-extreme solve on chunk path {p[q]} landed at {solved[q]}, inside its "
-            f"running extreme {extreme[p[q]]}, at step {k}",
+            f"running extreme {e[q]}, at step {k}",
             step=k,
             path=int(p[q]),
         )
@@ -355,10 +362,18 @@ def simulate_per_step(
     return Path(grid=cfg.grid(), x=x, m=x[running_argmax(x)], i=x[running_argmin(x)], w=w)
 
 
-def picard_block_rows(n_steps: int) -> int:
-    """Rows per Picard kernel call for an ensemble: one (rows, n_steps + 1)
-    iterate in _PICARD_BLOCK_BYTES (32 rows at n_steps = 1000)."""
-    return max(1, _PICARD_BLOCK_BYTES // (8 * (n_steps + 1)))
+def ensemble_block_rows(cfg: SimConfig, n_rows: int) -> int:
+    """Rows per kernel call when an ensemble cuts a chunk of n_rows paths
+    into the fewest equal blocks: a per-step block's (rows, n_steps) drivers
+    fit in _DRIVER_BLOCK_BYTES (two blocks of 10 000 rows per 20 000-path
+    chunk at n_steps = 1000), a Picard block's (rows, n_steps + 1) iterate in
+    _PICARD_BLOCK_BYTES (32 rows)."""
+    if cfg.scheme is Scheme.PER_STEP:
+        budget, row_bytes = _DRIVER_BLOCK_BYTES, 8 * cfg.n_steps
+    else:
+        budget, row_bytes = _PICARD_BLOCK_BYTES, 8 * (cfg.n_steps + 1)
+    n_blocks = -(-n_rows // max(1, budget // row_bytes))
+    return -(-n_rows // n_blocks)
 
 
 def picard_chunk(

@@ -140,6 +140,7 @@ def test_criterion_3_scheme_cross_validation():
     assert ok, line
 
 
+@pytest.mark.slow
 def test_criterion_4_singly_perturbed_law():
     # NOTE: at dt = 1e-3 the discrete running maximum is biased low by
     # ~0.58*sqrt(dt) = 0.018, which exceeds the 3-standard-error band

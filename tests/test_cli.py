@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import os
@@ -8,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import psde
+from psde import artifacts
 from psde.cli import CONFIG_SCHEMA, _check_schema, _CliFailure, main
 
 
@@ -242,22 +245,27 @@ def test_negative_paths_rejected(tmp_path, capsys, command):
 
 
 def _imports_of_a_run(argv):
-    """Exit code of main(argv) in a fresh interpreter, and the scipy and
-    jsonschema modules it loaded."""
+    """Exit code of main(argv) in a fresh single-threaded interpreter, and
+    the scipy, jsonschema and concurrent (thread pool) modules it loaded."""
     src = Path(psde.__file__).resolve().parent.parent
     script = (
         "import sys; import psde.cli; "
         f"code = psde.cli.main({argv!r}); "
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema')))"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema', 'concurrent')))"
     )
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH")))))
+    env = dict(
+        os.environ,
+        PSDE_THREADS="1",
+        PYTHONPATH=os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH")))),
+    )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
     return result.stdout.split()
 
 
 def test_startup_imports_no_scipy(tmp_path):
-    # neither start-up with a tabulated model nor a density run with its KS
-    # test (unit model, alpha = 0.5, beta = 0) imports scipy or jsonschema
+    # neither start-up with a tabulated model nor a single-threaded density
+    # run with its KS test (unit model, alpha = 0.5, beta = 0) imports scipy,
+    # jsonschema or the thread pool
     (tmp_path / "sigma.csv").write_text("x,sigma\n-2.0,1.0\n0.0,1.5\n1.0,1.2\n3.0,2.0\n")
     cfgp = write_config(tmp_path, model={"b": {"kind": "sinusoidal", "offset": 0.0, "amplitude": 0.5},
                                          "sigma": {"kind": "tabulated", "path": "sigma.csv"}})
@@ -265,6 +273,44 @@ def test_startup_imports_no_scipy(tmp_path):
     unit = write_config(tmp_path, name="unit.json")
     assert _imports_of_a_run(["density", "--config", str(unit), "--quiet"]) == ["0", "[]"]
     assert json.loads((tmp_path / "out" / "density.json").read_text())["ks"]["reference"] == "singly-perturbed-bm"
+
+
+def test_csv_files_match_csv_writer(tmp_path, monkeypatch):
+    # every CSV the CLI writes holds the bytes csv.writer writes for its rows
+    real = artifacts.write_csv
+    written = []
+
+    def checked(path, header, rows):
+        rows = list(rows)
+        real(path, header, rows)
+        buf = io.StringIO(newline="")
+        writer = csv.writer(buf)
+        writer.writerow(header)
+        writer.writerows([artifacts.format_float(v) if isinstance(v, float) else v for v in row] for row in rows)
+        assert Path(path).read_bytes() == buf.getvalue().encode()
+        written.append(Path(path).name)
+
+    monkeypatch.setattr(artifacts, "write_csv", checked)
+    monkeypatch.setattr(psde.cli, "write_csv", checked)
+    cfgp = write_config(
+        tmp_path,
+        model={"preset": "smooth-generic"},
+        params={"alpha": 0.3, "beta": -0.2},
+        sim={"n_steps": 40},
+        analysis={"n_paths": 300, "export_field": True, "refinements": 2, "n_intervals": 4},
+    )
+    for command in ("constants", "simulate", "picard-compare", "malliavin", "density", "lamperti-check"):
+        assert main([command, "--config", str(cfgp), "--quiet"]) == 0
+    assert sorted(written) == sorted(
+        ["constants.csv", "path.csv", "scheme_discrepancy.csv", "h_norm.csv", "field.csv", "ensemble.csv",
+         "kde.csv", "transform.csv"]
+    )
+
+
+@pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r", "", None])
+def test_csv_cell_that_needs_quotes_raises(tmp_path, cell):
+    with pytest.raises(ValueError):
+        artifacts.write_csv(tmp_path / "x.csv", ["h", "g"], [(1.0, cell)])
 
 
 @pytest.mark.parametrize(

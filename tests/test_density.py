@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -134,6 +135,31 @@ def test_ensemble_chunking_invariant(unit_model, generic_model):
             assert a.config_fingerprint == b.config_fingerprint
 
 
+@pytest.mark.parametrize("name", ["unit", "smooth-generic"])
+def test_ensemble_driver_blocks_invariant(name, monkeypatch):
+    # a driver budget of 5 rows cuts each chunk into many kernel blocks; the
+    # terminal values are those of one block per chunk, and no block's
+    # driver buffer exceeds the budget
+    model = psde.named_model(name)
+    p = psde.validate_params(0.2, 0.1)
+    c = cfg(seed=9)
+    whole = psde.generate_ensemble(model, p, c, 300, chunk_size=300).terminal_values
+    budget = 5 * 8 * c.n_steps
+    monkeypatch.setattr(importlib.import_module("psde.simulate"), "_DRIVER_BLOCK_BYTES", budget)
+    sizes = []
+
+    def recording(cfg, start, stop, out=None):
+        sizes.append(out.nbytes)
+        return path_drivers(cfg, start, stop, out)
+
+    monkeypatch.setattr(psde.density, "path_drivers", recording)
+    for chunk_size, threads in ((37, 1), (37, 2), (300, 1), (300, 2)):
+        sizes.clear()
+        e = psde.generate_ensemble(model, p, c, 300, chunk_size=chunk_size, threads=threads)
+        assert e.terminal_values.tobytes() == whole.tobytes()
+        assert len(sizes) >= 300 // 5 and max(sizes) <= budget
+
+
 def test_ensemble_picard_scheme(unit_model):
     p = psde.validate_params(0.3, 0.1)
     c = dataclasses.replace(cfg(n_steps=40, seed=11), scheme=psde.Scheme.PICARD)
@@ -143,8 +169,8 @@ def test_ensemble_picard_scheme(unit_model):
 
 
 def test_picard_ensemble_chunking_and_threads_invariant(generic_model):
-    # n = 200 puts 163 paths in a Picard kernel block, so a 300-path chunk
-    # spans two blocks and a 37-path chunk one
+    # n = 200 allows 163 paths in a Picard kernel block, so a 300-path chunk
+    # runs as two blocks of 150 and a 37-path chunk as one
     p = psde.validate_params(0.4, 0.3)
     c = dataclasses.replace(cfg(n_steps=200, seed=9, x0=0.5), scheme=psde.Scheme.PICARD)
     rows = picard_chunk(generic_model, p, c, path_drivers(c, 0, 300))[0][:, -1]
@@ -201,6 +227,7 @@ def test_reference_density_normalized():
     assert f[0] <= 1e-8 and f[-1] >= 1.0 - 1e-8
 
 
+@pytest.mark.slow
 def test_fine_grid_ensemble_matches_reference(unit_model):
     p = psde.validate_params(0.5, 0.0)
     e = psde.generate_ensemble(unit_model, p, cfg(n_steps=10_000, seed=3), 20_000)

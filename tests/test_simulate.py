@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 import psde
 from psde import Scheme, SimConfig
-from psde.simulate import path_drivers, per_step_terminal_chunk, picard_block_rows, picard_chunk
+from psde.simulate import ensemble_block_rows, path_drivers, per_step_terminal_chunk, picard_chunk
 
 
 def cfg(n_steps=200, seed=0, x0=0.0, horizon=1.0, **kw):
@@ -212,10 +212,12 @@ def test_picard_matches_per_step(generic_model):
 
 
 def test_picard_kernel_rows_match_batch_of_one(generic_model):
-    # 35 rows at n = 1000 cross the ensemble's 32-row Picard block
+    # 35 rows at n = 1000 exceed the ensemble's 32-row Picard block, so the
+    # ensemble runs them as two blocks
     p = psde.validate_params(0.4, 0.3)
     c = cfg(n_steps=1000, seed=31, x0=0.5, scheme=Scheme.PICARD)
-    rows = picard_block_rows(c.n_steps) + 3
+    rows = ensemble_block_rows(c, psde.density.DEFAULT_CHUNK) + 3
+    assert ensemble_block_rows(c, rows) < rows
     drivers = path_drivers(c, 0, rows)
     x, m, i = picard_chunk(generic_model, p, c, drivers)
     for r in range(rows):
@@ -344,6 +346,8 @@ def test_vectorized_chunk_bit_identical(generic_model):
         ("smooth-generic", 0.3, -0.2, 0.5),
         ("additive-sine", 0.05, 0.05, -0.3),
         ("multiplicative-sine", 0.2, -0.3, 0.25),
+        ("smooth-generic", 0.0, -0.3, 0.5),
+        ("multiplicative-sine", -0.6, 0.0, 0.25),
     ],
 )
 def test_kernel_matches_reference_loop(name, alpha, beta, x0, n):
