@@ -2,8 +2,11 @@
 
 Subcommands: validate, simulate, picard-compare, malliavin, density,
 lamperti-check, constants.  Configuration is a JSON file checked against a
-published schema (unknown keys are errors); ``--seed``, ``--paths``,
-``--steps`` and ``--out`` override the corresponding config entries.
+published schema (unknown keys and non-finite numbers are errors);
+``--seed``, ``--paths``, ``--steps`` and ``--out`` override the
+corresponding config entries.  Every override but ``--out`` is folded into
+the config before it is checked, so it enters the config fingerprint that
+each report embeds.  ``density`` needs ``analysis.n_paths`` >= 1.
 
 Exit codes: 0 success, 2 validation rejection, 3 numerical failure,
 4 I/O error.  Failures emit a machine-readable JSON object on stderr.
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path as FsPath
 
 import numpy as np
@@ -32,6 +36,7 @@ from .artifacts import (
 from .errors import NoConvergenceError, ParameterRejection, PathFailure, SigmaNotPositiveError
 from .models import CoefficientModel, coefficient_from_spec, make_model, named_model, tabulated
 from .params import (
+    PerturbationParams,
     hnorm_lower_bound,
     smooth_density_horizon,
     smoothness_constant,
@@ -91,7 +96,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "n_paths": {"type": "integer", "minimum": 0},
                 "bin_widths": {"type": "array", "items": {"type": "number", "exclusiveMinimum": 0}},
-                "bandwidth": {},
+                "bandwidth": {"anyOf": [{"enum": ["auto"]}, {"type": "number", "exclusiveMinimum": 0}]},
                 "eps": {"type": "number", "exclusiveMinimum": 0},
                 "n_intervals": {"type": "integer", "minimum": 1},
                 "refinements": {"type": "integer", "minimum": 1},
@@ -119,14 +124,18 @@ def _check_schema(value, schema: dict, path: str = "") -> None:
     """Reject value (ConfigError, exit 2) unless it matches schema.
 
     Knows the keywords CONFIG_SCHEMA uses: type, properties, required,
-    additionalProperties, minimum, maximum, exclusiveMinimum, enum and
-    items.  A bool is neither a number nor an integer, and an integer must
-    be an int: 100.0 is not one.  The message names the key path.
+    additionalProperties, minimum, maximum, exclusiveMinimum, enum, anyOf
+    and items.  A bool is neither a number nor an integer, and an integer
+    must be an int: 100.0 is not one.  No number anywhere in value may be
+    NaN, infinite or beyond the float range.  The message names the key path.
     """
 
     def reject(why: str):
         raise _CliFailure(EXIT_REJECTED, "ConfigError", f"config rejected at {path or 'top level'}: {why}")
 
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if number and not abs(value) <= sys.float_info.max:
+        reject(f"{value!r} is not a finite number")
     kind = schema.get("type")
     if kind is not None and (
         not isinstance(value, _TYPES[kind]) or (isinstance(value, bool) and kind in ("number", "integer"))
@@ -134,7 +143,16 @@ def _check_schema(value, schema: dict, path: str = "") -> None:
         reject(f"{value!r} is not of type {kind!r}")
     if "enum" in schema and value not in schema["enum"]:
         reject(f"{value!r} is not one of {schema['enum']}")
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
+    if "anyOf" in schema:
+        for option in schema["anyOf"]:
+            try:
+                _check_schema(value, option, path)
+                break
+            except _CliFailure:
+                pass
+        else:
+            reject(f"{value!r} matches none of {schema['anyOf']}")
+    if number:
         if "minimum" in schema and value < schema["minimum"]:
             reject(f"{value!r} is less than the minimum of {schema['minimum']}")
         if "maximum" in schema and value > schema["maximum"]:
@@ -147,18 +165,17 @@ def _check_schema(value, schema: dict, path: str = "") -> None:
                 reject(f"{key!r} is a required property")
         properties = schema.get("properties", {})
         for key, item in value.items():
-            if key in properties:
-                _check_schema(item, properties[key], f"{path}.{key}" if path else key)
-            elif schema.get("additionalProperties", True) is False:
+            if key not in properties and schema.get("additionalProperties", True) is False:
                 reject(f"unexpected key {key!r}")
-    if isinstance(value, list) and "items" in schema:
+            _check_schema(item, properties.get(key, {}), f"{path}.{key}" if path else key)
+    if isinstance(value, list):
         for k, item in enumerate(value):
-            _check_schema(item, schema["items"], f"{path}[{k}]")
+            _check_schema(item, schema.get("items", {}), f"{path}[{k}]")
 
 
 def _load_config(args) -> dict:
-    """The config file with --seed and --steps applied, checked against the
-    schema, and --paths checked against the schema's bound on n_paths."""
+    """The config file with --seed, --steps and --paths folded in, checked
+    against the schema."""
     path = args.config
     try:
         with open(path) as fh:
@@ -167,14 +184,17 @@ def _load_config(args) -> dict:
         raise _CliFailure(EXIT_IO, "IOError", f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise _CliFailure(EXIT_IO, "JSONDecodeError", f"config {path} is not valid JSON: {exc}") from exc
-    sim = raw.get("sim") if isinstance(raw, dict) else None
-    if isinstance(sim, dict):
-        for key, value in (("seed", args.seed), ("n_steps", args.steps)):
-            if value is not None:
-                sim[key] = value
     paths_min = CONFIG_SCHEMA["properties"]["analysis"]["properties"]["n_paths"]["minimum"]
     if args.paths is not None and args.paths < paths_min:
         raise _CliFailure(EXIT_REJECTED, "ConfigError", f"--paths must be >= {paths_min}, got {args.paths}")
+    if isinstance(raw, dict):
+        if args.paths is not None:
+            raw.setdefault("analysis", {})
+        for section, key, value in (
+            ("sim", "seed", args.seed), ("sim", "n_steps", args.steps), ("analysis", "n_paths", args.paths)
+        ):
+            if value is not None and isinstance(raw.get(section), dict):
+                raw[section][key] = value
     _check_schema(raw, CONFIG_SCHEMA)
     return raw
 
@@ -202,9 +222,24 @@ def _coef(spec: dict, base_dir: FsPath):
     return coefficient_from_spec(spec)
 
 
-def _sim_config(cfg: dict) -> SimConfig:
+@dataclass(frozen=True)
+class _Run:
+    """What a subcommand reads, built once from the config and overrides."""
+
+    model: CoefficientModel
+    params: PerturbationParams
+    sim: SimConfig
+    analysis: dict
+    out_dir: FsPath
+    fingerprint: str
+
+
+def _context(args) -> _Run:
+    cfg = _load_config(args)
+    model = _build_model(cfg, FsPath(args.config).resolve().parent)
+    params = validate_params(cfg["params"]["alpha"], cfg["params"]["beta"])
     sim = cfg["sim"]
-    return SimConfig(
+    sim_cfg = SimConfig(
         x0_seed_value=sim["x0"],
         horizon=sim["horizon"],
         n_steps=sim["n_steps"],
@@ -213,67 +248,36 @@ def _sim_config(cfg: dict) -> SimConfig:
         picard_outer_iters=sim.get("picard_outer_iters", 50),
         fixed_point_tol=sim.get("fixed_point_tol", 1e-10),
     )
-
-
-def _load(args):
-    """Config, model, validated parameters and output directory of a run."""
-    cfg = _load_config(args)
-    model = _build_model(cfg, FsPath(args.config).resolve().parent)
-    params = validate_params(cfg["params"]["alpha"], cfg["params"]["beta"])
-    out_dir = FsPath(args.out or cfg.get("output_dir", "psde_out"))
-    return cfg, model, params, out_dir
-
-
-def _context(args):
-    cfg, model, params, out_dir = _load(args)
-    sim_cfg = _sim_config(cfg)
     analysis = cfg.get("analysis", {})
-    fp = fingerprint(
-        {
-            "model": model.describe(),
-            "alpha": params.alpha,
-            "beta": params.beta,
-            "sim": sim_cfg.describe(),
-            "analysis": analysis,
-        }
-    )
-    return cfg, model, params, sim_cfg, analysis, out_dir, fp
+    # the domain report depends on the model and (alpha, beta) alone
+    identity = {"model": model.describe(), "alpha": params.alpha, "beta": params.beta}
+    if args.command != "validate":
+        identity.update(sim=sim_cfg.describe(), analysis=analysis)
+    out_dir = FsPath(args.out or cfg.get("output_dir", "psde_out"))
+    return _Run(model, params, sim_cfg, analysis, out_dir, fingerprint(identity))
 
 
-def _emit(report: dict, quiet: bool) -> None:
-    if not quiet:
-        json.dump(report, sys.stdout, sort_keys=True, indent=2)
-        sys.stdout.write("\n")
-
-
-def cmd_validate(args) -> int:
-    _, model, params, out_dir = _load(args)
+def cmd_validate(run: _Run):
+    model, params = run.model, run.params
     horizon = smooth_density_horizon(params.alpha, params.beta, model.b_prime_sup)
-    fp = fingerprint({"model": model.describe(), "alpha": params.alpha, "beta": params.beta})
-    report = write_json_report(
-        out_dir / "validate.json",
-        {
-            "accepted": True,
-            "alpha": params.alpha,
-            "beta": params.beta,
-            "rho": params.rho,
-            "t0": horizon.t0,
-            "t0_unbounded": horizon.t0_unbounded,
-            "threshold_ok": horizon.threshold_ok,
-            "b_prime_sup": model.b_prime_sup,
-        },
-        fp,
-    )
-    _emit(report, args.quiet)
-    return EXIT_OK
+    return "validate.json", {
+        "accepted": True,
+        "alpha": params.alpha,
+        "beta": params.beta,
+        "rho": params.rho,
+        "t0": horizon.t0,
+        "t0_unbounded": horizon.t0_unbounded,
+        "threshold_ok": horizon.threshold_ok,
+        "b_prime_sup": model.b_prime_sup,
+    }
 
 
-def cmd_constants(args) -> int:
-    _, model, params, sim_cfg, analysis, out_dir, fp = _context(args)
+def cmd_constants(run: _Run):
+    model, params = run.model, run.params
     horizon = smooth_density_horizon(params.alpha, params.beta, model.b_prime_sup)
-    t_values = analysis.get("t_values")
+    t_values = run.analysis.get("t_values")
     if not t_values:
-        top = horizon.t0 if (horizon.threshold_ok and not horizon.t0_unbounded) else sim_cfg.horizon
+        top = horizon.t0 if (horizon.threshold_ok and not horizon.t0_unbounded) else run.sim.horizon
         t_values = list(np.linspace(top / 20.0, top, 20))
     rows = []
     for t in t_values:
@@ -284,90 +288,71 @@ def cmd_constants(args) -> int:
             else 0.0
         )
         rows.append((float(t), float(c), float(bound)))
-    write_csv(out_dir / "constants.csv", ["t", "c_of_t", "hnorm_lower_bound"], rows)
-    report = write_json_report(
-        out_dir / "constants.json",
-        {
-            "t0": horizon.t0,
-            "threshold_ok": horizon.threshold_ok,
-            "t0_unbounded": horizon.t0_unbounded,
-            "c_at_t0": horizon.c_of_t,
-            "rho": params.rho,
-            "artifacts": ["constants.csv"],
-        },
-        fp,
-    )
-    _emit(report, args.quiet)
-    return EXIT_OK
+    write_csv(run.out_dir / "constants.csv", ["t", "c_of_t", "hnorm_lower_bound"], rows)
+    return "constants.json", {
+        "t0": horizon.t0,
+        "threshold_ok": horizon.threshold_ok,
+        "t0_unbounded": horizon.t0_unbounded,
+        "c_at_t0": horizon.c_of_t,
+        "rho": params.rho,
+        "artifacts": ["constants.csv"],
+    }
 
 
-def cmd_simulate(args) -> int:
-    _, model, params, sim_cfg, _, out_dir, fp = _context(args)
-    path = simulate(model, params, sim_cfg)
-    write_path_csv(out_dir / "path.csv", path)
-    report = write_json_report(
-        out_dir / "simulate.json",
-        {
-            "scheme": sim_cfg.scheme.value,
-            "n_steps": sim_cfg.n_steps,
-            "terminal": float(path.x[-1]),
-            "running_max": float(path.m[-1]),
-            "running_min": float(path.i[-1]),
-            "artifacts": ["path.csv"],
-        },
-        fp,
-    )
-    _emit(report, args.quiet)
-    return EXIT_OK
+def cmd_simulate(run: _Run):
+    path = simulate(run.model, run.params, run.sim)
+    write_path_csv(run.out_dir / "path.csv", path)
+    return "simulate.json", {
+        "scheme": run.sim.scheme.value,
+        "n_steps": run.sim.n_steps,
+        "terminal": float(path.x[-1]),
+        "running_max": float(path.m[-1]),
+        "running_min": float(path.i[-1]),
+        "artifacts": ["path.csv"],
+    }
 
 
-def cmd_picard_compare(args) -> int:
-    _, model, params, sim_cfg, analysis, out_dir, fp = _context(args)
+def cmd_picard_compare(run: _Run):
     rows = []
-    for level_cfg, inc in refinement_ladder(sim_cfg, analysis.get("refinements", 3)):
-        a = simulate_per_step(model, params, level_cfg, inc)
-        b = simulate_picard(model, params, level_cfg, inc)
+    for level_cfg, inc in refinement_ladder(run.sim, run.analysis.get("refinements", 3)):
+        a = simulate_per_step(run.model, run.params, level_cfg, inc)
+        b = simulate_picard(run.model, run.params, level_cfg, inc)
         rows.append((level_cfg.n_steps, level_cfg.dt, float(np.max(np.abs(a.x - b.x)))))
-    write_csv(out_dir / "scheme_discrepancy.csv", ["n_steps", "dt", "sup_discrepancy"], rows)
-    report = write_json_report(
-        out_dir / "picard_compare.json",
-        {
-            "levels": [{"n_steps": r[0], "dt": r[1], "sup_discrepancy": r[2]} for r in rows],
-            "artifacts": ["scheme_discrepancy.csv"],
-        },
-        fp,
-    )
-    _emit(report, args.quiet)
-    return EXIT_OK
+    write_csv(run.out_dir / "scheme_discrepancy.csv", ["n_steps", "dt", "sup_discrepancy"], rows)
+    return "picard_compare.json", {
+        "levels": [{"n_steps": r[0], "dt": r[1], "sup_discrepancy": r[2]} for r in rows],
+        "artifacts": ["scheme_discrepancy.csv"],
+    }
 
 
-def cmd_malliavin(args) -> int:
-    _, model, params, sim_cfg, analysis, out_dir, fp = _context(args)
+def cmd_malliavin(run: _Run):
+    model, params, sim_cfg, analysis, out_dir = run.model, run.params, run.sim, run.analysis, run.out_dir
     path = simulate_per_step(model, params, sim_cfg)
     field = malliavin_mod.derivative_field(path, model, params)
     profile = malliavin_mod.h_norm_profile(field)
+    # the windows map to grid steps (or the run is rejected) before anything is written
+    edges = np.linspace(0.0, sim_cfg.horizon, analysis.get("n_intervals", 10) + 1).tolist()
+    windows = list(zip(edges[:-1], edges[1:]))
+    finite_differences = malliavin_mod.cameron_martin_directional(
+        model, params, sim_cfg, windows, analysis.get("eps", 1e-4)
+    )
     positivity = None
-    n_paths = args.paths if args.paths is not None else analysis.get("n_paths", 0)
+    artifacts = ["h_norm.csv"]
+    n_paths = analysis.get("n_paths", 0)
     if n_paths:
         h_values = malliavin_mod.terminal_h_norms(model, params, sim_cfg, n_paths)
         positivity = malliavin_mod.positivity_report(
             h_values, t=sim_cfg.horizon, sigma_inf=model.sigma_inf
         ).to_dict()
-        write_json_report(out_dir / "positivity.json", dict(positivity), fp)
+        write_json_report(out_dir / "positivity.json", dict(positivity), run.fingerprint)
     write_csv(
         out_dir / "h_norm.csv",
         ["t", "h_norm"],
         ((float(path.grid[k]), float(profile[k])) for k in range(len(profile))),
     )
-    artifacts = ["h_norm.csv"]
     if analysis.get("export_field", False):
         write_field_csv(out_dir / "field.csv", field)
         artifacts.append("field.csv")
-    eps = analysis.get("eps", 1e-4)
-    n_intervals = analysis.get("n_intervals", 10)
-    edges = np.linspace(0.0, sim_cfg.horizon, n_intervals + 1).tolist()
-    windows = list(zip(edges[:-1], edges[1:]))
-    finite_differences = malliavin_mod.cameron_martin_directional(model, params, sim_cfg, windows, eps)
     checks = []
     for (r_lo, r_hi), fd in zip(windows, finite_differences):
         fv = malliavin_mod.directional_from_field(field, r_lo, r_hi)
@@ -384,24 +369,20 @@ def cmd_malliavin(args) -> int:
         )
     if positivity is not None:
         artifacts.append("positivity.json")
-    report = write_json_report(
-        out_dir / "malliavin.json",
-        {
-            "terminal_h_norm": float(profile[-1]),
-            "cameron_martin": checks,
-            "max_rel_error": max(c["rel_error"] for c in checks),
-            "positivity": positivity,
-            "artifacts": artifacts,
-        },
-        fp,
-    )
-    _emit(report, args.quiet)
-    return EXIT_OK
+    return "malliavin.json", {
+        "terminal_h_norm": float(profile[-1]),
+        "cameron_martin": checks,
+        "max_rel_error": max(c["rel_error"] for c in checks),
+        "positivity": positivity,
+        "artifacts": artifacts,
+    }
 
 
-def cmd_density(args) -> int:
-    _, model, params, sim_cfg, analysis, out_dir, fp = _context(args)
-    n_paths = args.paths if args.paths is not None else analysis.get("n_paths", 10_000)
+def cmd_density(run: _Run):
+    model, params, sim_cfg, analysis, out_dir = run.model, run.params, run.sim, run.analysis, run.out_dir
+    n_paths = analysis.get("n_paths", 10_000)
+    if n_paths < 1:
+        raise _CliFailure(EXIT_REJECTED, "ConfigError", f"density needs analysis.n_paths >= 1, got {n_paths}")
     ensemble = density_mod.generate_ensemble(model, params, sim_cfg, n_paths)
     write_csv(
         out_dir / "ensemble.csv",
@@ -419,10 +400,7 @@ def cmd_density(args) -> int:
         for w in analysis.get("bin_widths", [1e-1, 1e-2, 1e-3])
     ]
     ks_payload = None
-    is_unit = model.name == "unit" or (
-        model.spec.get("b") == {"kind": "constant", "value": 0.0}
-        and model.spec.get("sigma") == {"kind": "constant", "value": 1.0}
-    )
+    is_unit = model.constant_value("b") == 0.0 and model.constant_value("sigma") == 1.0
     if is_unit and params.beta == 0.0:
         shift = sim_cfg.x0_seed_value / (1.0 - params.alpha)
         if params.alpha == 0.0:
@@ -443,42 +421,29 @@ def cmd_density(args) -> int:
             "low_power": ks.low_power,
             "reference": law.kind.value,
         }
-    report = write_json_report(
-        out_dir / "density.json",
-        {
-            "n_paths": ensemble.n_paths,
-            "sample_mean": float(np.mean(ensemble.terminal_values)) if n_paths else None,
-            "sample_std": float(np.std(ensemble.terminal_values)) if n_paths else None,
-            "kde_bandwidth": est.bandwidth,
-            "kde_integral": est.integral(),
-            "atom_scan": scans,
-            "ks": ks_payload,
-            "artifacts": ["ensemble.csv", "kde.csv"],
-        },
-        fp,
-    )
-    _emit(report, args.quiet)
-    return EXIT_OK
+    return "density.json", {
+        "n_paths": ensemble.n_paths,
+        "sample_mean": float(np.mean(ensemble.terminal_values)),
+        "sample_std": float(np.std(ensemble.terminal_values)),
+        "kde_bandwidth": est.bandwidth,
+        "kde_integral": est.integral(),
+        "atom_scan": scans,
+        "ks": ks_payload,
+        "artifacts": ["ensemble.csv", "kde.csv"],
+    }
 
 
-def cmd_lamperti_check(args) -> int:
-    _, model, params, sim_cfg, analysis, out_dir, fp = _context(args)
-    report_obj = lamperti_mod.pathwise_reduction_check(
-        model, params, sim_cfg, n_refinements=analysis.get("refinements", 3)
+def cmd_lamperti_check(run: _Run):
+    report = lamperti_mod.pathwise_reduction_check(
+        run.model, run.params, run.sim, n_refinements=run.analysis.get("refinements", 3)
     )
-    transform = report_obj.transform
+    transform = report.transform
     write_csv(
-        out_dir / "transform.csv",
+        run.out_dir / "transform.csv",
         ["y", "g"],
         ((float(a), float(b)) for a, b in zip(transform.nodes, transform.g_nodes)),
     )
-    report = write_json_report(
-        out_dir / "lamperti.json",
-        {**report_obj.to_dict(), "artifacts": ["transform.csv"]},
-        fp,
-    )
-    _emit(report, args.quiet)
-    return EXIT_OK
+    return "lamperti.json", {**report.to_dict(), "artifacts": ["transform.csv"]}
 
 
 _COMMANDS = {
@@ -510,7 +475,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        run = _context(args)
+        name, payload = _COMMANDS[args.command](run)
+        report = write_json_report(run.out_dir / name, payload, run.fingerprint)
+        if not args.quiet:
+            json.dump(report, sys.stdout, sort_keys=True, indent=2)
+            sys.stdout.write("\n")
+        return EXIT_OK
     except _CliFailure as exc:
         _error(exc.kind, str(exc), exc.code)
         return exc.code

@@ -77,14 +77,36 @@ def test_constants_report_t0(tmp_path, capsys):
     assert (tmp_path / "out" / "constants.csv").exists()
 
 
-def test_simulate_byte_identical_reruns(tmp_path):
-    cfgp = write_config(tmp_path)
-    assert main(["simulate", "--config", str(cfgp), "--quiet"]) == 0
-    first = (tmp_path / "out" / "path.csv").read_bytes()
-    assert main(["simulate", "--config", str(cfgp), "--quiet"]) == 0
-    assert (tmp_path / "out" / "path.csv").read_bytes() == first
-    header = first.split(b"\r\n", 1)[0]
-    assert header == b"t,x,m,i,w"
+COMMANDS = ("validate", "constants", "simulate", "picard-compare", "malliavin", "density", "lamperti-check")
+
+
+def small_config(tmp_path):
+    return write_config(
+        tmp_path,
+        model={"preset": "smooth-generic"},
+        params={"alpha": 0.3, "beta": -0.2},
+        sim={"n_steps": 40},
+        analysis={"n_paths": 300, "export_field": True, "refinements": 2, "n_intervals": 4},
+    )
+
+
+def _outputs(out_dir):
+    return {p.name: p.read_bytes() for p in sorted(Path(out_dir).iterdir())}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_byte_identical_reruns(tmp_path, capsys, command):
+    cfgp = small_config(tmp_path)
+    runs = []
+    for out, extra in (("first", []), ("second", []), ("reseeded", ["--seed", "8"])):
+        assert main([command, "--config", str(cfgp), "--out", str(tmp_path / out), *extra]) == 0
+        runs.append((capsys.readouterr().out, _outputs(tmp_path / out)))
+    assert runs[0] == runs[1]
+    if command == "simulate":
+        assert runs[0][1]["path.csv"].split(b"\r\n", 1)[0] == b"t,x,m,i,w"
+    # validate's report depends on the model and (alpha, beta) alone, so only its fingerprint ignores the seed
+    same_print = json.loads(runs[0][0])["config_fingerprint"] == json.loads(runs[2][0])["config_fingerprint"]
+    assert same_print == (command == "validate")
 
 
 def test_simulate_seed_override_changes_output(tmp_path):
@@ -244,6 +266,62 @@ def test_negative_paths_rejected(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+def test_paths_override_enters_fingerprint(tmp_path):
+    def density_fingerprint(cfgp, *extra):
+        assert main(["density", "--config", str(cfgp), "--quiet", *extra]) == 0
+        return json.loads((tmp_path / "out" / "density.json").read_text())["config_fingerprint"]
+
+    cfgp = write_config(tmp_path, analysis={"n_paths": 200})
+    prints = [density_fingerprint(cfgp, "--paths", "10"), density_fingerprint(cfgp, "--paths", "20"),
+              density_fingerprint(cfgp)]
+    assert len(set(prints)) == 3
+    assert prints[0] == density_fingerprint(write_config(tmp_path, name="ten.json", analysis={"n_paths": 10}))
+
+
+@pytest.mark.parametrize(
+    "command,analysis,extra,error",
+    [
+        ("density", {"n_paths": 0}, [], "ConfigError"),
+        ("density", {}, ["--paths", "0"], "ConfigError"),
+        # 150 windows on a 100-step grid do not map to grid steps
+        ("malliavin", {"n_paths": 10, "n_intervals": 150}, [], "ValueError"),
+    ],
+)
+def test_rejection_writes_nothing(tmp_path, capsys, command, analysis, extra, error):
+    cfgp = write_config(tmp_path, analysis=analysis)
+    assert main([command, "--config", str(cfgp), "--quiet", *extra]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == error
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command,section,key,literal,where",
+    [
+        ("simulate", "sim", "horizon", "Infinity", "sim.horizon"),
+        ("simulate", "sim", "fixed_point_tol", "NaN", "sim.fixed_point_tol"),
+        ("malliavin", "analysis", "eps", "NaN", "analysis.eps"),
+        ("constants", "analysis", "t_values", "[NaN]", "analysis.t_values[0]"),
+        ("validate", "params", "alpha", "NaN", "params.alpha"),
+        ("simulate", "sim", "x0", "1e400", "sim.x0"),
+        pytest.param("simulate", "sim", "x0", "1" + "0" * 400, "sim.x0", id="simulate-sim-x0-10**400"),
+        # a bandwidth is "auto" or a number > 0
+        ("density", "analysis", "bandwidth", "null", "analysis.bandwidth"),
+        ("density", "analysis", "bandwidth", "true", "analysis.bandwidth"),
+        ("density", "analysis", "bandwidth", "[1]", "analysis.bandwidth"),
+    ],
+)
+def test_bad_config_value_rejected(tmp_path, capsys, command, section, key, literal, where):
+    overrides = {"sim": {"scheme": "picard"}}
+    overrides.setdefault(section, {})[key] = "__value__"
+    cfgp = write_config(tmp_path, **overrides)
+    cfgp.write_text(cfgp.read_text().replace('"__value__"', literal))
+    assert main([command, "--config", str(cfgp), "--quiet"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert f"at {where}:" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 def _imports_of_a_run(argv):
     """Exit code of main(argv) in a fresh single-threaded interpreter, and
     the scipy, jsonschema and concurrent (thread pool) modules it loaded."""
@@ -292,14 +370,8 @@ def test_csv_files_match_csv_writer(tmp_path, monkeypatch):
 
     monkeypatch.setattr(artifacts, "write_csv", checked)
     monkeypatch.setattr(psde.cli, "write_csv", checked)
-    cfgp = write_config(
-        tmp_path,
-        model={"preset": "smooth-generic"},
-        params={"alpha": 0.3, "beta": -0.2},
-        sim={"n_steps": 40},
-        analysis={"n_paths": 300, "export_field": True, "refinements": 2, "n_intervals": 4},
-    )
-    for command in ("constants", "simulate", "picard-compare", "malliavin", "density", "lamperti-check"):
+    cfgp = small_config(tmp_path)
+    for command in COMMANDS[1:]:
         assert main([command, "--config", str(cfgp), "--quiet"]) == 0
     assert sorted(written) == sorted(
         ["constants.csv", "path.csv", "scheme_discrepancy.csv", "h_norm.csv", "field.csv", "ensemble.csv",
@@ -346,21 +418,25 @@ def test_config_checker_agrees_with_jsonschema():
                      "export_field": False},
         "output_dir": "out",
     }
+    # an edit sets section[key] = value, or drops the key where value is ...
     edits = [
-        (), ("params", "beta", None), ("params", "beta", True), ("params", "beta", "0"),
+        (), ("params", "beta", ...), ("params", "beta", True), ("params", "beta", "0"),
         ("sim", "seed", -1), ("sim", "seed", 2**64), ("sim", "horizon", 0), ("sim", "horizon", -1.5),
         ("sim", "scheme", "euler"), ("sim", "n_steps", 0), ("sim", "fixed_point_tol", 0.0),
         ("sim", "bogus", 1), ("analysis", "bin_widths", [0.1, 0.0]), ("analysis", "bin_widths", 0.1),
         ("analysis", "t_values", [-1]), ("analysis", "export_field", 1), ("analysis", "bandwidth", [1, "x"]),
-        ("model", "b", {"value": 1.0}), ("model", "sigma", {"kind": 3}), ("model", "preset", None),
-        ("model", "extra", {}), (None, "output_dir", 3), (None, "sim", None), (None, "extra", 1),
+        ("analysis", "bandwidth", None), ("analysis", "bandwidth", True), ("analysis", "bandwidth", [1]),
+        ("analysis", "bandwidth", "auto"), ("analysis", "bandwidth", 0.2), ("analysis", "bandwidth", 0),
+        ("analysis", "bandwidth", "silverman"),
+        ("model", "b", {"value": 1.0}), ("model", "sigma", {"kind": 3}), ("model", "preset", ...),
+        ("model", "extra", {}), (None, "output_dir", 3), (None, "sim", ...), (None, "extra", 1),
     ]
     for edit in edits:
         cfg = json.loads(json.dumps(base))
         if edit:
             section, key, value = edit
             target = cfg if section is None else cfg[section]
-            if value is None:
+            if value is ...:
                 target.pop(key, None)
             else:
                 target[key] = value
@@ -370,7 +446,12 @@ def test_config_checker_agrees_with_jsonschema():
         except _CliFailure:
             ours = False
         assert ours == validator.is_valid(cfg), edit
-    assert validator.is_valid(dict(base, sim=dict(base["sim"], n_steps=10.0)))  # where the two differ
+    # where the two differ: an integer-valued float and a NaN
+    for section, key, value in (("sim", "n_steps", 10.0), ("params", "alpha", math.nan)):
+        cfg = dict(base, **{section: dict(base[section], **{key: value})})
+        assert validator.is_valid(cfg)
+        with pytest.raises(_CliFailure):
+            _check_schema(cfg, CONFIG_SCHEMA)
 
 
 def test_tabulated_bound_holds_between_grid_points(tmp_path, capsys):
