@@ -102,7 +102,6 @@ CONFIG_SCHEMA = {
                 "refinements": {"type": "integer", "minimum": 1},
                 "t_values": {"type": "array", "items": {"type": "number", "minimum": 0}},
                 "export_field": {"type": "boolean"},
-                "skorokhod_tol": {"type": "number", "exclusiveMinimum": 0},
             },
         },
         "output_dir": {"type": "string"},
@@ -327,11 +326,14 @@ def cmd_picard_compare(run: _Run):
 
 def cmd_malliavin(run: _Run):
     model, params, sim_cfg, analysis, out_dir = run.model, run.params, run.sim, run.analysis, run.out_dir
+    n_intervals = analysis.get("n_intervals", 10)
+    if n_intervals > sim_cfg.n_steps:  # a window narrower than a step maps to no grid step
+        message = f"analysis.n_intervals = {n_intervals} exceeds n_steps = {sim_cfg.n_steps}"
+        raise _CliFailure(EXIT_REJECTED, "ConfigError", message)
     path = simulate_per_step(model, params, sim_cfg)
     field = malliavin_mod.derivative_field(path, model, params)
     profile = malliavin_mod.h_norm_profile(field)
-    # the windows map to grid steps (or the run is rejected) before anything is written
-    edges = np.linspace(0.0, sim_cfg.horizon, analysis.get("n_intervals", 10) + 1).tolist()
+    edges = np.linspace(0.0, sim_cfg.horizon, n_intervals + 1).tolist()
     windows = list(zip(edges[:-1], edges[1:]))
     finite_differences = malliavin_mod.cameron_martin_directional(
         model, params, sim_cfg, windows, analysis.get("eps", 1e-4)

@@ -1,5 +1,7 @@
 """Ensembles of terminal values and statistical regularity checks.
 
+Ensembles run a scheme's kernel through the block runner ``run_ensemble``
+of :mod:`psde.simulate`, so their values do not depend on blocks or threads.
 The regularity theory is qualitative (absolute continuity, smooth density);
 at desk scale it is operationalized as: no-atom mass scaling under shrinking
 bins, Kolmogorov-Smirnov agreement with analytic laws in the solvable special
@@ -13,23 +15,22 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-import threading
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .artifacts import fingerprint
-from .errors import NoConvergenceError, PathFailure
 from .models import CoefficientModel
 from .params import PerturbationParams
-from .simulate import Scheme, SimConfig, ensemble_block_rows, path_drivers, per_step_terminal_chunk, picard_chunk
+from .simulate import Scheme, SimConfig, per_step_terminal_chunk, picard_chunk, run_ensemble
 
 KS_CRITICAL_1PCT = 1.63
 KS_CRITICAL_5PCT = 1.36
 LOW_POWER_N = 100
-DEFAULT_CHUNK = 20_000
+DEFAULT_CHUNK = 20_000  # kde sums values in chunks of this many, which fixes the order of its sums
+_DRIVER_BLOCK_BYTES = 80 << 20  # one thread's per-step drivers; 64 MB blocks ran sigma(x) models slower
+_PICARD_BLOCK_BYTES = 1 << 18  # one (rows, n+1) Picard iterate stays in L2
 _KDE_BLOCK_BYTES = 1 << 19  # one block of kernel values stays in L2
 _SQRT1_2 = math.sqrt(0.5)
 
@@ -61,73 +62,34 @@ def generate_ensemble(
     params: PerturbationParams,
     cfg: SimConfig,
     n_paths: int,
-    chunk_size: int = DEFAULT_CHUNK,
-    threads: int | None = None,
 ) -> Ensemble:
     """n_paths terminal values with deterministically split per-path seeds.
 
-    Results are independent of chunking and thread scheduling: path p always
-    uses the driver of seed ``path_seed(rng_seed, p)`` and the same
-    arithmetic as a standalone simulation of its scheme.  Ensembles on
-    different master seeds draw disjoint streams.  Chunks of ``chunk_size``
-    paths run on the thread pool (imported only when ``threads`` > 1).  Each
-    chunk runs its scheme's kernel on blocks of ``ensemble_block_rows``
-    paths, drawing each block's drivers on its own: a per-step block holds
-    at most 80 MB of drivers, a Picard block one 256 KB iterate.  Each
-    thread draws its drivers into one buffer, reused for every block.
-    One ``check_bounds`` covers the realized range of the whole ensemble.
-    A ``PathFailure`` or Picard ``NoConvergenceError`` names the failing
-    path by that index p, whichever chunk it ran in.
+    Path p always uses the driver of seed ``path_seed(rng_seed, p)`` and the
+    same arithmetic as a standalone simulation of its scheme, whatever the
+    blocks and threads of ``run_ensemble``.  Its blocks hold at most 80 MB of
+    per-step drivers (5 x 10 000 rows for 50 000 paths at n_steps = 1000) or
+    a 256 KB Picard iterate (32 rows).  A ``PathFailure`` or Picard
+    ``NoConvergenceError`` names the failing path by its index p.
     """
     fp = fingerprint(
         {"model": model.describe(), "alpha": params.alpha, "beta": params.beta,
          "cfg": cfg.describe(), "n_paths": n_paths}
     )
-    if n_paths == 0:
-        return Ensemble(np.empty(0), 0, cfg.horizon, fp)
     if cfg.scheme is Scheme.PER_STEP:
 
         def kernel(drivers):
             return per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, drivers)
 
+        row_bytes, budget = 8 * cfg.n_steps, _DRIVER_BLOCK_BYTES
     else:
 
         def kernel(drivers):
             x = picard_chunk(model, params, cfg, drivers)[0]
             return x[:, -1].copy(), float(np.min(x)), float(np.max(x))
 
-    starts = list(range(0, n_paths, chunk_size))
-    block = ensemble_block_rows(cfg, min(chunk_size, n_paths))
-    buffers = threading.local()
-
-    def run_chunk(start: int):
-        if not hasattr(buffers, "drivers"):
-            buffers.drivers = np.empty((block, cfg.n_steps), order="F")
-        stop = min(start + chunk_size, n_paths)
-        parts = []
-        for first in range(start, stop, block):
-            last = min(first + block, stop)
-            try:
-                parts.append(kernel(path_drivers(cfg, first, last, buffers.drivers[: last - first])))
-            except (PathFailure, NoConvergenceError) as err:
-                err.renumber(first)
-                raise
-        return parts
-
-    if threads is None:
-        threads = int(os.environ.get("PSDE_THREADS", "1"))
-    if threads > 1 and len(starts) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(run_chunk, starts))
-    else:
-        chunks = [run_chunk(s) for s in starts]
-    results = [part for parts in chunks for part in parts]
-    values = np.concatenate([r[0] for r in results])
-    lo = min(r[1] for r in results)
-    hi = max(r[2] for r in results)
-    model.check_bounds(lo, hi)
+        row_bytes, budget = 8 * (cfg.n_steps + 1), _PICARD_BLOCK_BYTES
+    values = run_ensemble(model, cfg, n_paths, kernel, row_bytes, budget)
     return Ensemble(values, n_paths, cfg.horizon, fp)
 
 

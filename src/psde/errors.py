@@ -24,7 +24,7 @@ class _OnPath(PsdeError):
     path: int | None
 
     def renumber(self, first_path: int) -> None:
-        """Count ``path`` from first_path: a chunk's row becomes its ensemble index."""
+        """Count ``path`` from first_path: a block's row becomes its ensemble index."""
         self.path += first_path
         self.args = (f"{self.args[0]} (ensemble path {self.path})",)
 

@@ -22,8 +22,9 @@ batch of paths at once (state laid out (n+1, batch)).  Besides the output it
 keeps four columns per path: the running source, the current column, and the
 columns at the path's current argmax and argmin.  A batch of one that stores
 every column is the full field of :func:`derivative_field`, capped at
-MAX_FIELD_STEPS; :func:`terminal_h_norms` stores none and needs only
-O(batch * n) memory for the terminal H-norms of a whole batch.
+MAX_FIELD_STEPS.  :func:`terminal_h_norms` stores none: it runs the paths of
+an ensemble through the block runner ``run_ensemble`` of
+:mod:`psde.simulate`, as the density's ensembles run, in O(block * n) memory.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import EpsTooSmallWarning, PathFailure
+from .errors import EpsTooSmallWarning
 from .models import CoefficientModel
 from .params import PerturbationParams
 from .simulate import (
@@ -42,14 +43,15 @@ from .simulate import (
     SimConfig,
     _fresh_max,
     brownian_driver,
-    path_drivers,
     per_step_terminal_chunk,
+    run_ensemble,
     running_argmax,
     running_argmin,
 )
 
 MAX_FIELD_STEPS = 4096
-H_NORM_CHUNK = 128  # paths per terminal_h_norms batch, each batch holds ~12 (n+1, chunk) arrays
+_H_NORM_ROW_ARRAYS = 12  # a terminal_h_norms block holds ~12 (n+1, rows) arrays
+_H_NORM_BLOCK_BYTES = _H_NORM_ROW_ARRAYS * 8 * 1001 * 128  # 128 rows at n = 1000, ~11.7 MB
 
 
 @dataclass(frozen=True)
@@ -198,41 +200,34 @@ def terminal_h_norms(
     params: PerturbationParams,
     cfg: SimConfig,
     n_paths: int,
-    chunk_size: int = H_NORM_CHUNK,
 ) -> np.ndarray:
     """||D X_T||_H^2 ~ dt * sum_{j<n} d[j,n]^2 for paths p < n_paths.
 
     Path p runs on the driver of seed ``path_seed(cfg.rng_seed, p)``.  Each
-    chunk of paths goes through the batched per-step kernel (one bound check
-    per chunk) and the column recursion without storing columns, so memory
-    is O(chunk_size * n) and :data:`MAX_FIELD_STEPS` does not apply.
-    Every value equals ``h_norm(derivative_field(path), n).value`` bit for
-    bit.  Raises FloatingPointError wherever that field would: a non-finite
-    entry feeds its row's running source, which then stays non-finite, so it
-    reaches the terminal column.
+    ``run_ensemble`` block (at most 128 paths at n = 1000) runs the batched
+    per-step kernel and the column recursion without storing columns, so
+    memory is O(rows * n) and :data:`MAX_FIELD_STEPS` does not apply.  Every
+    value equals ``h_norm(derivative_field(path), n).value`` bit for bit.
+    Raises FloatingPointError wherever that field would, before the bound
+    check: a non-finite entry feeds its row's running source, which then
+    stays non-finite, so it reaches the terminal column.
     """
     n = cfg.n_steps
     grid = cfg.grid()
     dt = float(grid[1] - grid[0])  # the field's dt, as in h_norm
-    values = np.empty(n_paths)
-    for start in range(0, n_paths, chunk_size):
-        stop = min(start + chunk_size, n_paths)
-        drivers = path_drivers(cfg, start, stop)
-        x = np.empty((n + 1, stop - start))
-        try:
-            _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, drivers, x)
-        except PathFailure as err:
-            err.renumber(start)
-            raise
-        model.check_bounds(lo, hi)
+
+    def kernel(drivers):
+        x = np.empty((n + 1, len(drivers)))
+        _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, drivers, x)
         w = np.zeros(x.shape)
         np.cumsum(drivers.T, axis=0, out=w[1:])
         terminal = _field_columns(x, np.diff(w, axis=0), dt, model, params)
         if not np.all(np.isfinite(terminal)):
             raise FloatingPointError("non-finite entries in derivative field")
         rows = np.ascontiguousarray(terminal[:n].T)  # per-path sums in h_norm's order
-        values[start:stop] = np.sum(rows * rows, axis=1) * dt
-    return values
+        return np.sum(rows * rows, axis=1) * dt, lo, hi
+
+    return run_ensemble(model, cfg, n_paths, kernel, _H_NORM_ROW_ARRAYS * 8 * (n + 1), _H_NORM_BLOCK_BYTES)
 
 
 def _window_steps(r_lo: float, r_hi: float, dt: float, n_steps: int) -> tuple[int, int]:

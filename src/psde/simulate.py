@@ -25,19 +25,23 @@ below 2**64 is a master seed; path p of its ensemble has seed
 ``path_seed(master, p) = master | (p << 64)``.  A seed's stream has key
 (purpose tag, master) and starts at counter (0, p, 0, 0): normals consume
 only counter word 0, so every path owns 2**64 blocks and can be drawn on its
-own, bit-identical to its row of any ensemble chunk.  Drivers and bridge
-midpoints use different tags, so they never share draws.
+own, bit-identical to its row of any ensemble block.  Drivers and bridge
+midpoints use different tags, so they never share draws.  ``run_ensemble``
+is the one loop over the blocks of an ensemble.
 """
 
 from __future__ import annotations
 
 import enum
 import math
+import os
+import threading
 from dataclasses import dataclass, replace
+from typing import Callable
 
 import numpy as np
 
-from .errors import CaseInconsistentError, NoConvergenceError, SimulationAborted
+from .errors import CaseInconsistentError, NoConvergenceError, PathFailure, SimulationAborted
 from .models import CoefficientModel
 from .params import PerturbationParams
 from .skorokhod import DEFAULT_TOL, max_min_rows, no_convergence
@@ -114,8 +118,6 @@ _DRIVER_TAG = 0
 _BRIDGE_TAG = 1
 _BLOCK_BYTES = 1 << 20  # one block of normals stays in L2
 _BLOCK_ROWS = 128
-_DRIVER_BLOCK_BYTES = 80 << 20  # one thread's per-step drivers; 64 MB blocks ran sigma(x) models slower
-_PICARD_BLOCK_BYTES = 1 << 18  # one (rows, n+1) Picard iterate stays in L2
 
 
 def path_seed(master_seed: int, path_index: int) -> int:
@@ -362,18 +364,57 @@ def simulate_per_step(
     return Path(grid=cfg.grid(), x=x, m=x[running_argmax(x)], i=x[running_argmin(x)], w=w)
 
 
-def ensemble_block_rows(cfg: SimConfig, n_rows: int) -> int:
-    """Rows per kernel call when an ensemble cuts a chunk of n_rows paths
-    into the fewest equal blocks: a per-step block's (rows, n_steps) drivers
-    fit in _DRIVER_BLOCK_BYTES (two blocks of 10 000 rows per 20 000-path
-    chunk at n_steps = 1000), a Picard block's (rows, n_steps + 1) iterate in
-    _PICARD_BLOCK_BYTES (32 rows)."""
-    if cfg.scheme is Scheme.PER_STEP:
-        budget, row_bytes = _DRIVER_BLOCK_BYTES, 8 * cfg.n_steps
-    else:
-        budget, row_bytes = _PICARD_BLOCK_BYTES, 8 * (cfg.n_steps + 1)
+def ensemble_block_rows(n_rows: int, row_bytes: int, budget: int) -> int:
+    """Rows per block when n_rows paths of row_bytes each are cut into the
+    fewest equal blocks of at most budget bytes (one row if a row exceeds it)."""
     n_blocks = -(-n_rows // max(1, budget // row_bytes))
     return -(-n_rows // n_blocks)
+
+
+def run_ensemble(
+    model: CoefficientModel,
+    cfg: SimConfig,
+    n_paths: int,
+    kernel: Callable[[np.ndarray], tuple[np.ndarray, float, float]],
+    row_bytes: int,
+    budget: int,
+) -> np.ndarray:
+    """kernel's values of paths p < n_paths of the ensemble on cfg.rng_seed.
+
+    Each block of ``ensemble_block_rows(n_paths, row_bytes, budget)`` paths
+    draws its ``path_drivers`` into its thread's one reused buffer and runs
+    kernel(drivers) -> (values in row order, low, high of its realized
+    range).  Blocks run on PSDE_THREADS threads (default 1; the pool is
+    imported only for more).  The lowest failing block's PathFailure or
+    NoConvergenceError is raised, naming its ensemble path p.  One
+    ``check_bounds`` covers the range of every block.
+    """
+    if not n_paths:
+        return np.empty(0)
+    rows = ensemble_block_rows(n_paths, row_bytes, budget)
+    buffers = threading.local()
+
+    def run_block(first: int):
+        if not hasattr(buffers, "drivers"):
+            buffers.drivers = np.empty((rows, cfg.n_steps), order="F")
+        last = min(first + rows, n_paths)
+        try:
+            return kernel(path_drivers(cfg, first, last, buffers.drivers[: last - first]))
+        except (PathFailure, NoConvergenceError) as err:
+            err.renumber(first)
+            raise
+
+    starts = range(0, n_paths, rows)
+    threads = int(os.environ.get("PSDE_THREADS", "1"))
+    if threads > 1 and len(starts) > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run_block, starts))
+    else:
+        results = [run_block(first) for first in starts]
+    model.check_bounds(min(r[1] for r in results), max(r[2] for r in results))
+    return np.concatenate([r[0] for r in results])
 
 
 def picard_chunk(

@@ -83,8 +83,9 @@ def max_min_rows(
     Each row starts from M == its a_0 (or its row of ``m_init``) and stops
     sweeping at the first sweep whose sup-norm residual is within ``tol``;
     a stopped row is never swept again, so its arithmetic, iterate and
-    residuals do not depend on the other rows of the block.  I is recovered
-    from the (beta-1)*I identity with each row's final M.
+    residuals do not depend on the other rows of the block.  A row that
+    never stops keeps its iterate after ``max_iter`` sweeps.  I is
+    recovered from the (beta-1)*I identity with each row's final M.
 
     Returns (m, i, sweeps, history): sweeps[r] is the number of sweeps row r
     took, 0 if it was still above ``tol`` after ``max_iter``, and
@@ -110,6 +111,7 @@ def max_min_rows(
             live, a_live, m_live = live[left], a_live[left], m_live[left]
         if not len(live):
             break
+    m[live] = m_live
     i = np.maximum.accumulate(-av - alpha * m, axis=-1) / (beta - 1.0)
     return m, i, sweeps, history
 
@@ -166,13 +168,9 @@ def contraction_rate(
         raise ValueError("n_sweeps must be >= 2")
     if params.alpha * params.beta == 0.0:
         return np.empty(0)
-    av = a.values
-    m = np.full_like(av, av[0])
-    deltas = []
-    for _ in range(n_sweeps):
-        m_next = _sweep(av, m, params.alpha, params.beta)
-        deltas.append(float(np.max(np.abs(m_next - m))))
-        m = m_next
+    # tol = 0 sweeps until M stops moving: the updates after that are all zero
+    m, _, sweeps, history = max_min_rows(a.values[None], params.alpha, params.beta, 0.0, n_sweeps)
+    deltas = history[: sweeps[0] or n_sweeps, 0]
     scale = max(1.0, float(np.max(np.abs(m))))
     floor = 1e3 * np.finfo(float).eps * scale
     ratios = [

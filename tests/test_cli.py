@@ -284,7 +284,7 @@ def test_paths_override_enters_fingerprint(tmp_path):
         ("density", {"n_paths": 0}, [], "ConfigError"),
         ("density", {}, ["--paths", "0"], "ConfigError"),
         # 150 windows on a 100-step grid do not map to grid steps
-        ("malliavin", {"n_paths": 10, "n_intervals": 150}, [], "ValueError"),
+        ("malliavin", {"n_paths": 10, "n_intervals": 150}, [], "ConfigError"),
     ],
 )
 def test_rejection_writes_nothing(tmp_path, capsys, command, analysis, extra, error):
@@ -308,6 +308,8 @@ def test_rejection_writes_nothing(tmp_path, capsys, command, analysis, extra, er
         ("density", "analysis", "bandwidth", "null", "analysis.bandwidth"),
         ("density", "analysis", "bandwidth", "true", "analysis.bandwidth"),
         ("density", "analysis", "bandwidth", "[1]", "analysis.bandwidth"),
+        # skorokhod_tol was never read, and is no longer a config key
+        ("malliavin", "analysis", "skorokhod_tol", "1e-12", "analysis"),
     ],
 )
 def test_bad_config_value_rejected(tmp_path, capsys, command, section, key, literal, where):
@@ -342,8 +344,9 @@ def _imports_of_a_run(argv):
 
 def test_startup_imports_no_scipy(tmp_path):
     # neither start-up with a tabulated model nor a single-threaded density
-    # run with its KS test (unit model, alpha = 0.5, beta = 0) imports scipy,
-    # jsonschema or the thread pool
+    # run with its KS test (unit model, alpha = 0.5, beta = 0) nor a
+    # single-threaded malliavin run with two blocks of positivity paths
+    # imports scipy, jsonschema or the thread pool
     (tmp_path / "sigma.csv").write_text("x,sigma\n-2.0,1.0\n0.0,1.5\n1.0,1.2\n3.0,2.0\n")
     cfgp = write_config(tmp_path, model={"b": {"kind": "sinusoidal", "offset": 0.0, "amplitude": 0.5},
                                          "sigma": {"kind": "tabulated", "path": "sigma.csv"}})
@@ -351,6 +354,9 @@ def test_startup_imports_no_scipy(tmp_path):
     unit = write_config(tmp_path, name="unit.json")
     assert _imports_of_a_run(["density", "--config", str(unit), "--quiet"]) == ["0", "[]"]
     assert json.loads((tmp_path / "out" / "density.json").read_text())["ks"]["reference"] == "singly-perturbed-bm"
+    argv = ["malliavin", "--config", str(unit), "--quiet", "--steps", "1000", "--paths", "200"]
+    assert _imports_of_a_run(argv) == ["0", "[]"]
+    assert json.loads((tmp_path / "out" / "positivity.json").read_text())["n_paths"] == 200
 
 
 def test_csv_files_match_csv_writer(tmp_path, monkeypatch):

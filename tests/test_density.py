@@ -7,7 +7,9 @@ import pytest
 from scipy.special import ndtr
 
 import psde
-from psde.simulate import SimConfig, path_drivers, picard_chunk
+from psde.simulate import SimConfig, ensemble_block_rows, path_drivers, picard_chunk
+
+simulate_mod = importlib.import_module("psde.simulate")  # psde.simulate is the function
 
 
 def cfg(n_steps=50, seed=0, x0=0.0):
@@ -89,10 +91,10 @@ def test_ensemble_fresh_extreme_inconsistency_raises(additive_model):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_ensemble_failure_names_its_ensemble_path():
+def test_ensemble_failure_names_its_ensemble_path(monkeypatch):
     # b overflows once x passes ~3.55, so some paths of x0 = 2 abort; the
-    # first to fail lies past the first 2-path chunk, and every report must
-    # name the index path_seed takes, not the row within its chunk
+    # first to fail lies past the first 2-path block, and every report must
+    # name the index path_seed takes, not the row within its block
     edge = psde.make_model(
         psde.Coefficient(
             f=lambda x: np.exp(np.asarray(x, dtype=float) * 200.0) * 1e-300,
@@ -108,56 +110,70 @@ def test_ensemble_failure_names_its_ensemble_path():
     p = psde.validate_params(0.0, 0.0)
     c = cfg(n_steps=50, seed=0, x0=2.0)
     with pytest.raises(psde.SimulationAborted) as whole:
-        psde.generate_ensemble(edge, p, c, 40, chunk_size=40)
+        psde.generate_ensemble(edge, p, c, 40)
     failing = whole.value.path
     assert failing >= 2
-    psde.generate_ensemble(edge, p, c, failing, chunk_size=2)  # the paths before it are finite
+    monkeypatch.setattr(psde.density, "_DRIVER_BLOCK_BYTES", 2 * 8 * c.n_steps)
+    psde.generate_ensemble(edge, p, c, failing)  # the paths before it are finite
+    monkeypatch.setenv("PSDE_THREADS", "2")
     with pytest.raises(psde.SimulationAborted) as chunked:
-        psde.generate_ensemble(edge, p, c, 40, chunk_size=2, threads=2)
+        psde.generate_ensemble(edge, p, c, 40)
     assert chunked.value.path == failing
     assert str(chunked.value).endswith(f"(ensemble path {failing})")
     with pytest.raises(psde.SimulationAborted) as alone:
         psde.simulate_per_step(edge, p, dataclasses.replace(c, rng_seed=psde.path_seed(0, failing)))
+    monkeypatch.setattr(psde.malliavin, "_H_NORM_BLOCK_BYTES", 2 * 12 * 8 * (c.n_steps + 1))
     with pytest.raises(psde.SimulationAborted) as h_norms:
-        psde.terminal_h_norms(edge, p, c, 40, chunk_size=2)
+        psde.terminal_h_norms(edge, p, c, 40)
     assert (h_norms.value.path, h_norms.value.step) == (failing, alone.value.step)
 
 
-def test_ensemble_chunking_invariant(unit_model, generic_model):
-    # 300 paths in chunks of 37 or 128 leave a short last chunk, which draws
-    # into the front of its thread's reused driver buffer
+def test_ensemble_chunking_invariant(unit_model, generic_model, monkeypatch):
+    # budgets of 37 or 128 rows cut 300 paths into blocks of 34 (8 x 34 + 28)
+    # or 100; a short last block draws into the front of its thread's reused
+    # driver buffer
     p = psde.validate_params(0.2, 0.1)
-    for model in (unit_model, generic_model):
-        b = psde.generate_ensemble(model, p, cfg(seed=9), 300, chunk_size=300)
-        for chunk_size, threads in ((37, 1), (37, 2), (128, 2)):
-            a = psde.generate_ensemble(model, p, cfg(seed=9), 300, chunk_size=chunk_size, threads=threads)
+    models = (unit_model, generic_model)
+    whole = [psde.generate_ensemble(model, p, cfg(seed=9), 300) for model in models]
+    for rows, threads in ((37, "1"), (37, "2"), (128, "2")):
+        monkeypatch.setattr(psde.density, "_DRIVER_BLOCK_BYTES", rows * 8 * 50)
+        monkeypatch.setenv("PSDE_THREADS", threads)
+        for model, b in zip(models, whole):
+            a = psde.generate_ensemble(model, p, cfg(seed=9), 300)
             assert np.array_equal(a.terminal_values, b.terminal_values)
             assert a.config_fingerprint == b.config_fingerprint
 
 
 @pytest.mark.parametrize("name", ["unit", "smooth-generic"])
 def test_ensemble_driver_blocks_invariant(name, monkeypatch):
-    # a driver budget of 5 rows cuts each chunk into many kernel blocks; the
-    # terminal values are those of one block per chunk, and no block's
-    # driver buffer exceeds the budget
+    # a budget of 5 or 7 rows cuts the ensemble into many kernel blocks (60 of
+    # 5, or 42 of 7 and a short one of 6); the values are those of one block,
+    # and no thread's driver buffer exceeds 5 or 7 rows, for the terminal
+    # values and for the terminal H-norms alike
     model = psde.named_model(name)
     p = psde.validate_params(0.2, 0.1)
     c = cfg(seed=9)
-    whole = psde.generate_ensemble(model, p, c, 300, chunk_size=300).terminal_values
-    budget = 5 * 8 * c.n_steps
-    monkeypatch.setattr(importlib.import_module("psde.simulate"), "_DRIVER_BLOCK_BYTES", budget)
+    whole = psde.generate_ensemble(model, p, c, 300).terminal_values
+    whole_h = psde.terminal_h_norms(model, p, c, 60)
     sizes = []
 
     def recording(cfg, start, stop, out=None):
-        sizes.append(out.nbytes)
+        sizes.append(out.base.nbytes)  # the thread's whole buffer, not the block's rows of it
         return path_drivers(cfg, start, stop, out)
 
-    monkeypatch.setattr(psde.density, "path_drivers", recording)
-    for chunk_size, threads in ((37, 1), (37, 2), (300, 1), (300, 2)):
+    monkeypatch.setattr(simulate_mod, "path_drivers", recording)
+    for rows, threads in ((5, "1"), (5, "2"), (7, "1"), (7, "2")):
+        budget = rows * 8 * c.n_steps
+        monkeypatch.setattr(psde.density, "_DRIVER_BLOCK_BYTES", budget)
+        monkeypatch.setattr(psde.malliavin, "_H_NORM_BLOCK_BYTES", rows * 12 * 8 * (c.n_steps + 1))
+        monkeypatch.setenv("PSDE_THREADS", threads)
         sizes.clear()
-        e = psde.generate_ensemble(model, p, c, 300, chunk_size=chunk_size, threads=threads)
+        e = psde.generate_ensemble(model, p, c, 300)
         assert e.terminal_values.tobytes() == whole.tobytes()
-        assert len(sizes) >= 300 // 5 and max(sizes) <= budget
+        assert len(sizes) >= 300 // rows and max(sizes) <= budget
+        sizes.clear()
+        assert psde.terminal_h_norms(model, p, c, 60).tobytes() == whole_h.tobytes()
+        assert len(sizes) >= 60 // rows and max(sizes) <= budget
 
 
 def test_ensemble_picard_scheme(unit_model):
@@ -168,20 +184,24 @@ def test_ensemble_picard_scheme(unit_model):
     assert np.max(np.abs(e.terminal_values - ref.terminal_values)) <= 1e-8
 
 
-def test_picard_ensemble_chunking_and_threads_invariant(generic_model):
-    # n = 200 allows 163 paths in a Picard kernel block, so a 300-path chunk
-    # runs as two blocks of 150 and a 37-path chunk as one
+def test_picard_ensemble_chunking_and_threads_invariant(generic_model, monkeypatch):
+    # n = 200 allows 163 paths in a Picard kernel block, so 300 paths run as
+    # two blocks of 150; budgets of 37 or 128 rows cut them into 8 x 34 + 28
+    # or 3 x 100
     p = psde.validate_params(0.4, 0.3)
     c = dataclasses.replace(cfg(n_steps=200, seed=9, x0=0.5), scheme=psde.Scheme.PICARD)
     rows = picard_chunk(generic_model, p, c, path_drivers(c, 0, 300))[0][:, -1]
-    for chunk_size, threads in ((37, 1), (300, 1), (37, 2), (128, 2)):
-        e = psde.generate_ensemble(generic_model, p, c, 300, chunk_size=chunk_size, threads=threads)
+    default = psde.density._PICARD_BLOCK_BYTES
+    for budget, threads in ((37 * 8 * 201, "1"), (default, "1"), (37 * 8 * 201, "2"), (128 * 8 * 201, "2")):
+        monkeypatch.setattr(psde.density, "_PICARD_BLOCK_BYTES", budget)
+        monkeypatch.setenv("PSDE_THREADS", threads)
+        e = psde.generate_ensemble(generic_model, p, c, 300)
         assert np.array_equal(e.terminal_values, rows)
 
 
-def test_picard_ensemble_failure_names_its_ensemble_path(generic_model):
+def test_picard_ensemble_failure_names_its_ensemble_path(generic_model, monkeypatch):
     # 14 outer passes leave a few paths above tol = 1e-10 at n = 50; the
-    # first lies past the first 2-path chunk, and every report must name
+    # first lies past the first 2-path block, and every report must name
     # the index path_seed takes, with that path's own change history
     p = psde.validate_params(0.4, 0.3)
     c = dataclasses.replace(cfg(n_steps=50, seed=5, x0=0.5), scheme=psde.Scheme.PICARD, picard_outer_iters=14)
@@ -189,15 +209,41 @@ def test_picard_ensemble_failure_names_its_ensemble_path(generic_model):
         psde.generate_ensemble(generic_model, p, c, 40)
     failing = whole.value.path
     assert failing >= 2
-    psde.generate_ensemble(generic_model, p, c, failing, chunk_size=2)  # the paths before it converge
+    monkeypatch.setattr(psde.density, "_PICARD_BLOCK_BYTES", 2 * 8 * (c.n_steps + 1))
+    psde.generate_ensemble(generic_model, p, c, failing)  # the paths before it converge
+    monkeypatch.setenv("PSDE_THREADS", "2")
     with pytest.raises(psde.NoConvergenceError) as chunked:
-        psde.generate_ensemble(generic_model, p, c, 40, chunk_size=2, threads=2)
+        psde.generate_ensemble(generic_model, p, c, 40)
     assert chunked.value.path == failing
     assert str(chunked.value).endswith(f"(ensemble path {failing})")
     with pytest.raises(psde.NoConvergenceError) as alone:
         psde.simulate_picard(generic_model, p, dataclasses.replace(c, rng_seed=psde.path_seed(5, failing)))
     assert chunked.value.history == alone.value.history == whole.value.history
     assert len(alone.value.history) == 14
+
+
+def test_benchmark_workload_block_shapes(monkeypatch):
+    # at n_steps = 1000 the fewest-equal-blocks rule gives the blocks that the
+    # benchmark workloads ran in 20 000-path chunks: ensemble-law 5 x 10 000,
+    # ensemble-generic 4 x 10 000, picard 15 x 32 + 20, pathwise's
+    # positivity one block of 100
+    blocks = []
+
+    def recording(model, cfg, n_paths, kernel, row_bytes, budget):
+        rows = ensemble_block_rows(n_paths, row_bytes, budget)
+        blocks.append([min(rows, n_paths - first) for first in range(0, n_paths, rows)])
+        return np.zeros(n_paths)
+
+    monkeypatch.setattr(psde.density, "run_ensemble", recording)
+    monkeypatch.setattr(psde.malliavin, "run_ensemble", recording)
+    generic = psde.named_model("smooth-generic")
+    c = cfg(n_steps=1000)
+    psde.generate_ensemble(psde.named_model("unit"), psde.validate_params(0.5, 0.0), c, 50_000)
+    psde.generate_ensemble(generic, psde.validate_params(0.3, -0.2), c, 40_000)
+    picard = dataclasses.replace(c, scheme=psde.Scheme.PICARD)
+    psde.generate_ensemble(generic, psde.validate_params(0.4, 0.3), picard, 500)
+    psde.terminal_h_norms(generic, psde.validate_params(0.4, 0.3), c, 100)
+    assert blocks == [[10_000] * 5, [10_000] * 4, [32] * 15 + [20], [100]]
 
 
 def test_reference_alpha_zero_is_gaussian():

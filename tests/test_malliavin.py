@@ -206,12 +206,16 @@ def test_terminal_h_norms_bit_identical(model, alpha, beta, n_steps):
     assert batched.tobytes() == per_path_terminal_h_norms(model, p, c, 6).tobytes()
 
 
-def test_terminal_h_norms_chunk_invariant(generic_model):
+def test_terminal_h_norms_chunk_invariant(generic_model, monkeypatch):
+    # budgets of 1, 3, 7 and 19 rows cut 20 paths into blocks of 1, 3 (6 x 3
+    # + 2), 7 (2 x 7 + 6) and 10, run on two threads
     p = psde.validate_params(0.3, -0.2)
     c = cfg(n_steps=100, seed=3, x0=0.5)
     whole = psde.terminal_h_norms(generic_model, p, c, 20)
-    for chunk_size in (1, 3, 7, 19):
-        assert psde.terminal_h_norms(generic_model, p, c, 20, chunk_size).tobytes() == whole.tobytes()
+    monkeypatch.setenv("PSDE_THREADS", "2")
+    for rows in (1, 3, 7, 19):
+        monkeypatch.setattr(psde.malliavin, "_H_NORM_BLOCK_BYTES", rows * 12 * 8 * (c.n_steps + 1))
+        assert psde.terminal_h_norms(generic_model, p, c, 20).tobytes() == whole.tobytes()
 
 
 def test_terminal_h_norms_non_finite_raises():

@@ -216,8 +216,9 @@ def test_picard_kernel_rows_match_batch_of_one(generic_model):
     # ensemble runs them as two blocks
     p = psde.validate_params(0.4, 0.3)
     c = cfg(n_steps=1000, seed=31, x0=0.5, scheme=Scheme.PICARD)
-    rows = ensemble_block_rows(c, psde.density.DEFAULT_CHUNK) + 3
-    assert ensemble_block_rows(c, rows) < rows
+    row_bytes, budget = 8 * (c.n_steps + 1), psde.density._PICARD_BLOCK_BYTES
+    rows = budget // row_bytes + 3
+    assert ensemble_block_rows(rows, row_bytes, budget) < rows
     drivers = path_drivers(c, 0, rows)
     x, m, i = picard_chunk(generic_model, p, c, drivers)
     for r in range(rows):
