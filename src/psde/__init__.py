@@ -39,6 +39,7 @@ from .malliavin import (
     positivity_report,
     running_argmax,
     running_argmin,
+    scheme_tangent,
     terminal_h_norms,
 )
 from .models import (

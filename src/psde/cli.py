@@ -331,8 +331,10 @@ def cmd_malliavin(run: _Run):
         message = f"analysis.n_intervals = {n_intervals} exceeds n_steps = {sim_cfg.n_steps}"
         raise _CliFailure(EXIT_REJECTED, "ConfigError", message)
     path = simulate_per_step(model, params, sim_cfg)
-    field = malliavin_mod.derivative_field(path, model, params)
-    profile = malliavin_mod.h_norm_profile(field)
+    field = None
+    if analysis.get("export_field", False):  # only field.csv needs the (n+1)^2 field, and its cap
+        field = malliavin_mod.derivative_field(path, model, params, malliavin_mod.MAX_FIELD_STEPS)
+    profile, terminal = malliavin_mod.field_profile(path, model, params)
     edges = np.linspace(0.0, sim_cfg.horizon, n_intervals + 1).tolist()
     windows = list(zip(edges[:-1], edges[1:]))
     finite_differences = malliavin_mod.cameron_martin_directional(
@@ -352,12 +354,13 @@ def cmd_malliavin(run: _Run):
         ["t", "h_norm"],
         ((float(path.grid[k]), float(profile[k])) for k in range(len(profile))),
     )
-    if analysis.get("export_field", False):
+    if field is not None:
         write_field_csv(out_dir / "field.csv", field)
         artifacts.append("field.csv")
+    dt = float(path.grid[1] - path.grid[0])  # the field's dt
     checks = []
     for (r_lo, r_hi), fd in zip(windows, finite_differences):
-        fv = malliavin_mod.directional_from_field(field, r_lo, r_hi)
+        fv = malliavin_mod.directional_from_column(terminal, dt, r_lo, r_hi)
         denom = max(abs(fd.value), 1e-300)
         checks.append(
             {

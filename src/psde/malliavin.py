@@ -17,14 +17,23 @@ with p_k/q_k the running argmax/argmin indices.  A self-referencing extreme
 (p_k == k and/or q_k == k) moves to the left side, giving divisors 1,
 (1-alpha), (1-beta) or (1-alpha-beta); an extreme attained before r_j
 contributes nothing (the derivative of an earlier value vanishes).  The
-recursion is run column by column with running sums, O(n^2) total, over a
-batch of paths at once (state laid out (n+1, batch)).  Besides the output it
-keeps four columns per path: the running source, the current column, and the
-columns at the path's current argmax and argmin.  A batch of one that stores
-every column is the full field of :func:`derivative_field`, capped at
-MAX_FIELD_STEPS.  :func:`terminal_h_norms` stores none: it runs the paths of
-an ensemble through the block runner ``run_ensemble`` of
-:mod:`psde.simulate`, as the density's ensembles run, in O(block * n) memory.
+forward recursion is run column by column with running sums, O(n^2) total,
+over a batch of paths at once (state laid out (n+1, batch)).  Besides the
+output it keeps four columns per path: the running source, the current
+column, and the columns at the path's current argmax and argmin.  A batch
+of one that stores every column is the full field of
+:func:`derivative_field`, capped at MAX_FIELD_STEPS; :func:`field_profile`
+stores none and returns the H-norm profile and terminal column.
+
+Every row obeys the same linear column map, so one backward (adjoint) sweep,
+O(n) per path, gives the whole terminal column d[:, n] at once (Giles &
+Glasserman 2006).  :func:`terminal_h_norms` runs it on the paths of an
+ensemble through the block runner ``run_ensemble`` of :mod:`psde.simulate`,
+as the density's ensembles run, in O(block * n) memory.  Its values are
+bit-identical for any block budget, thread count and batch of one, and
+agree with the forward field's to 1e-12 relative (the sums run in another
+order).  The same sweep gives :func:`scheme_tangent`, the exact derivative
+of the discrete scheme's X_T in each driver increment.
 """
 
 from __future__ import annotations
@@ -50,8 +59,10 @@ from .simulate import (
 )
 
 MAX_FIELD_STEPS = 4096
-_H_NORM_ROW_ARRAYS = 12  # a terminal_h_norms block holds ~12 (n+1, rows) arrays
-_H_NORM_BLOCK_BYTES = _H_NORM_ROW_ARRAYS * 8 * 1001 * 128  # 128 rows at n = 1000, ~11.7 MB
+# a terminal_h_norms block peaks at ~8.3 (n+1, rows) arrays, its drivers
+# included (tracemalloc on smooth-generic at n = 1000)
+_H_NORM_ROW_ARRAYS = 9
+_H_NORM_BLOCK_BYTES = _H_NORM_ROW_ARRAYS * 8 * 1001 * 128  # 128 rows at n = 1000, ~8.8 MB
 
 
 @dataclass(frozen=True)
@@ -98,24 +109,13 @@ def _fresh_paths(fresh: np.ndarray) -> list:
     return [paths[lo:hi] if lo < hi else None for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def _field_columns(
-    x: np.ndarray,
-    dw: np.ndarray,
-    dt: float,
-    model: CoefficientModel,
-    params: PerturbationParams,
-    store: np.ndarray | None = None,
-) -> np.ndarray:
-    """Forward recursion over columns k = 0..n for a batch of paths.
+def _column_map(x: np.ndarray, dw: np.ndarray, dt: float, model: CoefficientModel, params: PerturbationParams):
+    """Per-column coefficients of the recursion shared by the field and its adjoint.
 
-    ``x`` is (n+1, batch) path values and ``dw`` (n, batch) driver
-    increments.  Returns the terminal column d[:, n] of every path as an
-    (n+1, batch) array; with ``store`` (n+1, n+1, batch) every column k is
-    written to store[:, k] as well.  Each entry follows the arithmetic order
-    of the per-path formula in the module docstring, so results are
-    bit-identical for any batch.
+    Returns sigma(x) (n+1, batch), the step weights w_k = sigma'(x_k) dW_k +
+    b'(x_k) dt (n, batch), the divisors den (n+1, batch) and, for each grid
+    index k, the batch columns with a fresh maximum and a fresh minimum at k.
     """
-    n = x.shape[0] - 1
     alpha, beta = params.alpha, params.beta
     sig = np.asarray(model.sigma(x), dtype=float)
     step_weight = np.asarray(model.sigma_prime(x[:-1]), dtype=float) * dw + np.asarray(
@@ -125,6 +125,32 @@ def _field_columns(
     fresh_min = _fresh_max(-x)
     den = np.where(fresh_max, 1.0 - alpha, 1.0)
     den = np.where(fresh_min, den - beta, den)
+    return sig, step_weight, den, fresh_max, fresh_min
+
+
+def _field_columns(
+    x: np.ndarray,
+    dw: np.ndarray,
+    dt: float,
+    model: CoefficientModel,
+    params: PerturbationParams,
+    store: np.ndarray | None = None,
+    profile: np.ndarray | None = None,
+) -> np.ndarray:
+    """Forward recursion over columns k = 0..n for a batch of paths.
+
+    ``x`` is (n+1, batch) path values and ``dw`` (n, batch) driver
+    increments.  Returns the terminal column d[:, n] of every path as an
+    (n+1, batch) array; with ``store`` (n+1, n+1, batch) every column k is
+    written to store[:, k] as well, and with ``profile`` (n+1, batch)
+    profile[k] receives ``h_norm_profile``'s value at k, summed down the
+    column in the same order.  Each entry follows the arithmetic order of
+    the per-path formula in the module docstring, so results are
+    bit-identical for any batch.
+    """
+    n = x.shape[0] - 1
+    alpha, beta = params.alpha, params.beta
+    sig, step_weight, den, fresh_max, fresh_min = _column_map(x, dw, dt, model, params)
     new_max = _fresh_paths(fresh_max)
     new_min = _fresh_paths(fresh_min)
     new_any = _fresh_paths(fresh_max | fresh_min)
@@ -156,7 +182,84 @@ def _field_columns(
             beta_min[: k + 1, down] = beta * out[:, down]
         if store is not None:
             store[: k + 1, k] = out
+        if profile is not None:
+            # a sequential sum down rows 0..k, as h_norm_profile's axis-0 sum
+            # adds them; np.sum over one column would sum pairwise
+            sq = out * out
+            profile[k] = (np.cumsum(sq, axis=0)[-1] - sq[k]) * dt
     return col
+
+
+def _terminal_adjoint(
+    x: np.ndarray,
+    dw: np.ndarray,
+    dt: float,
+    model: CoefficientModel,
+    params: PerturbationParams,
+) -> tuple[np.ndarray, np.ndarray]:
+    """One backward sweep over columns k = n..0 for a batch of paths.
+
+    Every row of the field obeys the same linear column map and differs
+    only by its injection sigma(x_j) at column j, so the terminal column is
+    d[j, n] = sigma(x_j) * S[j], with the adjoint S computed backwards from
+    S[n+1] = 0:
+
+        C_k = [k = n] + w_k S[k+1] + the carry of each extreme fresh at k,
+        g_k = C_k / den_k,   S[k] = g_k + S[k+1],
+
+    where a fresh extreme's carry is reset to 0 once collected, and a column
+    that is not a fresh maximum (minimum) adds alpha g_k (beta g_k) to the
+    maximum's (minimum's) carry: those columns read the earlier argmax
+    (argmin) column.  Returns sigma(x) (n+1, batch) and S (n+2, batch), in
+    O(n * batch) work and memory; every operation is elementwise over the
+    batch, so a path's values do not depend on the batch.
+    """
+    n = x.shape[0] - 1
+    alpha, beta = params.alpha, params.beta
+    sig, step_weight, den, fresh_max, fresh_min = _column_map(x, dw, dt, model, params)
+    new_max = _fresh_paths(fresh_max)
+    new_min = _fresh_paths(fresh_min)
+    adj = np.zeros((n + 2, x.shape[1]))
+    carry_max = np.zeros(x.shape[1])
+    carry_min = np.zeros(x.shape[1])
+    g = np.ones(x.shape[1])  # C_n = 1
+    term = np.empty(x.shape[1])
+    for k in range(n, -1, -1):
+        if k < n:
+            np.multiply(step_weight[k], adj[k + 1], out=g)
+        up, down = new_max[k], new_min[k]
+        if up is not None:
+            g[up] += carry_max[up]
+        if down is not None:
+            g[down] += carry_min[down]
+        g /= den[k]
+        np.add(g, adj[k + 1], out=adj[k])
+        # every column adds to both carries; a fresh extreme's carry is then
+        # reset, which drops what its own column added
+        carry_max += np.multiply(g, alpha, out=term)
+        carry_min += np.multiply(g, beta, out=term)
+        if up is not None:
+            carry_max[up] = 0.0
+        if down is not None:
+            carry_min[down] = 0.0
+    return sig, adj
+
+
+def _terminal_h_norms(
+    x: np.ndarray,
+    dw: np.ndarray,
+    dt: float,
+    model: CoefficientModel,
+    params: PerturbationParams,
+) -> np.ndarray:
+    """dt * sum_{j<n} d[j, n]^2 per path of an (n+1, batch) trajectory block."""
+    n = x.shape[0] - 1
+    sig, adj = _terminal_adjoint(x, dw, dt, model, params)
+    terminal = np.multiply(sig, adj[:-1], out=sig)
+    if not np.all(np.isfinite(terminal)):
+        raise FloatingPointError("non-finite entries in derivative field")
+    rows = np.ascontiguousarray(terminal[:n].T)  # per-path sums in h_norm's order
+    return np.sum(rows * rows, axis=1) * dt
 
 
 def derivative_field(
@@ -195,6 +298,26 @@ def h_norm_profile(field: DerivativeField) -> np.ndarray:
     return (sq.sum(axis=0) - diag) * field.dt
 
 
+def field_profile(
+    path: Path, model: CoefficientModel, params: PerturbationParams
+) -> tuple[np.ndarray, np.ndarray]:
+    """``h_norm_profile`` and terminal column d[:, n] of one path's field, without storing it.
+
+    The column recursion on a batch of one, in O(n) memory and without the
+    :data:`MAX_FIELD_STEPS` cap; both arrays equal those read off
+    ``derivative_field(path, ...)`` bit for bit.  Raises FloatingPointError
+    wherever that field would: a non-finite entry feeds its row's running
+    source, which then stays non-finite, so it reaches the terminal column.
+    """
+    x = path.x
+    dt = float(path.grid[1] - path.grid[0])
+    profile = np.empty((len(x), 1))
+    terminal = _field_columns(x[:, None], np.diff(path.w)[:, None], dt, model, params, profile=profile)
+    if not np.all(np.isfinite(terminal)):
+        raise FloatingPointError("non-finite entries in derivative field")
+    return profile[:, 0], terminal[:, 0]
+
+
 def terminal_h_norms(
     model: CoefficientModel,
     params: PerturbationParams,
@@ -204,13 +327,15 @@ def terminal_h_norms(
     """||D X_T||_H^2 ~ dt * sum_{j<n} d[j,n]^2 for paths p < n_paths.
 
     Path p runs on the driver of seed ``path_seed(cfg.rng_seed, p)``.  Each
-    ``run_ensemble`` block (at most 128 paths at n = 1000) runs the batched
-    per-step kernel and the column recursion without storing columns, so
-    memory is O(rows * n) and :data:`MAX_FIELD_STEPS` does not apply.  Every
-    value equals ``h_norm(derivative_field(path), n).value`` bit for bit.
-    Raises FloatingPointError wherever that field would, before the bound
-    check: a non-finite entry feeds its row's running source, which then
-    stays non-finite, so it reaches the terminal column.
+    ``run_ensemble`` block (128 paths at n = 1000) runs the batched per-step
+    kernel and one backward sweep for the terminal column, in O(rows * n)
+    work and memory, so :data:`MAX_FIELD_STEPS` does not apply.  Values are
+    bit-identical for any block budget, any PSDE_THREADS and a batch of one
+    on the path's own driver.  The sweep sums the column in another order
+    than the forward recursion, so a value agrees with
+    ``h_norm(derivative_field(path), n).value`` to 1e-12 relative, not bit
+    for bit.  Raises FloatingPointError on a non-finite terminal column,
+    before the bound check.
     """
     n = cfg.n_steps
     grid = cfg.grid()
@@ -219,15 +344,25 @@ def terminal_h_norms(
     def kernel(drivers):
         x = np.empty((n + 1, len(drivers)))
         _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, drivers, x)
-        w = np.zeros(x.shape)
-        np.cumsum(drivers.T, axis=0, out=w[1:])
-        terminal = _field_columns(x, np.diff(w, axis=0), dt, model, params)
-        if not np.all(np.isfinite(terminal)):
-            raise FloatingPointError("non-finite entries in derivative field")
-        rows = np.ascontiguousarray(terminal[:n].T)  # per-path sums in h_norm's order
-        return np.sum(rows * rows, axis=1) * dt, lo, hi
+        dw = np.diff(np.cumsum(drivers.T, axis=0), axis=0, prepend=0.0)  # np.diff(path.w) of each path
+        return _terminal_h_norms(x, dw, dt, model, params), lo, hi
 
     return run_ensemble(model, cfg, n_paths, kernel, _H_NORM_ROW_ARRAYS * 8 * (n + 1), _H_NORM_BLOCK_BYTES)
+
+
+def scheme_tangent(path: Path, model: CoefficientModel, params: PerturbationParams) -> np.ndarray:
+    """Exact derivative dX_T/d(dW_j), j < n, of the per-step scheme along a path.
+
+    A kick to the increment dW_j first moves x_{j+1}, by sigma(x_j), so the
+    tangent is sigma(x_j) * S[j+1] with S the adjoint of the terminal
+    column's backward sweep.  The field's d[j, n] = sigma(x_j) * S[j] instead
+    propagates the kick through step j, which differs by O(dt).  So
+    dt * (sum over a window's steps) is the eps -> 0 limit of
+    ``cameron_martin_directional``'s quotient for that window.
+    """
+    dt = float(path.grid[1] - path.grid[0])
+    sig, adj = _terminal_adjoint(path.x[:, None], np.diff(path.w)[:, None], dt, model, params)
+    return sig[:-1, 0] * adj[1:-1, 0]
 
 
 def _window_steps(r_lo: float, r_hi: float, dt: float, n_steps: int) -> tuple[int, int]:
@@ -239,11 +374,15 @@ def _window_steps(r_lo: float, r_hi: float, dt: float, n_steps: int) -> tuple[in
     return j_lo, j_hi
 
 
+def directional_from_column(column: np.ndarray, dt: float, r_lo: float, r_hi: float) -> float:
+    """<D X_T, 1_(r_lo, r_hi]>_H from a terminal column d[:, n] of n + 1 entries."""
+    j_lo, j_hi = _window_steps(r_lo, r_hi, dt, len(column) - 1)
+    return float(np.sum(column[j_lo:j_hi])) * dt
+
+
 def directional_from_field(field: DerivativeField, r_lo: float, r_hi: float) -> float:
     """<D X_T, 1_(r_lo, r_hi]>_H from the terminal column of the field."""
-    j_lo, j_hi = _window_steps(r_lo, r_hi, field.dt, field.n_steps)
-    col = field.d[j_lo:j_hi, field.n_steps]
-    return float(np.sum(col)) * field.dt
+    return directional_from_column(field.d[:, field.n_steps], field.dt, r_lo, r_hi)
 
 
 def cameron_martin_directional(

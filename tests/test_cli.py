@@ -294,6 +294,23 @@ def test_rejection_writes_nothing(tmp_path, capsys, command, analysis, extra, er
     assert not (tmp_path / "out").exists()
 
 
+def test_field_cap_applies_only_to_export(tmp_path, capsys, monkeypatch):
+    # only field.csv needs the stored (n+1)^2 field, so only export_field
+    # meets MAX_FIELD_STEPS (exit 2, nothing written); without it malliavin
+    # runs past the cap
+    monkeypatch.setattr(psde.malliavin, "MAX_FIELD_STEPS", 32)
+    analysis = {"n_paths": 10, "n_intervals": 4}
+    cfgp = write_config(tmp_path, sim={"n_steps": 40}, analysis={**analysis, "export_field": True})
+    assert main(["malliavin", "--config", str(cfgp), "--quiet"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValueError" and "n <= 32" in err["message"]
+    assert not (tmp_path / "out").exists()
+    cfgp = write_config(tmp_path, sim={"n_steps": 40}, analysis=analysis)
+    assert main(["malliavin", "--config", str(cfgp), "--quiet"]) == 0
+    assert sorted(_outputs(tmp_path / "out")) == ["h_norm.csv", "malliavin.json", "positivity.json"]
+    assert len((tmp_path / "out" / "h_norm.csv").read_bytes().split(b"\r\n")) == 43  # header, 41 rows, ""
+
+
 @pytest.mark.parametrize(
     "command,section,key,literal,where",
     [

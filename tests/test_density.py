@@ -7,6 +7,7 @@ import pytest
 from scipy.special import ndtr
 
 import psde
+from psde.malliavin import _H_NORM_ROW_ARRAYS
 from psde.simulate import SimConfig, ensemble_block_rows, path_drivers, picard_chunk
 
 simulate_mod = importlib.import_module("psde.simulate")  # psde.simulate is the function
@@ -122,7 +123,7 @@ def test_ensemble_failure_names_its_ensemble_path(monkeypatch):
     assert str(chunked.value).endswith(f"(ensemble path {failing})")
     with pytest.raises(psde.SimulationAborted) as alone:
         psde.simulate_per_step(edge, p, dataclasses.replace(c, rng_seed=psde.path_seed(0, failing)))
-    monkeypatch.setattr(psde.malliavin, "_H_NORM_BLOCK_BYTES", 2 * 12 * 8 * (c.n_steps + 1))
+    monkeypatch.setattr(psde.malliavin, "_H_NORM_BLOCK_BYTES", 2 * _H_NORM_ROW_ARRAYS * 8 * (c.n_steps + 1))
     with pytest.raises(psde.SimulationAborted) as h_norms:
         psde.terminal_h_norms(edge, p, c, 40)
     assert (h_norms.value.path, h_norms.value.step) == (failing, alone.value.step)
@@ -165,7 +166,7 @@ def test_ensemble_driver_blocks_invariant(name, monkeypatch):
     for rows, threads in ((5, "1"), (5, "2"), (7, "1"), (7, "2")):
         budget = rows * 8 * c.n_steps
         monkeypatch.setattr(psde.density, "_DRIVER_BLOCK_BYTES", budget)
-        monkeypatch.setattr(psde.malliavin, "_H_NORM_BLOCK_BYTES", rows * 12 * 8 * (c.n_steps + 1))
+        monkeypatch.setattr(psde.malliavin, "_H_NORM_BLOCK_BYTES", rows * _H_NORM_ROW_ARRAYS * 8 * (c.n_steps + 1))
         monkeypatch.setenv("PSDE_THREADS", threads)
         sizes.clear()
         e = psde.generate_ensemble(model, p, c, 300)

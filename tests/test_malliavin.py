@@ -2,9 +2,17 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import psde
-from psde.malliavin import field_closed_form_singly_perturbed
+from psde.malliavin import (
+    _H_NORM_ROW_ARRAYS,
+    _field_columns,
+    _terminal_adjoint,
+    _terminal_h_norms,
+    field_closed_form_singly_perturbed,
+)
 from psde.simulate import SimConfig
 
 
@@ -200,10 +208,74 @@ def per_path_terminal_h_norms(model, p, c, n_paths):
     ids=["unit", "generic+", "generic-", "additive", "multiplicative", "degenerate"],
 )
 def test_terminal_h_norms_bit_identical(model, alpha, beta, n_steps):
+    # the backward sweep sums each terminal entry in another order than the
+    # forward field, so values agree to 1e-12 relative; on unit (entries 1 or
+    # 2) and on the degenerate model (entries 0) both sums are exact
     p = psde.validate_params(alpha, beta)
     c = cfg(n_steps=n_steps, seed=77, x0=0.5)
     batched = psde.terminal_h_norms(model, p, c, 6)
-    assert batched.tobytes() == per_path_terminal_h_norms(model, p, c, 6).tobytes()
+    per_path = per_path_terminal_h_norms(model, p, c, 6)
+    if model.name in ("unit", "degenerate"):
+        assert batched.tobytes() == per_path.tobytes()
+    else:
+        assert np.all(np.abs(batched - per_path) <= 1e-12 * np.abs(per_path))
+
+
+@pytest.mark.parametrize("name, alpha, beta", [("smooth-generic", 0.3, -0.2), ("multiplicative-sine", 0.2, -0.3)])
+def test_terminal_h_norms_match_batch_of_one(name, alpha, beta):
+    # path q of the ensemble, simulated on its own seed and swept as a batch
+    # of one, gives the same H-norm bit for bit
+    model = psde.named_model(name)
+    p = psde.validate_params(alpha, beta)
+    c = cfg(n_steps=200, seed=5, x0=0.5)
+    batched = psde.terminal_h_norms(model, p, c, 7)
+    for q in range(7):
+        path = psde.simulate_per_step(model, p, dataclasses.replace(c, rng_seed=psde.path_seed(c.rng_seed, q)))
+        dt = float(path.grid[1] - path.grid[0])
+        one = _terminal_h_norms(path.x[:, None], np.diff(path.w)[:, None], dt, model, p)
+        assert one.tobytes() == batched[q : q + 1].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(["unit", "smooth-generic", "additive-sine", "multiplicative-sine"]),
+    alpha=st.floats(min_value=-2.0, max_value=0.9),
+    beta=st.floats(min_value=-2.0, max_value=0.9),
+    n=st.integers(min_value=1, max_value=64),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_adjoint_terminal_column_matches_field(name, alpha, beta, n, seed):
+    try:
+        p = psde.validate_params(alpha, beta)
+    except psde.ParameterRejection:
+        assume(False)
+    model = psde.named_model(name)
+    path = psde.simulate_per_step(model, p, cfg(n_steps=n, seed=seed, x0=0.5))
+    x, dw, dt = path.x[:, None], np.diff(path.w)[:, None], float(path.grid[1] - path.grid[0])
+    column = _field_columns(x, dw, dt, model, p)[:, 0]
+    sig, adj = _terminal_adjoint(x, dw, dt, model, p)
+    assert np.max(np.abs(sig[:, 0] * adj[:-1, 0] - column)) <= 1e-12 * np.max(np.abs(column))
+
+
+def test_scheme_tangent_is_the_cameron_martin_limit(generic_model):
+    # the Cameron-Martin quotient converges to the scheme's own derivative:
+    # at eps = 1e-6 it sits within 1e-6 relative of the tangent's window sum
+    # (the field's sum stays ~1e-3 away, its O(dt) convention), and its
+    # distance to that sum falls with every decade of eps on every seed
+    p = psde.validate_params(0.3, -0.2)
+    for seed in range(20):
+        c = cfg(n_steps=500, seed=seed, x0=0.5)
+        path = psde.simulate_per_step(generic_model, p, c)
+        tangent = psde.scheme_tangent(path, generic_model, p)
+        assert tangent.shape == (500,)
+        exact = float(np.sum(tangent[round(0.1 / c.dt) : round(0.6 / c.dt)])) * c.dt
+        fds = {
+            eps: psde.cameron_martin_directional(generic_model, p, c, [(0.1, 0.6)], eps=eps)[0].value
+            for eps in (1e-3, 1e-4, 1e-5, 1e-6)
+        }
+        assert abs(fds[1e-6] - exact) <= 1e-6 * abs(fds[1e-6])
+        errors = [abs(fds[eps] - exact) for eps in (1e-3, 1e-4, 1e-5)]
+        assert errors[0] > errors[1] > errors[2]
 
 
 def test_terminal_h_norms_chunk_invariant(generic_model, monkeypatch):
@@ -214,7 +286,7 @@ def test_terminal_h_norms_chunk_invariant(generic_model, monkeypatch):
     whole = psde.terminal_h_norms(generic_model, p, c, 20)
     monkeypatch.setenv("PSDE_THREADS", "2")
     for rows in (1, 3, 7, 19):
-        monkeypatch.setattr(psde.malliavin, "_H_NORM_BLOCK_BYTES", rows * 12 * 8 * (c.n_steps + 1))
+        monkeypatch.setattr(psde.malliavin, "_H_NORM_BLOCK_BYTES", rows * _H_NORM_ROW_ARRAYS * 8 * (c.n_steps + 1))
         assert psde.terminal_h_norms(generic_model, p, c, 20).tobytes() == whole.tobytes()
 
 
@@ -283,3 +355,7 @@ def test_field_matches_reference_recursion(model, alpha, beta, n_steps):
         path = psde.simulate_per_step(model, p, cfg(n_steps=n_steps, seed=seed, x0=0.5))
         field = psde.derivative_field(path, model, p)
         assert field.d.tobytes() == reference_field(path, model, p).tobytes()
+        # the unstored recursion gives the field's profile and terminal column
+        profile, terminal = psde.malliavin.field_profile(path, model, p)
+        assert profile.tobytes() == psde.h_norm_profile(field).tobytes()
+        assert terminal.tobytes() == field.d[:, n_steps].tobytes()
