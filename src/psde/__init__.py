@@ -30,7 +30,6 @@ from .lamperti import Transform, build_transform, pathwise_reduction_check
 from .malliavin import (
     CameronMartinResult,
     DerivativeField,
-    HNorm,
     cameron_martin_directional,
     derivative_field,
     directional_from_field,
@@ -78,7 +77,6 @@ from .simulate import (
     simulate,
     simulate_per_step,
     simulate_picard,
-    with_resolution,
 )
 from .skorokhod import DrivingPath, MaxMinSolution, contraction_rate, solve_max_min
 

@@ -233,20 +233,18 @@ class _Run:
     fingerprint: str
 
 
+# config keys of the sim section that name a SimConfig field differently
+_SIM_FIELDS = {"x0": "x0_seed_value", "seed": "rng_seed"}
+
+
 def _context(args) -> _Run:
     cfg = _load_config(args)
     model = _build_model(cfg, FsPath(args.config).resolve().parent)
     params = validate_params(cfg["params"]["alpha"], cfg["params"]["beta"])
-    sim = cfg["sim"]
-    sim_cfg = SimConfig(
-        x0_seed_value=sim["x0"],
-        horizon=sim["horizon"],
-        n_steps=sim["n_steps"],
-        rng_seed=sim["seed"],
-        scheme=Scheme(sim.get("scheme", "per-step")),
-        picard_outer_iters=sim.get("picard_outer_iters", 50),
-        fixed_point_tol=sim.get("fixed_point_tol", 1e-10),
-    )
+    sim = {_SIM_FIELDS.get(key, key): value for key, value in cfg["sim"].items()}
+    if "scheme" in sim:
+        sim["scheme"] = Scheme(sim["scheme"])
+    sim_cfg = SimConfig(**sim)
     analysis = cfg.get("analysis", {})
     # the domain report depends on the model and (alpha, beta) alone
     identity = {"model": model.describe(), "alpha": params.alpha, "beta": params.beta}
@@ -333,8 +331,10 @@ def cmd_malliavin(run: _Run):
     path = simulate_per_step(model, params, sim_cfg)
     field = None
     if analysis.get("export_field", False):  # only field.csv needs the (n+1)^2 field, and its cap
-        field = malliavin_mod.derivative_field(path, model, params, malliavin_mod.MAX_FIELD_STEPS)
-    profile, terminal = malliavin_mod.field_profile(path, model, params)
+        field = malliavin_mod.derivative_field(path, model, params)
+        profile, terminal = malliavin_mod.h_norm_profile(field), field.d[:, field.n_steps]
+    else:
+        profile, terminal = malliavin_mod.field_profile(path, model, params)
     edges = np.linspace(0.0, sim_cfg.horizon, n_intervals + 1).tolist()
     windows = list(zip(edges[:-1], edges[1:]))
     finite_differences = malliavin_mod.cameron_martin_directional(

@@ -20,11 +20,11 @@ from typing import Callable
 
 import numpy as np
 
-from .artifacts import fingerprint
 from .models import CoefficientModel
 from .params import PerturbationParams
 from .simulate import Scheme, SimConfig, per_step_terminal_chunk, picard_chunk, run_ensemble
 
+KDE_GRID_POINTS = 512
 KS_CRITICAL_1PCT = 1.63
 KS_CRITICAL_5PCT = 1.36
 LOW_POWER_N = 100
@@ -41,8 +41,6 @@ class Ensemble:
 
     terminal_values: np.ndarray
     n_paths: int
-    t: float
-    config_fingerprint: str
 
 
 class LawKind(enum.Enum):
@@ -72,10 +70,6 @@ def generate_ensemble(
     a 256 KB Picard iterate (32 rows).  A ``PathFailure`` or Picard
     ``NoConvergenceError`` names the failing path by its index p.
     """
-    fp = fingerprint(
-        {"model": model.describe(), "alpha": params.alpha, "beta": params.beta,
-         "cfg": cfg.describe(), "n_paths": n_paths}
-    )
     if cfg.scheme is Scheme.PER_STEP:
 
         def kernel(drivers):
@@ -90,7 +84,7 @@ def generate_ensemble(
 
         row_bytes, budget = 8 * (cfg.n_steps + 1), _PICARD_BLOCK_BYTES
     values = run_ensemble(model, cfg, n_paths, kernel, row_bytes, budget)
-    return Ensemble(values, n_paths, cfg.horizon, fp)
+    return Ensemble(values, n_paths)
 
 
 def _ndtr(a) -> np.ndarray:
@@ -203,11 +197,12 @@ def kde(
     e: Ensemble,
     bandwidth: float | str = "auto",
     grid: np.ndarray | None = None,
-    n_grid: int = 512,
 ) -> KdeResult:
     """Gaussian-kernel density estimate.
 
-    AUTO bandwidth is the normal-reference rule 1.06 * std * n^(-1/5).
+    AUTO bandwidth is the normal-reference rule 1.06 * std * n^(-1/5).  The
+    default grid is KDE_GRID_POINTS points spanning the values padded by
+    five bandwidths.
     Values are summed in chunks of DEFAULT_CHUNK; within a chunk, blocks of
     grid rows are evaluated in two reused buffers of _KDE_BLOCK_BYTES each
     (they stay in L2), so no temporary grows with the grid.  Each grid point
@@ -223,7 +218,7 @@ def kde(
     if bandwidth <= 0.0:
         raise ValueError("bandwidth must be > 0")
     if grid is None:
-        grid = np.linspace(float(np.min(v)) - 5.0 * bandwidth, float(np.max(v)) + 5.0 * bandwidth, n_grid)
+        grid = np.linspace(float(np.min(v)) - 5.0 * bandwidth, float(np.max(v)) + 5.0 * bandwidth, KDE_GRID_POINTS)
     grid = np.asarray(grid, dtype=float)
     if grid.size == 0:
         raise ValueError("kde grid is empty")

@@ -33,6 +33,8 @@ TABULATION_NODES = 4096
 QUADRATURE_TOL = 1e-10
 NEWTON_MAX_STEPS = 50
 NEWTON_ULPS = 4
+# the tabulation covers the pilot path's range padded by this many max|sigma| sqrt(T)
+RANGE_PAD_STDS = 5.0
 
 
 @dataclass(frozen=True)
@@ -215,21 +217,20 @@ def build_transform(
     x: float,
     lo: float,
     hi: float,
-    n_nodes: int = TABULATION_NODES,
-    tol: float = QUADRATURE_TOL,
 ) -> Transform:
-    """Tabulate G on [lo, hi] anchored at x (so G(x) = 0).
+    """Tabulate G on [lo, hi] anchored at x (so G(x) = 0), on TABULATION_NODES
+    grid nodes plus the anchor.
 
     Per-interval adaptive composite Simpson, each interval refined until
-    successive halvings agree to ``tol`` / (number of intervals), so the
-    whole tabulation is within ``tol``.  Raises
+    successive halvings agree to QUADRATURE_TOL / (number of intervals), so
+    the whole tabulation is within QUADRATURE_TOL.  Raises
     :class:`SigmaNotPositiveError` if sigma samples non-positive.
     """
     if not lo < hi:
         raise ValueError("need lo < hi")
     if not lo <= x <= hi:
         raise ValueError(f"anchor x={x} outside tabulation range [{lo}, {hi}]")
-    grid = np.linspace(lo, hi, n_nodes)
+    grid = np.linspace(lo, hi, TABULATION_NODES)
     # a grid node within roundoff of the anchor would leave G flat between the two
     grid = grid[np.abs(grid - x) > 1e-9 * (hi - lo)]
     nodes = np.unique(np.concatenate((grid, [float(x)])))
@@ -240,7 +241,7 @@ def build_transform(
             f"sigma({bad}) = {float(np.min(sig_samples))} <= 0 on tabulation range"
         )
 
-    pieces = _simpson(model.sigma, nodes[:-1], nodes[1:], tol / (len(nodes) - 1))
+    pieces = _simpson(model.sigma, nodes[:-1], nodes[1:], QUADRATURE_TOL / (len(nodes) - 1))
     cumulative = np.concatenate(([0.0], np.cumsum(pieces)))
     anchor_pos = int(np.searchsorted(nodes, float(x)))
     g_nodes = cumulative - cumulative[anchor_pos]
@@ -288,12 +289,11 @@ def pathwise_reduction_check(
     params: PerturbationParams,
     cfg: SimConfig,
     n_refinements: int = 3,
-    range_pad_stds: float = 5.0,
 ) -> ReductionReport:
     """Check G(X) against the additive-noise simulation on shared drivers.
 
     The tabulation range comes from a pilot path padded by
-    range_pad_stds * max|sigma| * sqrt(T); refinements reuse the same
+    RANGE_PAD_STDS * max|sigma| * sqrt(T); refinements reuse the same
     Brownian path through bridge splitting (:func:`refinement_ladder`).
     """
     if n_refinements < 1:
@@ -301,7 +301,7 @@ def pathwise_reduction_check(
     ladder = refinement_ladder(cfg, n_refinements)
     pilot = simulate_per_step(model, params, cfg, ladder[0][1])
     sig_max = float(np.max(np.abs(np.asarray(model.sigma(pilot.x)))))
-    pad = range_pad_stds * sig_max * np.sqrt(cfg.horizon)
+    pad = RANGE_PAD_STDS * sig_max * np.sqrt(cfg.horizon)
     lo = float(np.min(pilot.x)) - pad
     hi = float(np.max(pilot.x)) + pad
     x0 = cfg.x0_seed_value / (1.0 - params.alpha - params.beta)

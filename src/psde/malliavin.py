@@ -17,12 +17,10 @@ with p_k/q_k the running argmax/argmin indices.  A self-referencing extreme
 (p_k == k and/or q_k == k) moves to the left side, giving divisors 1,
 (1-alpha), (1-beta) or (1-alpha-beta); an extreme attained before r_j
 contributes nothing (the derivative of an earlier value vanishes).  The
-forward recursion is run column by column with running sums, O(n^2) total,
-over a batch of paths at once (state laid out (n+1, batch)).  Besides the
-output it keeps four columns per path: the running source, the current
-column, and the columns at the path's current argmax and argmin.  A batch
-of one that stores every column is the full field of
-:func:`derivative_field`, capped at MAX_FIELD_STEPS; :func:`field_profile`
+forward recursion runs one path column by column with running sums, O(n^2)
+total.  Besides the current column it keeps three: the running source and
+the columns at the current argmax and argmin.  :func:`derivative_field`
+stores every column, capped at MAX_FIELD_STEPS; :func:`field_profile`
 stores none and returns the H-norm profile and terminal column.
 
 Every row obeys the same linear column map, so one backward (adjoint) sweep,
@@ -39,8 +37,8 @@ of the discrete scheme's X_T in each driver increment.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -84,14 +82,6 @@ class DerivativeField:
 
 
 @dataclass(frozen=True)
-class HNorm:
-    """Squared H-norm of D X at one grid time, by left-point quadrature."""
-
-    t_index: int
-    value: float
-
-
-@dataclass(frozen=True)
 class CameronMartinResult:
     """Finite-difference directional derivative along an indicator direction."""
 
@@ -112,9 +102,10 @@ def _fresh_paths(fresh: np.ndarray) -> list:
 def _column_map(x: np.ndarray, dw: np.ndarray, dt: float, model: CoefficientModel, params: PerturbationParams):
     """Per-column coefficients of the recursion shared by the field and its adjoint.
 
-    Returns sigma(x) (n+1, batch), the step weights w_k = sigma'(x_k) dW_k +
-    b'(x_k) dt (n, batch), the divisors den (n+1, batch) and, for each grid
-    index k, the batch columns with a fresh maximum and a fresh minimum at k.
+    ``x`` (n+1, ...) holds path values and ``dw`` (n, ...) driver increments
+    along axis 0, for one path or a batch.  Returns sigma(x), the step
+    weights w_k = sigma'(x_k) dW_k + b'(x_k) dt, the divisors den and the
+    fresh-maximum and fresh-minimum flags, each shaped like x (w like dw).
     """
     alpha, beta = params.alpha, params.beta
     sig = np.asarray(model.sigma(x), dtype=float)
@@ -128,66 +119,50 @@ def _column_map(x: np.ndarray, dw: np.ndarray, dt: float, model: CoefficientMode
     return sig, step_weight, den, fresh_max, fresh_min
 
 
-def _field_columns(
+def _columns(
     x: np.ndarray,
     dw: np.ndarray,
     dt: float,
     model: CoefficientModel,
     params: PerturbationParams,
-    store: np.ndarray | None = None,
-    profile: np.ndarray | None = None,
-) -> np.ndarray:
-    """Forward recursion over columns k = 0..n for a batch of paths.
+) -> Iterator[np.ndarray]:
+    """Forward recursion over columns k = 0..n of one path's field.
 
-    ``x`` is (n+1, batch) path values and ``dw`` (n, batch) driver
-    increments.  Returns the terminal column d[:, n] of every path as an
-    (n+1, batch) array; with ``store`` (n+1, n+1, batch) every column k is
-    written to store[:, k] as well, and with ``profile`` (n+1, batch)
-    profile[k] receives ``h_norm_profile``'s value at k, summed down the
-    column in the same order.  Each entry follows the arithmetic order of
-    the per-path formula in the module docstring, so results are
-    bit-identical for any batch.
+    ``x`` holds the n+1 path values and ``dw`` the n driver increments.
+    Yields column k, d[:k+1, k], as a view that the next column
+    overwrites, in the arithmetic order of the formula in the module
+    docstring; the last one is the terminal column d[:, n].
     """
-    n = x.shape[0] - 1
+    n = len(x) - 1
     alpha, beta = params.alpha, params.beta
     sig, step_weight, den, fresh_max, fresh_min = _column_map(x, dw, dt, model, params)
-    new_max = _fresh_paths(fresh_max)
-    new_min = _fresh_paths(fresh_min)
-    new_any = _fresh_paths(fresh_max | fresh_min)
-    source = np.zeros(x.shape)  # source[j] = sigma(x_j) + accumulated integral terms
+    source = np.zeros(n + 1)  # source[j] = sigma(x_j) + accumulated integral terms
     # Adding -0.0 leaves every value, signed zeros included, unchanged: it
     # stands for "no term", both in rows past an extreme's index (where the
-    # field is zero) and on a path whose extreme is fresh at k.
-    alpha_max = np.full(x.shape, -0.0)  # alpha * (column at the argmax)
-    beta_min = np.full(x.shape, -0.0)  # beta * (column at the argmin)
-    col = np.zeros(x.shape)
+    # field is zero) and while the extreme is fresh at k.
+    alpha_max = np.full(n + 1, -0.0)  # alpha * (column at the argmax)
+    beta_min = np.full(n + 1, -0.0)  # beta * (column at the argmin)
+    col = np.zeros(n + 1)
     for k in range(n + 1):
         if k > 0:  # col holds column k-1 until it is overwritten below
             col[:k] *= step_weight[k - 1]
             source[:k] += col[:k]
         source[k] = sig[k]
-        up, down, fresh = new_max[k], new_min[k], new_any[k]
-        if up is not None:
-            alpha_max[: k + 1, up] = -0.0
-        if down is not None:
-            beta_min[: k + 1, down] = -0.0
+        up, down = fresh_max[k], fresh_min[k]
+        if up:
+            alpha_max[: k + 1] = -0.0
+        if down:
+            beta_min[: k + 1] = -0.0
         out = col[: k + 1]
         np.add(source[: k + 1], alpha_max[: k + 1], out=out)
         out += beta_min[: k + 1]
-        if fresh is not None:
-            out[:, fresh] /= den[k, fresh]
-        if up is not None:
-            alpha_max[: k + 1, up] = alpha * out[:, up]
-        if down is not None:
-            beta_min[: k + 1, down] = beta * out[:, down]
-        if store is not None:
-            store[: k + 1, k] = out
-        if profile is not None:
-            # a sequential sum down rows 0..k, as h_norm_profile's axis-0 sum
-            # adds them; np.sum over one column would sum pairwise
-            sq = out * out
-            profile[k] = (np.cumsum(sq, axis=0)[-1] - sq[k]) * dt
-    return col
+        if up or down:
+            out /= den[k]
+        if up:
+            np.multiply(out, alpha, out=alpha_max[: k + 1])
+        if down:
+            np.multiply(out, beta, out=beta_min[: k + 1])
+        yield out
 
 
 def _terminal_adjoint(
@@ -262,20 +237,20 @@ def _terminal_h_norms(
     return np.sum(rows * rows, axis=1) * dt
 
 
-def derivative_field(
-    path: Path,
-    model: CoefficientModel,
-    params: PerturbationParams,
-    max_steps: int = MAX_FIELD_STEPS,
-) -> DerivativeField:
-    """Full field of one path: the column recursion on a batch of one."""
+def derivative_field(path: Path, model: CoefficientModel, params: PerturbationParams) -> DerivativeField:
+    """Full field of one path, its columns stored by the forward recursion.
+
+    Raises ValueError for a path of more than :data:`MAX_FIELD_STEPS` steps,
+    read when called, and FloatingPointError on a non-finite entry.
+    """
     x = path.x
     n = len(x) - 1
-    if n > max_steps:
-        raise ValueError(f"full field restricted to n <= {max_steps} steps, got {n}")
+    if n > MAX_FIELD_STEPS:
+        raise ValueError(f"full field restricted to n <= {MAX_FIELD_STEPS} steps, got {n}")
     dt = float(path.grid[1] - path.grid[0])
     d = np.zeros((n + 1, n + 1))
-    _field_columns(x[:, None], np.diff(path.w)[:, None], dt, model, params, store=d[:, :, None])
+    for k, col in enumerate(_columns(x, np.diff(path.w), dt, model, params)):
+        d[: k + 1, k] = col
     if not np.all(np.isfinite(d)):
         raise FloatingPointError("non-finite entries in derivative field")
     return DerivativeField(
@@ -283,12 +258,12 @@ def derivative_field(
     )
 
 
-def h_norm(field: DerivativeField, k: int) -> HNorm:
+def h_norm(field: DerivativeField, k: int) -> float:
     """||D X_{t_k}||_H^2 ~ dt * sum_{j<k} d[j,k]^2 (left-point in r)."""
     if not 0 <= k <= field.n_steps:
         raise ValueError(f"k={k} outside grid with {field.n_steps} steps")
     col = field.d[:k, k]
-    return HNorm(t_index=k, value=float(np.sum(col * col)) * field.dt)
+    return float(np.sum(col * col)) * field.dt
 
 
 def h_norm_profile(field: DerivativeField) -> np.ndarray:
@@ -303,7 +278,7 @@ def field_profile(
 ) -> tuple[np.ndarray, np.ndarray]:
     """``h_norm_profile`` and terminal column d[:, n] of one path's field, without storing it.
 
-    The column recursion on a batch of one, in O(n) memory and without the
+    The forward recursion, in O(n) memory and without the
     :data:`MAX_FIELD_STEPS` cap; both arrays equal those read off
     ``derivative_field(path, ...)`` bit for bit.  Raises FloatingPointError
     wherever that field would: a non-finite entry feeds its row's running
@@ -311,11 +286,15 @@ def field_profile(
     """
     x = path.x
     dt = float(path.grid[1] - path.grid[0])
-    profile = np.empty((len(x), 1))
-    terminal = _field_columns(x[:, None], np.diff(path.w)[:, None], dt, model, params, profile=profile)
-    if not np.all(np.isfinite(terminal)):
+    profile = np.empty(len(x))
+    for k, col in enumerate(_columns(x, np.diff(path.w), dt, model, params)):
+        # a sequential sum down rows 0..k, as h_norm_profile's axis-0 sum
+        # adds them; np.sum over one column would sum pairwise
+        sq = col * col
+        profile[k] = (np.cumsum(sq)[-1] - sq[k]) * dt
+    if not np.all(np.isfinite(col)):
         raise FloatingPointError("non-finite entries in derivative field")
-    return profile[:, 0], terminal[:, 0]
+    return profile, col
 
 
 def terminal_h_norms(
@@ -333,7 +312,7 @@ def terminal_h_norms(
     bit-identical for any block budget, any PSDE_THREADS and a batch of one
     on the path's own driver.  The sweep sums the column in another order
     than the forward recursion, so a value agrees with
-    ``h_norm(derivative_field(path), n).value`` to 1e-12 relative, not bit
+    ``h_norm(derivative_field(path), n)`` to 1e-12 relative, not bit
     for bit.  Raises FloatingPointError on a non-finite terminal column,
     before the bound check.
     """
@@ -449,14 +428,7 @@ class PositivityReport:
     hypothesis_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n_paths": self.n_paths,
-            "t": self.t,
-            "minimum": self.minimum,
-            "quantiles": self.quantiles,
-            "fraction_at_or_below": self.fraction_at_or_below,
-            "hypothesis_ok": self.hypothesis_ok,
-        }
+        return asdict(self)
 
 
 def positivity_report(

@@ -128,12 +128,13 @@ class CoefficientModel:
     name: str = "custom"
     spec: dict = field(default_factory=dict)
 
-    def check_bounds(self, lo: float, hi: float, n: int = BOUND_CHECK_POINTS) -> None:
+    def check_bounds(self, lo: float, hi: float) -> None:
         """Verify |b'| <= b_prime_sup, |sigma'| <= sigma_prime_sup and
-        |sigma| >= sigma_inf on an n-point grid over [lo, hi]."""
+        |sigma| >= sigma_inf on a uniform grid of BOUND_CHECK_POINTS points
+        over [lo, hi]."""
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("bound-check range must be finite")
-        grid = np.linspace(lo, hi, n)
+        grid = np.linspace(lo, hi, BOUND_CHECK_POINTS)
         bp = np.max(np.abs(np.asarray(self.b_prime(grid), dtype=float)))
         sp = np.max(np.abs(np.asarray(self.sigma_prime(grid), dtype=float)))
         si = np.min(np.abs(np.asarray(self.sigma(grid), dtype=float)))

@@ -22,20 +22,12 @@ from .errors import BoundVacuousWarning, ParameterRejection
 # alpha^2 + beta^2 must stay strictly below this for a positive horizon t0.
 SMOOTHNESS_THRESHOLD = (3.0 - 2.0 * math.sqrt(2.0)) / 12.0
 
-# Domain boundaries are compared with strict floating-point inequalities;
-# values within this distance of a boundary are not meaningfully classified.
-BOUNDARY_RESOLUTION = 1e-12
-
 # Rejection guard on the rho boundary: rounding in rho's quotient can move a
 # pair sitting exactly on |rho| = 1 (e.g. beta = (alpha-1)/(2*alpha-1) with a
 # non-representable beta) a couple of ulps inside the domain.  Pairs within
 # this relative distance of the boundary are rejected; the guard only ever
 # refuses boundary-hugging configurations, never accepts invalid ones.
 RHO_BOUNDARY_GUARD = 1e-12
-
-# Consistency slack for C(t0) < 1: the horizon is defined exactly by
-# C(t0) = 1, so the evaluated constant sits within ulps of 1.
-C_AT_T0_SLACK = 1e-9
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ import enum
 import math
 import os
 import threading
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -78,15 +78,7 @@ class SimConfig:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
     def describe(self) -> dict:
-        return {
-            "x0_seed_value": self.x0_seed_value,
-            "horizon": self.horizon,
-            "n_steps": self.n_steps,
-            "rng_seed": self.rng_seed,
-            "scheme": self.scheme.value,
-            "picard_outer_iters": self.picard_outer_iters,
-            "fixed_point_tol": self.fixed_point_tol,
-        }
+        return {**asdict(self), "scheme": self.scheme.value}
 
 
 @dataclass(frozen=True)
@@ -224,7 +216,7 @@ def refinement_ladder(cfg: SimConfig, n_levels: int) -> list[tuple[SimConfig, np
         level_cfg, increments = levels[-1]
         levels.append(
             (
-                with_resolution(level_cfg, 2 * level_cfg.n_steps),
+                replace(level_cfg, n_steps=2 * level_cfg.n_steps),
                 refine_increments(increments, cfg.horizon, path_seed(cfg.rng_seed, level)),
             )
         )
@@ -300,10 +292,10 @@ def per_step_terminal_chunk(
     the final running extremes.
 
     With ``trajectories``, a caller-supplied (n_steps + 1, n_paths) array,
-    row k receives every path's value at step k, and every recorded value,
-    not only the terminal one, must be finite.  Without it only terminal
-    values are checked; a non-finite one is replayed as a batch of one with
-    its trajectory, so the abort names its step either way.
+    row k receives every path's value at step k.  A non-finite terminal
+    value aborts with the lowest such path and its first non-finite step,
+    read off the trajectory or, without one, off a replay of that path as a
+    batch of one.
     """
     alpha, beta = params.alpha, params.beta
     x0 = x0_seed_value / (1.0 - alpha - beta)
@@ -324,12 +316,14 @@ def per_step_terminal_chunk(
         _solve_fresh(x, i_arr, beta, np.less, k)
         if trajectories is not None:
             trajectories[k + 1] = x
-    finite = np.isfinite(x if trajectories is None else trajectories)
+    # a non-finite value stays non-finite under the Euler step and the
+    # fresh-extreme solve, so the terminal values name every failing path
+    finite = np.isfinite(x)
     if not finite.all():
+        path = int(np.argmin(finite))
         if trajectories is None:
-            # only terminal values were kept: replay the first non-finite path
-            # as a batch of one, bit-identical, with its trajectory for the step
-            path = int(np.argmin(finite))
+            # only terminal values were kept: replay the path as a batch of
+            # one, bit-identical, with its trajectory for the step
             try:
                 per_step_terminal_chunk(
                     model, params, x0_seed_value, dt, drivers[path : path + 1], np.empty((drivers.shape[1] + 1, 1))
@@ -337,7 +331,7 @@ def per_step_terminal_chunk(
             except SimulationAborted as replayed:
                 step = replayed.step
         else:
-            step, path = (int(v) for v in np.argwhere(~finite)[0])
+            step = int(np.argmin(np.isfinite(trajectories[:, path])))
         raise SimulationAborted(f"non-finite path value on chunk path {path} at step {step}", step=step, path=path)
     return x, float(np.min(i_arr)), float(np.max(m))
 
@@ -517,8 +511,3 @@ def simulate(
     if cfg.scheme is Scheme.PER_STEP:
         return simulate_per_step(model, params, cfg, increments)
     return simulate_picard(model, params, cfg, increments)
-
-
-def with_resolution(cfg: SimConfig, n_steps: int) -> SimConfig:
-    """Same experiment at a different grid resolution."""
-    return replace(cfg, n_steps=n_steps)

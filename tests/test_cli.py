@@ -487,3 +487,17 @@ def test_tabulated_bound_holds_between_grid_points(tmp_path, capsys):
                                          "sigma": {"kind": "tabulated", "path": "sigma.csv"}},
                         params={"alpha": 0.3, "beta": -0.2}, sim={"n_steps": 400})
     assert main(["simulate", "--config", str(cfgp), "--quiet", "--seed", "3"]) == 0
+
+
+EXAMPLE_CONFIG = Path(__file__).resolve().parents[1] / "demos" / "config.example.json"
+
+
+@pytest.mark.parametrize(
+    "command,report,expected",
+    [("validate", "validate.json", "e6ae9ef960b82388"), ("density", "density.json", "0c0393096c51342f")],
+)
+def test_example_config_fingerprint(tmp_path, command, report, expected):
+    # the fingerprint hashes SimConfig.describe(): a dropped or renamed
+    # field would change every report's fingerprint
+    assert main([command, "--config", str(EXAMPLE_CONFIG), "--out", str(tmp_path), "--quiet"]) == 0
+    assert json.loads((tmp_path / report).read_text())["config_fingerprint"] == expected

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import psde
 from psde.malliavin import (
     _H_NORM_ROW_ARRAYS,
-    _field_columns,
+    _columns,
     _terminal_adjoint,
     _terminal_h_norms,
     field_closed_form_singly_perturbed,
@@ -44,7 +44,7 @@ def test_unperturbed_field_is_one(unit_model):
 
 def test_unperturbed_h_norm_exact(unit_model):
     field, _, _ = field_for(unit_model, 0.0, 0.0, n_steps=1000, seed=1)
-    assert psde.h_norm(field, 1000).value == 1.0
+    assert psde.h_norm(field, 1000) == 1.0
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.25, -0.7])
@@ -134,11 +134,12 @@ def test_interval_must_hit_grid(unit_model):
         psde.directional_from_field(field, 0.5, 0.5)
 
 
-def test_field_size_cap(unit_model):
+def test_field_size_cap(unit_model, monkeypatch):
+    monkeypatch.setattr(psde.malliavin, "MAX_FIELD_STEPS", 32)
     p = psde.validate_params(0.0, 0.0)
     path = psde.simulate_per_step(unit_model, p, cfg(n_steps=64, seed=0))
     with pytest.raises(ValueError):
-        psde.derivative_field(path, unit_model, p, max_steps=32)
+        psde.derivative_field(path, unit_model, p)
 
 
 def test_positivity_report_positive_case(generic_model):
@@ -146,7 +147,7 @@ def test_positivity_report_positive_case(generic_model):
     values = []
     for seed in range(50):
         field, _, _ = field_for(generic_model, 0.3, -0.2, n_steps=128, seed=seed, x0=0.5)
-        values.append(psde.h_norm(field, 128).value)
+        values.append(psde.h_norm(field, 128))
     report = psde.positivity_report(values, t=1.0, sigma_inf=generic_model.sigma_inf)
     assert report.hypothesis_ok
     assert report.minimum > 0.0
@@ -161,7 +162,7 @@ def test_positivity_report_degenerate_sigma():
     for seed in range(5):
         path = psde.simulate_per_step(degenerate, p, cfg(n_steps=64, seed=seed, x0=0.3))
         field = psde.derivative_field(path, degenerate, p)
-        values.append(psde.h_norm(field, 64).value)
+        values.append(psde.h_norm(field, 64))
     report = psde.positivity_report(values, t=1.0, sigma_inf=degenerate.sigma_inf)
     assert not report.hypothesis_ok
     assert report.fraction_at_or_below["0.0"] == 1.0
@@ -179,7 +180,7 @@ def test_h_norm_grid_refinement_stability(generic_model):
         c = cfg(n_steps=n, seed=11, x0=0.5)
         path = psde.simulate_per_step(generic_model, p, c, inc)
         field = psde.derivative_field(path, generic_model, p)
-        vals[n] = psde.h_norm(field, n).value
+        vals[n] = psde.h_norm(field, n)
     assert abs(vals[1000] - vals[500]) <= 0.05 * abs(vals[500])
 
 
@@ -190,7 +191,7 @@ def per_path_terminal_h_norms(model, p, c, n_paths):
     values = []
     for q in range(n_paths):
         path = psde.simulate_per_step(model, p, dataclasses.replace(c, rng_seed=psde.path_seed(c.rng_seed, q)))
-        values.append(psde.h_norm(psde.derivative_field(path, model, p), c.n_steps).value)
+        values.append(psde.h_norm(psde.derivative_field(path, model, p), c.n_steps))
     return np.array(values)
 
 
@@ -251,9 +252,9 @@ def test_adjoint_terminal_column_matches_field(name, alpha, beta, n, seed):
         assume(False)
     model = psde.named_model(name)
     path = psde.simulate_per_step(model, p, cfg(n_steps=n, seed=seed, x0=0.5))
-    x, dw, dt = path.x[:, None], np.diff(path.w)[:, None], float(path.grid[1] - path.grid[0])
-    column = _field_columns(x, dw, dt, model, p)[:, 0]
-    sig, adj = _terminal_adjoint(x, dw, dt, model, p)
+    x, dw, dt = path.x, np.diff(path.w), float(path.grid[1] - path.grid[0])
+    *_, column = _columns(x, dw, dt, model, p)
+    sig, adj = _terminal_adjoint(x[:, None], dw[:, None], dt, model, p)
     assert np.max(np.abs(sig[:, 0] * adj[:-1, 0] - column)) <= 1e-12 * np.max(np.abs(column))
 
 
