@@ -24,7 +24,10 @@ class _OnPath(PsdeError):
     path: int | None
 
     def renumber(self, first_path: int) -> None:
-        """Count ``path`` from first_path: a block's row becomes its ensemble index."""
+        """Count ``path`` from first_path: a block's row becomes its ensemble
+        index.  An error that names no path is left as it is."""
+        if self.path is None:
+            return
         self.path += first_path
         self.args = (f"{self.args[0]} (ensemble path {self.path})",)
 

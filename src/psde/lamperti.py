@@ -10,7 +10,7 @@ Y = G(X), with unit diffusion and reduced drift
 G is tabulated by adaptive composite Simpson (the same rule extends it past
 the table) and interpolated by the in-package PCHIP table
 :class:`~psde.models.MonotoneCubic`; G^{-1} is Newton with G' = 1/sigma from
-the inverted table, in Python floats for a single point.
+the inverted table, one iteration in Python floats applied point by point.
 Anchoring G at X_0 makes the reduced identity seed-free: Y then solves the
 additive equation with seed value 0 on the same Brownian driver.  Only the
 inf sigma > 0 branch is implemented; a model with sup sigma < 0 is handled by
@@ -20,12 +20,12 @@ negating sigma and the driver first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
 from .errors import NoConvergenceError, SigmaNotPositiveError
-from .models import Coefficient, CoefficientModel, MonotoneCubic, constant, make_model
+from .models import Coefficient, CoefficientModel, MonotoneCubic, constant, make_model, tabulated
 from .params import PerturbationParams
 from .simulate import SimConfig, refinement_ladder, simulate_per_step
 
@@ -46,7 +46,6 @@ class Transform:
     g_nodes: np.ndarray
     _g: MonotoneCubic
     _g_inv: MonotoneCubic
-    _b_tilde: MonotoneCubic
     _model: CoefficientModel
 
     def g(self, y):
@@ -66,60 +65,31 @@ class Transform:
         return float(out[0]) if y.ndim == 0 else out
 
     def g_inv(self, z):
-        """G^{-1}(z): Newton steps y <- y - (G(y) - z) sigma(y) from the inverted
-        table's interpolant until each step is a few ulp; a step leaving the
-        bracket that G's monotonicity gives bisects instead.  Entries stop on
-        their own, and a single point takes the same steps in Python floats
-        (:meth:`_g_inv_point`), so array and scalar calls agree bit for bit.
-        Non-finite z gives NaN; raises :class:`NoConvergenceError` at the
-        step cap."""
-        z = np.asarray(z, dtype=float)
-        if z.size == 1:
-            return _shaped(z, self._g_inv_point(z.item()))
-        flat = z.ravel()
-        y = self._g_inv(np.clip(flat, self.g_nodes[0], self.g_nodes[-1]))
-        finite = np.isfinite(flat)
-        y[~finite] = np.nan
-        lo = np.full(flat.shape, -np.inf)
-        hi = np.full(flat.shape, np.inf)
-        # steps below a few ulp of y, or of G times G^-1' = sigma, are roundoff
-        y_scale = max(abs(self.nodes[0]), abs(self.nodes[-1]))
-        z_ulp = np.spacing(np.maximum(np.abs(flat), max(abs(self.g_nodes[0]), abs(self.g_nodes[-1]))))
-        todo = np.flatnonzero(finite)
-        history = []
-        while todo.size:
-            if len(history) == NEWTON_MAX_STEPS:
-                raise _newton_cap(todo.size, history)
-            yt = y[todo]
-            sig = np.asarray(self._model.sigma(yt), dtype=float)
-            resid = self.g(yt) - flat[todo]
-            over = resid > 0.0
-            lo_t = lo[todo] = np.where(over, lo[todo], yt)
-            hi_t = hi[todo] = np.where(over, yt, hi[todo])
-            new = yt - resid * sig
-            new = np.where((new >= lo_t) & (new <= hi_t), new, 0.5 * (lo_t + hi_t))
-            step = yt - new
-            y[todo] = new
-            history.append(float(np.max(np.abs(step))))
-            floor = NEWTON_ULPS * (np.spacing(np.maximum(np.abs(yt), y_scale)) + sig * z_ulp[todo])
-            todo = todo[~(np.abs(step) <= floor)]
-        return y.reshape(z.shape)
+        """G^{-1}(z), entry by entry: Newton steps y <- y - (G(y) - z) sigma(y)
+        in Python floats from the inverted table's interpolant until a step is
+        a few ulp; a step leaving the bracket that G's monotonicity gives
+        bisects instead.  Non-finite z gives NaN; raises
+        :class:`NoConvergenceError` at the step cap."""
+        return _pointwise(self._g_inv_point, z)
 
     def _g_inv_point(self, z: float) -> float:
-        # g_inv's iteration for one entry: the same start, bracket, bisection,
-        # step floor and cap, with G from the table's one-point evaluation
         if not math.isfinite(z):
             return math.nan
         g_lo, g_hi = float(self.g_nodes[0]), float(self.g_nodes[-1])
         y_lo, y_hi = float(self.nodes[0]), float(self.nodes[-1])
         y = self._g_inv.at(min(max(z, g_lo), g_hi))
         lo, hi = -math.inf, math.inf
+        # steps below a few ulp of y, or of G times G^-1' = sigma, are roundoff
         y_scale = max(abs(y_lo), abs(y_hi))
         z_ulp = math.ulp(max(abs(z), max(abs(g_lo), abs(g_hi))))
         history = []
         while True:
             if len(history) == NEWTON_MAX_STEPS:
-                raise _newton_cap(1, history)
+                raise NoConvergenceError(
+                    f"G^-1 Newton iteration at z = {z!r} above a few ulp after "
+                    f"{NEWTON_MAX_STEPS} steps (last step {history[-1]:.3e})",
+                    history,
+                )
             sig = float(self._model.sigma(y))
             resid = (self._g.at(y) if y_lo <= y <= y_hi else self.g(y)) - z
             if resid > 0.0:
@@ -131,8 +101,8 @@ class Transform:
                 new = 0.5 * (lo + hi)
             step = y - new
             history.append(abs(step))
-            # math.ulp(inf) is inf where np.spacing gives NaN, but an infinite y
-            # only comes from an infinite bracket end, and its step is then NaN
+            # math.ulp(inf) is inf, but an infinite y only comes from an
+            # infinite bracket end, and its step is then NaN
             floor = NEWTON_ULPS * (math.ulp(max(abs(y), y_scale)) + sig * z_ulp)
             y = new
             if abs(step) <= floor:
@@ -141,41 +111,24 @@ class Transform:
     def b_tilde(self, z):
         """Reduced drift b(G^-1)/sigma(G^-1) - sigma'(G^-1)/2, composed exactly
         through the inverse (not through the tabulated interpolant)."""
-        z = np.asarray(z, dtype=float)
-        if z.size == 1:
-            return _shaped(z, float(_reduced_drift(self._model, self._g_inv_point(z.item()))))
-        return _reduced_drift(self._model, self.g_inv(z))
+        return _pointwise(lambda v: float(_reduced_drift(self._model, self._g_inv_point(v))), z)
 
     def reduced_drift_coefficient(self) -> Coefficient:
         """b_tilde packaged as a registry coefficient for the additive model.
 
-        The derivative function comes from the monotone tabulation of b_tilde
-        (it only feeds the declared-bound spot check)."""
-        dinterp = self._b_tilde.derivative()
-        gn = self.g_nodes
-
-        def f_prime(z):
-            z = np.asarray(z, dtype=float)
-            return dinterp(np.clip(z, gn[0], gn[-1]))
-
-        dvals = np.abs(dinterp(gn))
-        prime_sup = float(np.max(dvals)) * 1.10 + 1e-12
-        vals = self._b_tilde(gn)
-        inf_abs = float(np.min(np.abs(vals)))
-        return Coefficient(self.b_tilde, f_prime, prime_sup, prime_sup, inf_abs, {"kind": "reduced-drift"})
+        The derivative and the bound constants are those of the monotone
+        tabulation of b_tilde on the nodes' images (:func:`tabulated`); the
+        derivative only feeds the declared-bound spot check."""
+        table = tabulated(self.g_nodes, _reduced_drift(self._model, self.nodes))
+        return replace(table, f=self.b_tilde, spec={"kind": "reduced-drift"})
 
 
-def _shaped(z: np.ndarray, value: float):
-    # a one-point result as a float for 0-d z, else as an array of z's shape
-    return value if z.ndim == 0 else np.full(z.shape, value)
-
-
-def _newton_cap(points: int, history: list) -> NoConvergenceError:
-    return NoConvergenceError(
-        f"G^-1 Newton iteration on {points} points above a few ulp after "
-        f"{NEWTON_MAX_STEPS} steps (last step {history[-1]:.3e})",
-        history,
-    )
+def _pointwise(f, z):
+    # f on every entry of z: a float for 0-d z, else an array of z's shape
+    z = np.asarray(z, dtype=float)
+    if z.ndim == 0:
+        return f(z.item())
+    return np.fromiter(map(f, z.ravel().tolist()), dtype=float, count=z.size).reshape(z.shape)
 
 
 def _reduced_drift(model: CoefficientModel, y):
@@ -251,7 +204,6 @@ def build_transform(
         g_nodes=g_nodes,
         _g=MonotoneCubic(nodes, g_nodes),
         _g_inv=MonotoneCubic(g_nodes, nodes),
-        _b_tilde=MonotoneCubic(g_nodes, _reduced_drift(model, nodes)),
         _model=model,
     )
 
@@ -275,10 +227,7 @@ class ReductionReport:
 
     def to_dict(self) -> dict:
         return {
-            "levels": [
-                {"n_steps": l.n_steps, "dt": l.dt, "sup_discrepancy": l.sup_discrepancy}
-                for l in self.levels
-            ],
+            "levels": [asdict(level) for level in self.levels],
             "commutation_exact": self.commutation_exact,
             "anchor": self.anchor,
         }

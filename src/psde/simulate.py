@@ -69,6 +69,10 @@ class SimConfig:
             raise ValueError("horizon must be > 0")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
+        if self.picard_outer_iters < 1:
+            raise ValueError("picard_outer_iters must be >= 1")
+        if not self.fixed_point_tol > 0.0:
+            raise ValueError("fixed_point_tol must be > 0")
 
     @property
     def dt(self) -> float:

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -175,6 +176,21 @@ def test_lamperti_check(tmp_path, capsys):
     assert report["commutation_exact"] is True
     assert len(report["levels"]) == 2
     assert (tmp_path / "out" / "transform.csv").exists()
+
+
+def test_lamperti_check_bits(tmp_path):
+    # a multiplicative sigma, where the reduction gaps are quadrature and
+    # discretisation error, not 0: pins the transform and the reduced drift
+    cfgp = write_config(tmp_path, model={"preset": "multiplicative-sine"},
+                        params={"alpha": 0.3, "beta": -0.2},
+                        sim={"x0": 0.5, "n_steps": 200, "seed": 9}, analysis={"refinements": 3})
+    assert main(["lamperti-check", "--config", str(cfgp), "--quiet"]) == 0
+    report = json.loads((tmp_path / "out" / "lamperti.json").read_text())
+    assert [float.hex(level["sup_discrepancy"]) for level in report["levels"]] == [
+        "0x1.2c00150a16fe0p-5", "0x1.a1df07d33d600p-6", "0x1.15cf23ff3d740p-6",
+    ]
+    digest = hashlib.sha256((tmp_path / "out" / "transform.csv").read_bytes()).hexdigest()
+    assert digest == "f0fa09f7643862d13107dfb2a3ba505f7700ec9a3d620a96f6ea969d6b1e7405"
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):

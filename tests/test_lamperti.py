@@ -125,6 +125,33 @@ def test_capped_newton_fails_alike_for_one_point_and_arrays(monkeypatch):
     assert one.value.history == many.value.history
 
 
+def test_newton_cap_inside_an_ensemble_names_no_path(monkeypatch):
+    # a G^-1 failure inside the reduced drift belongs to no path of the
+    # block, so the ensemble passes it on without an ensemble path
+    tr = psde.build_transform(psde.named_model("multiplicative-sine"), 0.0, -1.0, 1.0)
+    reduced = psde.make_model(tr.reduced_drift_coefficient(), psde.constant(1.0), name="reduced")
+    monkeypatch.setattr(psde.lamperti, "NEWTON_MAX_STEPS", 1)
+    cfg = SimConfig(x0_seed_value=0.0, horizon=1.0, n_steps=20, rng_seed=3)
+    with pytest.raises(psde.NoConvergenceError) as err:
+        psde.generate_ensemble(reduced, psde.validate_params(0.0, 0.0), cfg, 4)
+    assert err.value.path is None
+    assert "ensemble path" not in str(err.value)
+
+
+@pytest.mark.parametrize("name", ["multiplicative-sine", "smooth-generic"])
+def test_reduced_drift_declares_exact_bounds(name):
+    tr = psde.build_transform(psde.named_model(name), 0.0, -3.0, 3.0)
+    coef = tr.reduced_drift_coefficient()
+    zs = np.linspace(tr.g_nodes[0], tr.g_nodes[-1], 200_001)
+    reached = float(np.max(np.abs(coef.f_prime(zs))))
+    assert coef.prime_sup * (1.0 - 1e-6) <= reached <= coef.prime_sup + 1e-12
+    assert coef.lipschitz == coef.prime_sup
+    # both reduced drifts change sign on the table, so inf |b_tilde| is 0
+    signs = np.sign(tr.b_tilde(tr.g(np.array([-2.0, 0.0, 2.0]))))
+    assert signs.min() < 0.0 < signs.max()
+    assert coef.inf_abs == 0.0
+
+
 def test_anchor_next_to_grid_node():
     # 0.2 lies 1.7e-16 from a node of linspace(-3, 3, 4096)
     tr = psde.build_transform(psde.named_model("smooth-generic"), 0.2, -3.0, 3.0)

@@ -15,6 +15,12 @@ def cfg(n_steps=200, seed=0, x0=0.0, horizon=1.0, **kw):
     return SimConfig(x0_seed_value=x0, horizon=horizon, n_steps=n_steps, rng_seed=seed, **kw)
 
 
+@pytest.mark.parametrize("field, value", [("picard_outer_iters", 0), ("fixed_point_tol", 0.0), ("fixed_point_tol", -1.0)])
+def test_config_rejects_picard_settings_that_cannot_run(field, value):
+    with pytest.raises(ValueError, match=field):
+        cfg(**{field: value})
+
+
 def test_driver_deterministic():
     a = psde.brownian_driver(1000, 1.0, 42)
     b = psde.brownian_driver(1000, 1.0, 42)
