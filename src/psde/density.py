@@ -22,7 +22,7 @@ import numpy as np
 
 from .models import CoefficientModel
 from .params import PerturbationParams
-from .simulate import Scheme, SimConfig, per_step_terminal_chunk, picard_chunk, run_ensemble
+from .simulate import _PICARD_WINDOW, Scheme, SimConfig, per_step_terminal_chunk, picard_chunk, run_ensemble
 
 KDE_GRID_POINTS = 512
 KS_CRITICAL_1PCT = 1.63
@@ -30,7 +30,7 @@ KS_CRITICAL_5PCT = 1.36
 LOW_POWER_N = 100
 DEFAULT_CHUNK = 20_000  # kde sums values in chunks of this many, which fixes the order of its sums
 _DRIVER_BLOCK_BYTES = 80 << 20  # one thread's per-step drivers; 64 MB blocks ran sigma(x) models slower
-_PICARD_BLOCK_BYTES = 1 << 18  # one (rows, n+1) Picard iterate stays in L2
+_PICARD_BLOCK_BYTES = 1 << 18  # one (rows, L+1) window of a Picard iterate stays in L2
 _KDE_BLOCK_BYTES = 1 << 19  # one block of kernel values stays in L2
 _SQRT1_2 = math.sqrt(0.5)
 
@@ -67,8 +67,9 @@ def generate_ensemble(
     same arithmetic as a standalone simulation of its scheme, whatever the
     blocks and threads of ``run_ensemble``.  Its blocks hold at most 80 MB of
     per-step drivers (5 x 10 000 rows for 50 000 paths at n_steps = 1000) or
-    a 256 KB Picard iterate (32 rows).  A ``PathFailure`` or Picard
-    ``NoConvergenceError`` names the failing path by its index p.
+    256 KB of one window of a Picard iterate (4 x 125 rows for 500 paths).
+    A ``PathFailure`` or Picard ``NoConvergenceError`` names the failing
+    path by its index p.
     """
     if cfg.scheme is Scheme.PER_STEP:
 
@@ -82,7 +83,7 @@ def generate_ensemble(
             x = picard_chunk(model, params, cfg, drivers)[0]
             return x[:, -1].copy(), float(np.min(x)), float(np.max(x))
 
-        row_bytes, budget = 8 * (cfg.n_steps + 1), _PICARD_BLOCK_BYTES
+        row_bytes, budget = 8 * (min(cfg.n_steps, _PICARD_WINDOW) + 1), _PICARD_BLOCK_BYTES
     values = run_ensemble(model, cfg, n_paths, kernel, row_bytes, budget)
     return Ensemble(values, n_paths)
 

@@ -287,11 +287,12 @@ def field_profile(
     x = path.x
     dt = float(path.grid[1] - path.grid[0])
     profile = np.empty(len(x))
+    sq, sums = np.empty(len(x)), np.empty(len(x))
     for k, col in enumerate(_columns(x, np.diff(path.w), dt, model, params)):
         # a sequential sum down rows 0..k, as h_norm_profile's axis-0 sum
         # adds them; np.sum over one column would sum pairwise
-        sq = col * col
-        profile[k] = (np.cumsum(sq)[-1] - sq[k]) * dt
+        np.add.accumulate(np.multiply(col, col, out=sq[: k + 1]), out=sums[: k + 1])
+        profile[k] = (sums[k] - sq[k]) * dt
     if not np.all(np.isfinite(col)):
         raise FloatingPointError("non-finite entries in derivative field")
     return profile, col

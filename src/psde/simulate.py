@@ -12,9 +12,11 @@ Two independent schemes on the same uniform grid and Brownian driver:
   the coefficients along the previous iterate, forms the driving path
   a_k = x + sum sigma(X_i) dW_i + sum b(X_i) dt by left-point sums, solves
   the running max/min system for a, and recombines X = a + alpha*M + beta*I.
-  It is the only implementation of the scheme and runs a block of paths
-  at once, each stopping at its own tolerance; ``simulate_picard`` is a
-  batch of one.
+  Step k couples only to steps before it, so the passes run window by
+  window in time order (the windowed waveform relaxation of Lelarasmee,
+  Ruehli & Sangiovanni-Vincentelli 1982).  It is the only implementation
+  of the scheme and runs a block of paths at once, each stopping at its own
+  tolerance in each window; ``simulate_picard`` is a batch of one.
 
 Both start from X_0 = x/(1-alpha-beta): at time zero the maximum and minimum
 both equal X_0, so the dynamics force that value.
@@ -65,8 +67,10 @@ class SimConfig:
     fixed_point_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be > 0")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError(f"horizon must be finite and > 0, got {self.horizon}")
+        if not math.isfinite(self.x0_seed_value):
+            raise ValueError(f"x0_seed_value must be finite, got {self.x0_seed_value}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be >= 1")
         if self.picard_outer_iters < 1:
@@ -114,6 +118,7 @@ _DRIVER_TAG = 0
 _BRIDGE_TAG = 1
 _BLOCK_BYTES = 1 << 20  # one block of normals stays in L2
 _BLOCK_ROWS = 128
+_PICARD_WINDOW = 200  # steps per causal window of picard_chunk, chosen by measurement
 
 
 def path_seed(master_seed: int, path_index: int) -> int:
@@ -421,70 +426,88 @@ def picard_chunk(
     cfg: SimConfig,
     drivers: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Outer fixed-point iteration over a (rows, n_steps) driver block.
+    """Outer fixed-point iteration over a (rows, n_steps) driver block, window by window.
 
-    Row r is the path on drivers[r].  Each pass freezes sigma and b along
-    every live row's previous iterate, forms the driving paths, solves their
-    max/min systems in one ``max_min_rows`` call and recombines.  A row
-    whose change falls to cfg.fixed_point_tol leaves the block and is never
-    iterated again, so row r is bit-identical to a batch of one on
-    drivers[r].  Returns the (rows, n_steps + 1) arrays x, m, i of the
-    converged iterates.
+    Row r is the path on drivers[r], and X_0 = M_0 = I_0 = x/(1-alpha-beta).
+    Column k of the scheme depends only on columns < k, so the columns are
+    found in time order, in windows (s, s+L] of L = ``_PICARD_WINDOW``
+    steps.  With the columns up to s fixed, each pass of a window freezes
+    sigma and b along every live row's previous iterate of it, forms the
+    driving path onward from a_s, and solves the window's max/min system in
+    one ``max_min_rows`` call: the prefix extremes (1-alpha)*M_s and
+    (beta-1)*I_s are its floors, and the previous pass's M its warm start
+    (the first pass starts from M == M_s).  A row whose change on the window
+    falls to cfg.fixed_point_tol leaves it with those columns fixed, and
+    cfg.picard_outer_iters caps the passes per window.  Every operation is
+    row-wise, so row r is bit-identical to a batch of one on drivers[r].
+    Returns the (rows, n_steps + 1) arrays x, m, i.
 
     A row that fails (non-finite driving path, max/min or outer iteration
-    above tolerance) leaves the block too; when every row is done, the
-    failure of the lowest failing row is raised with ``path`` = that row.
+    above tolerance) is dropped from the later windows; when every row is
+    done, the failure of the lowest failing row is raised with ``path`` =
+    that row.  A failed outer iteration carries its window's change history.
     """
     alpha, beta = params.alpha, params.beta
-    inc = np.ascontiguousarray(drivers, dtype=float)
-    rows = len(inc)
-    x = np.full((rows, cfg.n_steps + 1), cfg.x0_seed_value / (1.0 - alpha))
-    m = np.empty_like(x)
-    i = np.empty_like(x)
-    history = np.empty((cfg.picard_outer_iters, rows))
+    rows, n = drivers.shape
+    x = np.empty((rows, n + 1))
+    x[:, 0] = cfg.x0_seed_value / (1.0 - alpha - beta)
+    m, i = x.copy(), x.copy()
+    a_end = np.full(rows, float(cfg.x0_seed_value))  # each row's a_s
+    alive = np.ones(rows, dtype=bool)
     failures = {}
-    live = np.arange(rows)
-    x_live = x
     sigma_c, b_c = model.constant_value("sigma"), model.constant_value("b")
-    for k in range(cfg.picard_outer_iters):
-        a = np.empty_like(x_live)
-        a[:, 0] = 0.0
-        sig = np.asarray(model.sigma(x_live[:, :-1])) if sigma_c is None else sigma_c
-        drift = np.asarray(model.b(x_live[:, :-1])) if b_c is None else b_c
-        np.cumsum(sig * inc + drift * cfg.dt, axis=1, out=a[:, 1:])
-        a += cfg.x0_seed_value
-        finite = np.isfinite(a)
-        ok = finite.all(axis=1)
-        for r in np.flatnonzero(~ok):
-            step, path = int(np.argmin(finite[r])), int(live[r])
-            failures[path] = SimulationAborted(
-                f"non-finite driving path on chunk path {path} in outer iteration at step {step}", step=step, path=path
+    for s in range(0, n, _PICARD_WINDOW):
+        e = min(s + _PICARD_WINDOW, n)
+        live = np.flatnonzero(alive)
+        x_live = np.repeat(x[live, s : s + 1], e - s + 1, axis=1)  # column 0 is the fixed X_s
+        m_live = np.repeat(m[live, s : s + 1], e - s, axis=1)
+        inc_live = np.asarray(drivers[live, s:e], dtype=float)
+        history = np.empty((cfg.picard_outer_iters, rows))
+        for k in range(cfg.picard_outer_iters):
+            sig = np.asarray(model.sigma(x_live[:, :-1])) if sigma_c is None else sigma_c
+            drift = np.asarray(model.b(x_live[:, :-1])) if b_c is None else b_c
+            a = np.cumsum(sig * inc_live + drift * cfg.dt, axis=1)
+            a += a_end[live, None]
+            # a cumulative sum stays non-finite, so the last column names every failing row
+            ok = np.isfinite(a[:, -1])
+            if not ok.all():
+                for r in (~ok).nonzero()[0]:
+                    step, path = s + 1 + int(np.argmin(np.isfinite(a[r]))), int(live[r])
+                    failures[path] = SimulationAborted(
+                        f"non-finite driving path on chunk path {path} in outer iteration at step {step}",
+                        step=step,
+                        path=path,
+                    )
+                live, x_live, m_live, inc_live, a = (v[ok] for v in (live, x_live, m_live, inc_live, a))
+            floors = ((1.0 - alpha) * m[live, s], (beta - 1.0) * i[live, s])
+            m_live, i_live, sweeps, sweep_history = max_min_rows(a, alpha, beta, m_init=m_live, floors=floors)
+            stuck = sweeps == 0
+            for r in stuck.nonzero()[0]:
+                failures[int(live[r])] = no_convergence(sweep_history[:, r], DEFAULT_TOL, path=int(live[r]))
+            x_next = a + alpha * m_live + beta * i_live
+            change = np.maximum.reduce(np.abs(x_next - x_live[:, 1:]), axis=1)
+            history[k, live] = change
+            done = (change <= cfg.fixed_point_tol) & ~stuck
+            if done.any():
+                fixed = live[done]
+                x[fixed, s + 1 : e + 1], m[fixed, s + 1 : e + 1], i[fixed, s + 1 : e + 1] = (
+                    x_next[done], m_live[done], i_live[done]
+                )
+                a_end[fixed] = a[done, -1]
+            left = ~(done | stuck)
+            if not left.all():
+                live, x_live, m_live, inc_live, x_next = (v[left] for v in (live, x_live, m_live, inc_live, x_next))
+            if not len(live):
+                break
+            x_live[:, 1:] = x_next
+        for path in live.tolist():
+            failures[path] = NoConvergenceError(
+                f"outer iteration on chunk path {path} above tol={cfg.fixed_point_tol} on steps {s + 1}..{e} "
+                f"after {cfg.picard_outer_iters} passes (last change {history[-1, path]:.3e})",
+                history[:, path].tolist(),
+                path=path,
             )
-        if not ok.all():
-            live, x_live, inc, a = live[ok], x_live[ok], inc[ok], a[ok]
-        m_live, i_live, sweeps, sweep_history = max_min_rows(a, alpha, beta)
-        stuck = sweeps == 0
-        for r in np.flatnonzero(stuck):
-            failures[int(live[r])] = no_convergence(sweep_history[:, r], DEFAULT_TOL, path=int(live[r]))
-        x_next = a + alpha * m_live + beta * i_live
-        change = np.max(np.abs(x_next - x_live), axis=1)
-        history[k, live] = change
-        done = (change <= cfg.fixed_point_tol) & ~stuck
-        if done.any():
-            x[live[done]], m[live[done]], i[live[done]] = x_next[done], m_live[done], i_live[done]
-        left = ~(done | stuck)
-        if not left.all():
-            live, x_next, inc = live[left], x_next[left], inc[left]
-        x_live = x_next
-        if not len(live):
-            break
-    for path in live.tolist():
-        failures[path] = NoConvergenceError(
-            f"outer iteration on chunk path {path} above tol={cfg.fixed_point_tol} after "
-            f"{cfg.picard_outer_iters} passes (last change {history[-1, path]:.3e})",
-            history[:, path].tolist(),
-            path=path,
-        )
+        alive[list(failures)] = False
     if failures:
         raise failures[min(failures)]
     return x, m, i
@@ -496,7 +519,11 @@ def simulate_picard(
     cfg: SimConfig,
     increments: np.ndarray | None = None,
 ) -> Path:
-    """Outer fixed-point iteration over whole paths: the Picard kernel on a batch of one."""
+    """Outer fixed-point iteration, window by window: the Picard kernel on a batch of one.
+
+    cfg.picard_outer_iters caps the passes of each window; a failure is
+    that of ``picard_chunk`` on the one row, with ``path`` = 0.
+    """
     if increments is None:
         increments = brownian_driver(cfg.n_steps, cfg.horizon, cfg.rng_seed)
     increments = np.asarray(increments, dtype=float)

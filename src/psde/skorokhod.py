@@ -13,7 +13,9 @@ earliest index (running maxima of arrays do this naturally).
 
 ``max_min_rows`` is the only implementation of the iteration: it sweeps a
 (rows, n+1) block of driving paths along the last axis, and each row stops
-at its own tolerance.  ``solve_max_min`` is a batch of one.
+at its own tolerance.  The identities couple each time only to its past, so
+floors that carry a prefix's extremes let it solve a path piece by piece.
+``solve_max_min`` is a batch of one.
 """
 
 from __future__ import annotations
@@ -63,11 +65,19 @@ class MaxMinSolution:
         return a.values + params.alpha * self.m_path + params.beta * self.i_path
 
 
-def _sweep(av: np.ndarray, m: np.ndarray, alpha: float, beta: float) -> np.ndarray:
+def _running_max(v: np.ndarray, floor: np.ndarray) -> np.ndarray:
+    # running max along the last axis of max(floor, v_0), v_1, ...; v is a
+    # temporary, so its first column takes the floor in place
+    np.maximum(v[..., 0], floor, out=v[..., 0])
+    return np.maximum.accumulate(v, axis=-1)
+
+
+def _sweep(av: np.ndarray, m: np.ndarray, alpha: float, beta: float, bounds: np.ndarray) -> np.ndarray:
     # One Gauss-Seidel sweep of the M self-map along the last axis: the inner
-    # running max is the (beta-1)*I candidate built from the current M iterate.
-    inner = np.maximum.accumulate(-av - alpha * m, axis=-1)
-    return np.maximum.accumulate(av + beta / (beta - 1.0) * inner, axis=-1) / (1.0 - alpha)
+    # running max is the (beta-1)*I candidate built from the current M iterate,
+    # and bounds holds the rows' (hi, lo) floors.
+    inner = _running_max(-av - alpha * m, bounds[1])
+    return _running_max(av + beta / (beta - 1.0) * inner, bounds[0]) / (1.0 - alpha)
 
 
 def max_min_rows(
@@ -77,15 +87,23 @@ def max_min_rows(
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
     m_init: np.ndarray | None = None,
+    floors: tuple = (-np.inf, -np.inf),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Iterate the M self-map on every row of a (rows, n+1) block of driving paths.
 
-    Each row starts from M == its a_0 (or its row of ``m_init``) and stops
-    sweeping at the first sweep whose sup-norm residual is within ``tol``;
-    a stopped row is never swept again, so its arithmetic, iterate and
-    residuals do not depend on the other rows of the block.  A row that
-    never stops keeps its iterate after ``max_iter`` sweeps.  I is
+    Each row starts from M == its a_0 (or its row of ``m_init``, a warm
+    start) and stops sweeping at the first sweep whose sup-norm residual is
+    within ``tol``; a stopped row is never swept again, so its arithmetic,
+    iterate and residuals do not depend on the other rows of the block.  A
+    row that never stops keeps its iterate after ``max_iter`` sweeps.  I is
     recovered from the (beta-1)*I identity with each row's final M.
+
+    ``floors`` = (hi, lo), scalars or one value per row, continue a path
+    whose prefix the block does not hold: with the prefix's extremes,
+    hi = (1-alpha)*M_s and lo = (beta-1)*I_s, the running maxima behind
+    (1-alpha)*M and (beta-1)*I start from them, and the block's columns
+    solve the whole path's system after s.  The default floors of -inf
+    change no bit.
 
     Returns (m, i, sweeps, history): sweeps[r] is the number of sweeps row r
     took, 0 if it was still above ``tol`` after ``max_iter``, and
@@ -94,13 +112,15 @@ def max_min_rows(
     fails to converge; see :func:`no_convergence`.
     """
     m = np.repeat(av[:, :1], av.shape[1], axis=1) if m_init is None else np.array(m_init, dtype=float)
+    bounds = np.empty((2, len(av)))
+    bounds[0], bounds[1] = floors
     sweeps = np.zeros(len(av), dtype=int)
     history = np.empty((max_iter, len(av)))
     live = np.arange(len(av))
-    a_live, m_live = av, m
+    a_live, m_live, bounds_live = av, m, bounds
     for k in range(max_iter):
-        m_next = _sweep(a_live, m_live, alpha, beta)
-        residual = np.max(np.abs(m_next - m_live), axis=-1)
+        m_next = _sweep(a_live, m_live, alpha, beta, bounds_live)
+        residual = np.maximum.reduce(np.abs(m_next - m_live), axis=-1)
         history[k, live] = residual
         m_live = m_next
         done = residual <= tol
@@ -108,11 +128,11 @@ def max_min_rows(
             m[live[done]] = m_live[done]
             sweeps[live[done]] = k + 1
             left = ~done
-            live, a_live, m_live = live[left], a_live[left], m_live[left]
+            live, a_live, m_live, bounds_live = live[left], a_live[left], m_live[left], bounds_live[:, left]
         if not len(live):
             break
     m[live] = m_live
-    i = np.maximum.accumulate(-av - alpha * m, axis=-1) / (beta - 1.0)
+    i = _running_max(-av - alpha * m, bounds[1]) / (beta - 1.0)
     return m, i, sweeps, history
 
 

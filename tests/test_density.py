@@ -246,8 +246,8 @@ def test_picard_ensemble_failure_names_its_ensemble_path(generic_model, monkeypa
 def test_benchmark_workload_block_shapes(monkeypatch):
     # at n_steps = 1000 the fewest-equal-blocks rule gives the blocks that the
     # benchmark workloads ran in 20 000-path chunks: ensemble-law 5 x 10 000,
-    # ensemble-generic 4 x 10 000, picard 15 x 32 + 20, pathwise's
-    # positivity one block of 100
+    # ensemble-generic 4 x 10 000, pathwise's positivity one block of 100;
+    # picard's 256 KB hold 163 rows of one 200-step window, so 4 x 125
     blocks = []
 
     def recording(model, cfg, n_paths, kernel, row_bytes, budget):
@@ -264,7 +264,7 @@ def test_benchmark_workload_block_shapes(monkeypatch):
     picard = dataclasses.replace(c, scheme=psde.Scheme.PICARD)
     psde.generate_ensemble(generic, psde.validate_params(0.4, 0.3), picard, 500)
     psde.terminal_h_norms(generic, psde.validate_params(0.4, 0.3), c, 100)
-    assert blocks == [[10_000] * 5, [10_000] * 4, [32] * 15 + [20], [100]]
+    assert blocks == [[10_000] * 5, [10_000] * 4, [125] * 4, [100]]
 
 
 def test_reference_alpha_zero_is_gaussian():

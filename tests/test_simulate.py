@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 
 import psde
 from psde import Scheme, SimConfig
-from psde.simulate import ensemble_block_rows, path_drivers, per_step_terminal_chunk, picard_chunk
+from psde.simulate import _PICARD_WINDOW, path_drivers, per_step_terminal_chunk, picard_chunk
+from psde.skorokhod import max_min_rows
 
 
 def cfg(n_steps=200, seed=0, x0=0.0, horizon=1.0, **kw):
@@ -17,6 +18,14 @@ def cfg(n_steps=200, seed=0, x0=0.0, horizon=1.0, **kw):
 
 @pytest.mark.parametrize("field, value", [("picard_outer_iters", 0), ("fixed_point_tol", 0.0), ("fixed_point_tol", -1.0)])
 def test_config_rejects_picard_settings_that_cannot_run(field, value):
+    with pytest.raises(ValueError, match=field):
+        cfg(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "field, value", [("horizon", math.nan), ("horizon", math.inf), ("horizon", 0.0), ("x0", math.nan), ("x0", -math.inf)]
+)
+def test_config_rejects_non_finite_grid_and_seed_value(field, value):
     with pytest.raises(ValueError, match=field):
         cfg(**{field: value})
 
@@ -217,22 +226,98 @@ def test_picard_matches_per_step(generic_model):
         assert np.max(np.abs(a.x - b.x)) <= 100.0 * c.fixed_point_tol
 
 
-def test_picard_kernel_rows_match_batch_of_one(generic_model):
-    # 35 rows at n = 1000 exceed the ensemble's 32-row Picard block, so the
-    # ensemble runs them as two blocks
+def test_picard_kernel_rows_match_batch_of_one(generic_model, monkeypatch):
+    # n = 2L + 3 crosses two window boundaries, and a 3-row block budget runs
+    # the ensemble's 7 paths as blocks of 3, 3 and 1
     p = psde.validate_params(0.4, 0.3)
-    c = cfg(n_steps=1000, seed=31, x0=0.5, scheme=Scheme.PICARD)
-    row_bytes, budget = 8 * (c.n_steps + 1), psde.density._PICARD_BLOCK_BYTES
-    rows = budget // row_bytes + 3
-    assert ensemble_block_rows(rows, row_bytes, budget) < rows
-    drivers = path_drivers(c, 0, rows)
+    c = cfg(n_steps=2 * _PICARD_WINDOW + 3, seed=31, x0=0.5, scheme=Scheme.PICARD)
+    drivers = path_drivers(c, 0, 7)
     x, m, i = picard_chunk(generic_model, p, c, drivers)
-    for r in range(rows):
+    for r in range(7):
         one = psde.simulate_picard(generic_model, p, c, drivers[r])
         for got, want in zip((x[r], m[r], i[r]), (one.x, one.m, one.i)):
             assert got.tobytes() == want.tobytes()
-    e = psde.generate_ensemble(generic_model, p, c, rows)
-    assert e.terminal_values.tobytes() == x[:, -1].tobytes()
+    monkeypatch.setattr(psde.density, "_PICARD_BLOCK_BYTES", 3 * 8 * (_PICARD_WINDOW + 1))
+    for threads in ("1", "2"):
+        monkeypatch.setenv("PSDE_THREADS", threads)
+        e = psde.generate_ensemble(generic_model, p, c, 7)
+        assert e.terminal_values.tobytes() == x[:, -1].tobytes()
+
+
+def _reference_picard(model, params, cfg, drivers):
+    """The Picard scheme by whole-path passes: x, m, i of every row.
+
+    Each pass freezes sigma and b along the previous iterate of the whole
+    path (at first the constant x/(1-alpha)), sums the driving path from
+    a_0 = x and solves its max/min system; a row stops at its own
+    cfg.fixed_point_tol.
+    """
+    alpha, beta = params.alpha, params.beta
+    inc = np.asarray(drivers, dtype=float)
+    x = np.full((len(inc), cfg.n_steps + 1), cfg.x0_seed_value / (1.0 - alpha))
+    out = [np.empty_like(x) for _ in range(3)]
+    live = np.arange(len(inc))
+    for _ in range(cfg.picard_outer_iters):
+        a = np.empty_like(x)
+        a[:, 0] = 0.0
+        sig, drift = np.asarray(model.sigma(x[:, :-1])), np.asarray(model.b(x[:, :-1]))
+        np.cumsum(sig * inc[live] + drift * cfg.dt, axis=1, out=a[:, 1:])
+        a += cfg.x0_seed_value
+        m, i, sweeps, _ = max_min_rows(a, alpha, beta)
+        assert sweeps.all()
+        x_next = a + alpha * m + beta * i
+        done = np.max(np.abs(x_next - x), axis=1) <= cfg.fixed_point_tol
+        for o, v in zip(out, (x_next, m, i)):
+            o[live[done]] = v[done]
+        live, x = live[~done], x_next[~done]
+        if not len(live):
+            return tuple(out)
+    raise AssertionError(f"rows {live} above tol after {cfg.picard_outer_iters} passes")
+
+
+@pytest.mark.parametrize("n", [1, _PICARD_WINDOW - 1, _PICARD_WINDOW, _PICARD_WINDOW + 1, 2 * _PICARD_WINDOW + 3, 1000])
+@pytest.mark.parametrize(
+    "name,alpha,beta,x0",
+    [
+        ("unit", 0.4, 0.3, 0.0),
+        ("smooth-generic", 0.4, 0.3, 0.5),
+        ("additive-sine", 0.3, -0.4, -0.3),
+        ("multiplicative-sine", -0.5, 0.4, 0.25),
+    ],
+)
+def test_windowed_picard_matches_whole_path_passes(name, alpha, beta, x0, n):
+    # both find the one discrete fixed point, each to the outer tolerance
+    model = psde.named_model(name)
+    p = psde.validate_params(alpha, beta)
+    c = cfg(n_steps=n, seed=n, x0=x0, scheme=Scheme.PICARD)
+    drivers = path_drivers(c, 0, 4)
+    for got, want in zip(picard_chunk(model, p, c, drivers), _reference_picard(model, p, c, drivers)):
+        assert np.max(np.abs(got - want)) <= 100.0 * c.fixed_point_tol
+
+
+def test_picard_failure_past_the_first_window(generic_model, monkeypatch):
+    # 13 passes per window leave path 14 of seed 0 above tol = 1e-10 on its
+    # second window; the report names that window and carries its history
+    p = psde.validate_params(0.4, 0.3)
+    c = cfg(n_steps=2 * _PICARD_WINDOW + 3, seed=0, x0=0.5, scheme=Scheme.PICARD, picard_outer_iters=13)
+    window = f"on steps {_PICARD_WINDOW + 1}..{2 * _PICARD_WINDOW} after 13 passes"
+    monkeypatch.setattr(psde.density, "_PICARD_BLOCK_BYTES", 4 * 8 * (_PICARD_WINDOW + 1))
+    monkeypatch.setenv("PSDE_THREADS", "2")
+    with pytest.raises(psde.NoConvergenceError) as whole:
+        psde.generate_ensemble(generic_model, p, c, 20)
+    assert whole.value.path == 14
+    assert window in str(whole.value) and str(whole.value).endswith("(ensemble path 14)")
+    psde.generate_ensemble(generic_model, p, c, 14)  # the paths before it converge
+    with pytest.raises(psde.NoConvergenceError) as alone:
+        psde.simulate_picard(generic_model, p, dataclasses.replace(c, rng_seed=psde.path_seed(0, 14)))
+    assert alone.value.path == 0 and window in str(alone.value)
+    assert alone.value.history == whole.value.history and len(alone.value.history) == 13
+    # a non-finite driver past the first window aborts at its grid step
+    drivers = path_drivers(c, 0, 3)
+    drivers[1, _PICARD_WINDOW + 50] = np.nan
+    with pytest.raises(psde.SimulationAborted) as aborted:
+        picard_chunk(generic_model, p, dataclasses.replace(c, picard_outer_iters=50), drivers)
+    assert (aborted.value.path, aborted.value.step) == (1, _PICARD_WINDOW + 51)
 
 
 def test_picard_no_convergence_raises(generic_model):

@@ -146,6 +146,60 @@ def test_rows_match_batch_of_one(alpha, beta, rows, n, tol, seed):
         assert one.i_path.tobytes() == i[r].tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(min_value=-2.0, max_value=0.9),
+    beta=st.floats(min_value=-2.0, max_value=0.9),
+    n=st.integers(min_value=1, max_value=80),
+    cut=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_prefix_floors_continue_the_whole_path(alpha, beta, n, cut, seed):
+    # the system is causal: [0, s] solved alone, then (s, n] from the
+    # prefix's extremes (1-alpha)*M_s and (beta-1)*I_s, solves the whole path
+    try:
+        params = psde.validate_params(alpha, beta)
+    except psde.ParameterRejection:
+        assume(False)
+    assume(abs(params.rho) <= 0.9)
+    av = np.cumsum(np.random.default_rng(seed).standard_normal((3, n + 1)), axis=1)
+    s = min(int(cut * n), n - 1)
+    tol = 1e-13
+    m, i, sweeps, _ = max_min_rows(av, alpha, beta, tol, 2000)
+    m_pre, i_pre, pre_sweeps, _ = max_min_rows(av[:, : s + 1], alpha, beta, tol, 2000)
+    floors = ((1.0 - alpha) * m_pre[:, -1], (beta - 1.0) * i_pre[:, -1])
+    m_post, i_post, post_sweeps, _ = max_min_rows(av[:, s + 1 :], alpha, beta, tol, 2000, floors=floors)
+    assert sweeps.all() and pre_sweeps.all() and post_sweeps.all()
+    bound = 100.0 * tol * (1.0 + float(np.max(np.abs(av))))
+    assert np.max(np.abs(np.concatenate((m_pre, m_post), axis=1) - m)) <= bound
+    assert np.max(np.abs(np.concatenate((i_pre, i_post), axis=1) - i)) <= bound
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alpha=st.floats(min_value=-2.0, max_value=0.9),
+    beta=st.floats(min_value=-2.0, max_value=0.9),
+    n=st.integers(min_value=0, max_value=80),
+    sweeps=st.integers(min_value=1, max_value=30),
+    seed=st.integers(min_value=0, max_value=10_000),
+)
+def test_infinite_floors_are_the_unfloored_sweep(alpha, beta, n, sweeps, seed):
+    # floors of -inf, scalar or per row, give the plain running maxima bit for bit
+    try:
+        psde.validate_params(alpha, beta)
+    except psde.ParameterRejection:
+        assume(False)
+    av = np.cumsum(np.random.default_rng(seed).standard_normal((2, n + 1)), axis=1)
+    m = np.repeat(av[:, :1], n + 1, axis=1)
+    for _ in range(sweeps):
+        inner = np.maximum.accumulate(-av - alpha * m, axis=-1)
+        m = np.maximum.accumulate(av + beta / (beta - 1.0) * inner, axis=-1) / (1.0 - alpha)
+    i = np.maximum.accumulate(-av - alpha * m, axis=-1) / (beta - 1.0)
+    for floors in ((-np.inf, -np.inf), (np.full(2, -np.inf), -np.inf)):
+        got_m, got_i, _, _ = max_min_rows(av, alpha, beta, 0.0, sweeps, floors=floors)
+        assert got_m.tobytes() == m.tobytes() and got_i.tobytes() == i.tobytes()
+
+
 def test_refinement_idempotence():
     # inserting interpolated points leaves shared-time values unchanged as
     # long as the inserted values are absorbed by the extremes of the next
