@@ -36,8 +36,6 @@ from .malliavin import (
     h_norm,
     h_norm_profile,
     positivity_report,
-    running_argmax,
-    running_argmin,
     scheme_tangent,
     terminal_h_norms,
 )
@@ -74,6 +72,8 @@ from .simulate import (
     path_seed,
     refine_increments,
     refinement_ladder,
+    running_argmax,
+    running_argmin,
     simulate,
     simulate_per_step,
     simulate_picard,

@@ -64,13 +64,14 @@ def write_json_report(path, payload: dict, config_fingerprint: str) -> dict:
 
 
 def path_rows(path_obj):
+    w = path_obj.w  # derived from the increments on every read, so read once
     for k in range(len(path_obj.grid)):
         yield (
             float(path_obj.grid[k]),
             float(path_obj.x[k]),
             float(path_obj.m[k]),
             float(path_obj.i[k]),
-            float(path_obj.w[k]),
+            float(w[k]),
         )
 
 

@@ -6,7 +6,10 @@ published schema (unknown keys and non-finite numbers are errors);
 ``--seed``, ``--paths``, ``--steps`` and ``--out`` override the
 corresponding config entries.  Every override but ``--out`` is folded into
 the config before it is checked, so it enters the config fingerprint that
-each report embeds.  ``density`` needs ``analysis.n_paths`` >= 1.
+each report embeds.  ``density`` needs ``analysis.n_paths`` >= 1, and
+terminal values with some spread when ``analysis.bandwidth`` is "auto";
+``picard-compare`` and ``lamperti-check`` need a refinement ladder that
+``check_ladder`` accepts.  Such rejections come before any output.
 
 Exit codes: 0 success, 2 validation rejection, 3 numerical failure,
 4 I/O error.  Failures emit a machine-readable JSON object on stderr.
@@ -42,7 +45,7 @@ from .params import (
     smoothness_constant,
     validate_params,
 )
-from .simulate import Scheme, SimConfig, refinement_ladder, simulate, simulate_per_step, simulate_picard
+from .simulate import Scheme, SimConfig, check_ladder, refinement_ladder, simulate, simulate_per_step, simulate_picard
 
 EXIT_OK = 0
 EXIT_REJECTED = 2
@@ -254,6 +257,17 @@ def _context(args) -> _Run:
     return _Run(model, params, sim_cfg, analysis, out_dir, fingerprint(identity))
 
 
+def _refinements(run: _Run) -> int:
+    """analysis.refinements, rejected (exit 2) before any work when
+    ``check_ladder`` refuses its ladder on sim.n_steps."""
+    n_levels = run.analysis.get("refinements", 3)
+    try:
+        check_ladder(run.sim.n_steps, n_levels)
+    except ValueError as exc:
+        raise _CliFailure(EXIT_REJECTED, "ConfigError", f"analysis.refinements = {n_levels}: {exc}") from exc
+    return n_levels
+
+
 def cmd_validate(run: _Run):
     model, params = run.model, run.params
     horizon = smooth_density_horizon(params.alpha, params.beta, model.b_prime_sup)
@@ -311,7 +325,7 @@ def cmd_simulate(run: _Run):
 
 def cmd_picard_compare(run: _Run):
     rows = []
-    for level_cfg, inc in refinement_ladder(run.sim, run.analysis.get("refinements", 3)):
+    for level_cfg, inc in refinement_ladder(run.sim, _refinements(run)):
         a = simulate_per_step(run.model, run.params, level_cfg, inc)
         b = simulate_picard(run.model, run.params, level_cfg, inc)
         rows.append((level_cfg.n_steps, level_cfg.dt, float(np.max(np.abs(a.x - b.x)))))
@@ -357,10 +371,9 @@ def cmd_malliavin(run: _Run):
     if field is not None:
         write_field_csv(out_dir / "field.csv", field)
         artifacts.append("field.csv")
-    dt = float(path.grid[1] - path.grid[0])  # the field's dt
     checks = []
     for (r_lo, r_hi), fd in zip(windows, finite_differences):
-        fv = malliavin_mod.directional_from_column(terminal, dt, r_lo, r_hi)
+        fv = malliavin_mod.directional_from_column(terminal, path.dt, r_lo, r_hi)
         denom = max(abs(fd.value), 1e-300)
         checks.append(
             {
@@ -389,12 +402,17 @@ def cmd_density(run: _Run):
     if n_paths < 1:
         raise _CliFailure(EXIT_REJECTED, "ConfigError", f"density needs analysis.n_paths >= 1, got {n_paths}")
     ensemble = density_mod.generate_ensemble(model, params, sim_cfg, n_paths)
+    try:
+        est = density_mod.kde(ensemble, analysis.get("bandwidth", "auto"))
+    except ValueError as exc:
+        # the schema admits only "auto" or a number > 0, and "auto" is 0 only without spread
+        message = 'analysis.bandwidth = "auto" is 0 on terminal values that are all equal; give a number > 0'
+        raise _CliFailure(EXIT_REJECTED, "ConfigError", message) from exc
     write_csv(
         out_dir / "ensemble.csv",
         ["terminal_value"],
         ((float(v),) for v in ensemble.terminal_values),
     )
-    est = density_mod.kde(ensemble, analysis.get("bandwidth", "auto"))
     write_csv(
         out_dir / "kde.csv",
         ["v", "density"],
@@ -440,7 +458,7 @@ def cmd_density(run: _Run):
 
 def cmd_lamperti_check(run: _Run):
     report = lamperti_mod.pathwise_reduction_check(
-        run.model, run.params, run.sim, n_refinements=run.analysis.get("refinements", 3)
+        run.model, run.params, run.sim, n_refinements=_refinements(run)
     )
     transform = report.transform
     write_csv(

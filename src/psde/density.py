@@ -37,10 +37,13 @@ _SQRT1_2 = math.sqrt(0.5)
 
 @dataclass(frozen=True)
 class Ensemble:
-    """Seeded collection of terminal values at a common time."""
+    """Seeded collection of terminal values at a common time; n_paths is their count."""
 
     terminal_values: np.ndarray
-    n_paths: int
+
+    @property
+    def n_paths(self) -> int:
+        return len(self.terminal_values)
 
 
 class LawKind(enum.Enum):
@@ -85,7 +88,7 @@ def generate_ensemble(
 
         row_bytes, budget = 8 * (min(cfg.n_steps, _PICARD_WINDOW) + 1), _PICARD_BLOCK_BYTES
     values = run_ensemble(model, cfg, n_paths, kernel, row_bytes, budget)
-    return Ensemble(values, n_paths)
+    return Ensemble(values)
 
 
 def _ndtr(a) -> np.ndarray:

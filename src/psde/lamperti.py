@@ -222,8 +222,11 @@ class ReductionReport:
 
     levels: tuple
     commutation_exact: bool
-    anchor: float
     transform: Transform = field(repr=False, compare=False)
+
+    @property
+    def anchor(self) -> float:
+        return self.transform.anchor
 
     def to_dict(self) -> dict:
         return {
@@ -271,5 +274,5 @@ def pathwise_reduction_check(
             ReductionLevel(n_steps=level_cfg.n_steps, dt=level_cfg.dt, sup_discrepancy=gap)
         )
     return ReductionReport(
-        levels=tuple(levels), commutation_exact=commutation, anchor=x0, transform=transform
+        levels=tuple(levels), commutation_exact=commutation, transform=transform
     )

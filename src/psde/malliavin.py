@@ -29,9 +29,14 @@ Glasserman 2006).  :func:`terminal_h_norms` runs it on the paths of an
 ensemble through the block runner ``run_ensemble`` of :mod:`psde.simulate`,
 as the density's ensembles run, in O(block * n) memory.  Its values are
 bit-identical for any block budget, thread count and batch of one, and
-agree with the forward field's to 1e-12 relative (the sums run in another
-order).  The same sweep gives :func:`scheme_tangent`, the exact derivative
-of the discrete scheme's X_T in each driver increment.
+agree with the forward field's to 1e-12 relative (the sweep builds the
+column in another order).  The same sweep gives :func:`scheme_tangent`, the
+exact derivative of the discrete scheme's X_T in each driver increment.
+
+Every reader of the H-norm quadrature h[k] = dt * sum_{j<k} d[j,k]^2
+(:func:`h_norm`, :func:`h_norm_profile`, :func:`field_profile` and
+:func:`terminal_h_norms`) sums it in row order, j = 0, 1, ..., k-1, by
+``np.add.accumulate``, so the same column gives the same value bit for bit.
 """
 
 from __future__ import annotations
@@ -53,12 +58,12 @@ from .simulate import (
     per_step_terminal_chunk,
     run_ensemble,
     running_argmax,
-    running_argmin,
 )
 
 MAX_FIELD_STEPS = 4096
-# a terminal_h_norms block peaks at ~8.3 (n+1, rows) arrays, its drivers
-# included (tracemalloc on smooth-generic at n = 1000)
+# a terminal_h_norms block peaks at ~7.3 (n+1, rows) arrays, its drivers
+# included (tracemalloc on smooth-generic at n = 1000); the count cancels
+# out of ensemble_block_rows against the budget, which sets 128 rows
 _H_NORM_ROW_ARRAYS = 9
 _H_NORM_BLOCK_BYTES = _H_NORM_ROW_ARRAYS * 8 * 1001 * 128  # 128 rows at n = 1000, ~8.8 MB
 
@@ -70,11 +75,11 @@ class DerivativeField:
     grid: np.ndarray
     d: np.ndarray
     argmax_idx: np.ndarray
-    argmin_idx: np.ndarray
 
     @property
     def dt(self) -> float:
-        return float(self.grid[1] - self.grid[0])
+        """The horizon grid[-1] over the step count, as ``Path.dt``."""
+        return float(self.grid[-1] / self.n_steps)
 
     @property
     def n_steps(self) -> int:
@@ -227,14 +232,18 @@ def _terminal_h_norms(
     model: CoefficientModel,
     params: PerturbationParams,
 ) -> np.ndarray:
-    """dt * sum_{j<n} d[j, n]^2 per path of an (n+1, batch) trajectory block."""
+    """dt * sum_{j<n} d[j, n]^2 per path of an (n+1, batch) trajectory block.
+
+    Each path's column is summed down its rows in place, in :func:`h_norm`'s
+    row order: an axis-0 ``np.sum`` would sum a one-path block pairwise.
+    """
     n = x.shape[0] - 1
     sig, adj = _terminal_adjoint(x, dw, dt, model, params)
     terminal = np.multiply(sig, adj[:-1], out=sig)
     if not np.all(np.isfinite(terminal)):
         raise FloatingPointError("non-finite entries in derivative field")
-    rows = np.ascontiguousarray(terminal[:n].T)  # per-path sums in h_norm's order
-    return np.sum(rows * rows, axis=1) * dt
+    sq = np.multiply(terminal[:n], terminal[:n], out=terminal[:n])
+    return np.add.accumulate(sq, axis=0, out=sq)[-1] * dt
 
 
 def derivative_field(path: Path, model: CoefficientModel, params: PerturbationParams) -> DerivativeField:
@@ -247,30 +256,33 @@ def derivative_field(path: Path, model: CoefficientModel, params: PerturbationPa
     n = len(x) - 1
     if n > MAX_FIELD_STEPS:
         raise ValueError(f"full field restricted to n <= {MAX_FIELD_STEPS} steps, got {n}")
-    dt = float(path.grid[1] - path.grid[0])
     d = np.zeros((n + 1, n + 1))
-    for k, col in enumerate(_columns(x, np.diff(path.w), dt, model, params)):
+    for k, col in enumerate(_columns(x, path.dw, path.dt, model, params)):
         d[: k + 1, k] = col
     if not np.all(np.isfinite(d)):
         raise FloatingPointError("non-finite entries in derivative field")
-    return DerivativeField(
-        grid=path.grid, d=d, argmax_idx=running_argmax(x), argmin_idx=running_argmin(x)
-    )
+    return DerivativeField(grid=path.grid, d=d, argmax_idx=running_argmax(x))
 
 
 def h_norm(field: DerivativeField, k: int) -> float:
-    """||D X_{t_k}||_H^2 ~ dt * sum_{j<k} d[j,k]^2 (left-point in r)."""
+    """||D X_{t_k}||_H^2 ~ dt * sum_{j<k} d[j,k]^2 (left-point in r), summed in row order."""
     if not 0 <= k <= field.n_steps:
         raise ValueError(f"k={k} outside grid with {field.n_steps} steps")
+    if not k:
+        return 0.0
     col = field.d[:k, k]
-    return float(np.sum(col * col)) * field.dt
+    return float(np.add.accumulate(col * col)[-1]) * field.dt
 
 
 def h_norm_profile(field: DerivativeField) -> np.ndarray:
-    """H-norm quadrature at every grid time, h[k] = dt * sum_{j<k} d[j,k]^2."""
-    sq = field.d * field.d
-    diag = np.diagonal(sq)
-    return (sq.sum(axis=0) - diag) * field.dt
+    """H-norm quadrature at every grid time, h[k] = dt * sum_{j<k} d[j,k]^2.
+
+    Column k of the strict upper triangle is summed down its rows, so h[k]
+    is ``h_norm(field, k)`` bit for bit: the zeros below row k-1 add nothing.
+    """
+    sq = np.triu(field.d, 1)
+    np.multiply(sq, sq, out=sq)
+    return np.add.accumulate(sq, axis=0, out=sq)[-1] * field.dt
 
 
 def field_profile(
@@ -280,19 +292,19 @@ def field_profile(
 
     The forward recursion, in O(n) memory and without the
     :data:`MAX_FIELD_STEPS` cap; both arrays equal those read off
-    ``derivative_field(path, ...)`` bit for bit.  Raises FloatingPointError
-    wherever that field would: a non-finite entry feeds its row's running
-    source, which then stays non-finite, so it reaches the terminal column.
+    ``derivative_field(path, ...)`` bit for bit; h[k] is the running sum of
+    column k's rows 0..k-1, in :func:`h_norm`'s order.  Raises
+    FloatingPointError wherever that field would: a non-finite entry feeds
+    its row's running source, which then stays non-finite, so it reaches the
+    terminal column.
     """
     x = path.x
-    dt = float(path.grid[1] - path.grid[0])
-    profile = np.empty(len(x))
+    profile = np.zeros(len(x))
     sq, sums = np.empty(len(x)), np.empty(len(x))
-    for k, col in enumerate(_columns(x, np.diff(path.w), dt, model, params)):
-        # a sequential sum down rows 0..k, as h_norm_profile's axis-0 sum
-        # adds them; np.sum over one column would sum pairwise
-        np.add.accumulate(np.multiply(col, col, out=sq[: k + 1]), out=sums[: k + 1])
-        profile[k] = (sums[k] - sq[k]) * dt
+    for k, col in enumerate(_columns(x, path.dw, path.dt, model, params)):
+        if k:
+            np.add.accumulate(np.multiply(col[:k], col[:k], out=sq[:k]), out=sums[:k])
+            profile[k] = sums[k - 1] * path.dt
     if not np.all(np.isfinite(col)):
         raise FloatingPointError("non-finite entries in derivative field")
     return profile, col
@@ -311,21 +323,20 @@ def terminal_h_norms(
     kernel and one backward sweep for the terminal column, in O(rows * n)
     work and memory, so :data:`MAX_FIELD_STEPS` does not apply.  Values are
     bit-identical for any block budget, any PSDE_THREADS and a batch of one
-    on the path's own driver.  The sweep sums the column in another order
+    on the path's own driver.  The sweep builds the column in another order
     than the forward recursion, so a value agrees with
-    ``h_norm(derivative_field(path), n)`` to 1e-12 relative, not bit
-    for bit.  Raises FloatingPointError on a non-finite terminal column,
-    before the bound check.
+    ``h_norm(derivative_field(path), n)`` to 1e-12 relative, not bit for
+    bit; the quadrature over the column is h_norm's.  The sweep reads the
+    drivers the kernel consumed, as a path's ``dw`` holds them.  Raises
+    FloatingPointError on a non-finite terminal column, before the bound
+    check.
     """
     n = cfg.n_steps
-    grid = cfg.grid()
-    dt = float(grid[1] - grid[0])  # the field's dt, as in h_norm
 
     def kernel(drivers):
         x = np.empty((n + 1, len(drivers)))
         _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, drivers, x)
-        dw = np.diff(np.cumsum(drivers.T, axis=0), axis=0, prepend=0.0)  # np.diff(path.w) of each path
-        return _terminal_h_norms(x, dw, dt, model, params), lo, hi
+        return _terminal_h_norms(x, drivers.T, cfg.dt, model, params), lo, hi
 
     return run_ensemble(model, cfg, n_paths, kernel, _H_NORM_ROW_ARRAYS * 8 * (n + 1), _H_NORM_BLOCK_BYTES)
 
@@ -340,8 +351,7 @@ def scheme_tangent(path: Path, model: CoefficientModel, params: PerturbationPara
     dt * (sum over a window's steps) is the eps -> 0 limit of
     ``cameron_martin_directional``'s quotient for that window.
     """
-    dt = float(path.grid[1] - path.grid[0])
-    sig, adj = _terminal_adjoint(path.x[:, None], np.diff(path.w)[:, None], dt, model, params)
+    sig, adj = _terminal_adjoint(path.x[:, None], path.dw[:, None], path.dt, model, params)
     return sig[:-1, 0] * adj[1:-1, 0]
 
 

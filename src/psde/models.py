@@ -103,7 +103,6 @@ class Coefficient:
 
     f: Callable[[np.ndarray], np.ndarray]
     f_prime: Callable[[np.ndarray], np.ndarray]
-    lipschitz: float
     prime_sup: float
     inf_abs: float
     spec: dict = field(default_factory=dict)
@@ -121,7 +120,6 @@ class CoefficientModel:
     sigma: Callable[[np.ndarray], np.ndarray]
     b_prime: Callable[[np.ndarray], np.ndarray]
     sigma_prime: Callable[[np.ndarray], np.ndarray]
-    lipschitz_k: float
     b_prime_sup: float
     sigma_prime_sup: float
     sigma_inf: float
@@ -160,11 +158,15 @@ class CoefficientModel:
         return spec["value"] if spec.get("kind") == "constant" else None
 
     def describe(self) -> dict:
-        """JSON-serializable description used in artifact fingerprints."""
+        """JSON-serializable description used in artifact fingerprints.
+
+        ``lipschitz_k`` is the larger derivative bound, the Lipschitz
+        constant of a coefficient pair with bounded derivatives.
+        """
         return {
             "name": self.name,
             "spec": self.spec,
-            "lipschitz_k": self.lipschitz_k,
+            "lipschitz_k": max(self.b_prime_sup, self.sigma_prime_sup),
             "b_prime_sup": self.b_prime_sup,
             "sigma_prime_sup": self.sigma_prime_sup,
             "sigma_inf": self.sigma_inf,
@@ -180,7 +182,7 @@ def constant(value: float) -> Coefficient:
     def f_prime(x):
         return np.zeros(np.shape(np.asarray(x)))
 
-    return Coefficient(f, f_prime, 0.0, 0.0, abs(value), {"kind": "constant", "value": value})
+    return Coefficient(f, f_prime, 0.0, abs(value), {"kind": "constant", "value": value})
 
 
 def affine_clipped(slope: float, intercept: float, lo: float, hi: float) -> Coefficient:
@@ -200,7 +202,6 @@ def affine_clipped(slope: float, intercept: float, lo: float, hi: float) -> Coef
     return Coefficient(
         f,
         f_prime,
-        abs(slope),
         abs(slope),
         inf_abs,
         {"kind": "affine_clipped", "slope": slope, "intercept": intercept, "lo": lo, "hi": hi},
@@ -222,7 +223,6 @@ def sinusoidal(offset: float, amplitude: float, frequency: float = 1.0, phase: f
     return Coefficient(
         f,
         f_prime,
-        lip,
         lip,
         inf_abs,
         {
@@ -254,7 +254,6 @@ def logistic(lo: float, hi: float, rate: float, center: float = 0.0) -> Coeffici
     return Coefficient(
         f,
         f_prime,
-        lip,
         lip,
         inf_abs,
         {"kind": "logistic", "lo": lo, "hi": hi, "rate": rate, "center": center},
@@ -306,7 +305,6 @@ def tabulated(xs, ys) -> Coefficient:
         f,
         f_prime,
         prime_sup,
-        prime_sup,
         inf_abs,
         {"kind": "tabulated", "xs": xs.tolist(), "ys": ys.tolist()},
     )
@@ -336,7 +334,6 @@ def make_model(b: Coefficient, sigma: Coefficient, name: str = "custom") -> Coef
         sigma=sigma.f,
         b_prime=b.f_prime,
         sigma_prime=sigma.f_prime,
-        lipschitz_k=max(b.lipschitz, sigma.lipschitz),
         b_prime_sup=b.prime_sup,
         sigma_prime_sup=sigma.prime_sup,
         sigma_inf=sigma.inf_abs,

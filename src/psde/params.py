@@ -32,11 +32,14 @@ RHO_BOUNDARY_GUARD = 1e-12
 
 @dataclass(frozen=True)
 class PerturbationParams:
-    """An accepted shape-parameter pair with its compound parameter rho."""
+    """An accepted shape-parameter pair; its compound parameter rho is derived."""
 
     alpha: float
     beta: float
-    rho: float
+
+    @property
+    def rho(self) -> float:
+        return rho_of(self.alpha, self.beta)
 
 
 @dataclass(frozen=True)
@@ -77,7 +80,7 @@ def validate_params(alpha: float, beta: float) -> PerturbationParams:
             "REJECT_RHO",
             f"rho={rho!r} for (alpha={alpha}, beta={beta}) must satisfy |rho| < 1",
         )
-    return PerturbationParams(alpha=alpha, beta=beta, rho=rho)
+    return PerturbationParams(alpha=alpha, beta=beta)
 
 
 def smoothness_constant(t: float, alpha: float, beta: float, b_prime_sup: float) -> float:
@@ -140,17 +143,18 @@ def hnorm_lower_bound(
     beta: float,
     b_prime_sup: float,
 ) -> float:
-    """Additive-noise lower bound on ||DX_s||_H^2 for 0 < s <= t.
+    """Additive-noise lower bound on ||DX_s||_H^2 for 0 <= s <= t.
 
         (1 - C(t, alpha, beta, b)) * sigma^2 * s^2
         -------------------------------------------
         2 * (1 + 3*||b'||^2 s^2 + 3*(alpha^2+beta^2))
 
-    When C(t) >= 1 the bound is vacuous: a flagged 0.0 is returned (with a
+    At s = 0 the bound is 0.0, as X_0 is deterministic.  When C(t) >= 1
+    the bound is vacuous: a flagged 0.0 is returned (with a
     :class:`BoundVacuousWarning`), never an exception.
     """
-    if not 0.0 < s <= t:
-        raise ValueError(f"need 0 < s <= t, got s={s}, t={t}")
+    if not 0.0 <= s <= t:
+        raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
     c = smoothness_constant(t, alpha, beta, b_prime_sup)
     if c >= 1.0:
         warnings.warn(

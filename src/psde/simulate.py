@@ -91,23 +91,36 @@ class SimConfig:
 
 @dataclass(frozen=True)
 class Path:
-    """A sample path with its running extremes and Brownian driver values."""
+    """A sample path with its running extremes and the increments that drove it.
+
+    ``dw`` is the path's own copy of the n driver increments its kernel
+    consumed, the one source of the driver: the Brownian values ``w`` and
+    the step ``dt`` are derived from the record.
+    """
 
     grid: np.ndarray
     x: np.ndarray
     m: np.ndarray
     i: np.ndarray
-    w: np.ndarray
+    dw: np.ndarray
+
+    @property
+    def w(self) -> np.ndarray:
+        """Brownian values on the grid, 0 and then the running sums of dw; a new array per read."""
+        return np.concatenate(([0.0], np.cumsum(self.dw)))
+
+    @property
+    def dt(self) -> float:
+        """The horizon grid[-1] over the step count: ``SimConfig.dt`` bit for bit."""
+        return float(self.grid[-1] / len(self.dw))
 
 
 def path_residual(path: Path, model: CoefficientModel, params: PerturbationParams) -> np.ndarray:
     """x[k+1]-x[k] - sigma(x[k])dW - b(x[k])dt - alpha*dm - beta*di per step."""
-    dt = path.grid[1] - path.grid[0]
-    dw = np.diff(path.w)
     return (
         np.diff(path.x)
-        - np.asarray(model.sigma(path.x[:-1])) * dw
-        - np.asarray(model.b(path.x[:-1])) * dt
+        - np.asarray(model.sigma(path.x[:-1])) * path.dw
+        - np.asarray(model.b(path.x[:-1])) * path.dt
         - params.alpha * np.diff(path.m)
         - params.beta * np.diff(path.i)
     )
@@ -119,6 +132,11 @@ _BRIDGE_TAG = 1
 _BLOCK_BYTES = 1 << 20  # one block of normals stays in L2
 _BLOCK_ROWS = 128
 _PICARD_WINDOW = 200  # steps per causal window of picard_chunk, chosen by measurement
+# steps of a refinement ladder's finest level, 1 048 576: a picard-compare
+# ladder peaked at ~165 bytes and a lamperti-check ladder at ~440 per finest
+# step (tracemalloc, smooth-generic, finest level 16 384, the latter mostly
+# its fixed tabulation), so a ladder at the cap stays under 0.5 GB
+MAX_LADDER_STEPS = 1 << 20
 
 
 def path_seed(master_seed: int, path_index: int) -> int:
@@ -209,6 +227,17 @@ def refine_increments(increments: np.ndarray, horizon: float, seed: int) -> np.n
     return out
 
 
+def check_ladder(n_steps: int, n_levels: int) -> None:
+    """ValueError unless n_levels halvings of n_steps steps end at most at
+    :data:`MAX_LADDER_STEPS` steps, n_steps * 2**(n_levels - 1), read when called."""
+    # 2**(n_levels - 1) <= cap // n_steps, without forming the power of a huge n_levels
+    if n_levels - 1 >= (MAX_LADDER_STEPS // n_steps).bit_length():
+        raise ValueError(
+            f"{n_levels} levels on {n_steps} steps pass MAX_LADDER_STEPS = {MAX_LADDER_STEPS} "
+            f"steps at the finest level"
+        )
+
+
 def refinement_ladder(cfg: SimConfig, n_levels: int) -> list[tuple[SimConfig, np.ndarray]]:
     """(config, increments) of n_levels resolutions of one Brownian path.
 
@@ -216,10 +245,12 @@ def refinement_ladder(cfg: SimConfig, n_levels: int) -> list[tuple[SimConfig, np
     bridge midpoints on seed ``path_seed(cfg.rng_seed, l)``, so cfg.rng_seed
     must be a master seed, below 2**64 (ValueError otherwise, even for one
     level).  To refine ensemble path p, pass its driver to
-    ``refine_increments`` with seeds of your own choosing.
+    ``refine_increments`` with seeds of your own choosing.  A ladder that
+    ``check_ladder`` refuses raises its ValueError before anything is drawn.
     """
     if not 0 <= cfg.rng_seed <= _MASK64:
         raise ValueError(f"refinement_ladder needs a master seed below 2**64, got {cfg.rng_seed}")
+    check_ladder(cfg.n_steps, n_levels)
     levels = [(cfg, brownian_driver(cfg.n_steps, cfg.horizon, cfg.rng_seed))]
     for level in range(1, n_levels):
         level_cfg, increments = levels[-1]
@@ -358,13 +389,12 @@ def simulate_per_step(
     """
     if increments is None:
         increments = brownian_driver(cfg.n_steps, cfg.horizon, cfg.rng_seed)
-    increments = np.asarray(increments, dtype=float)
+    dw = np.array(increments, dtype=float)  # the path's own copy of what the kernel reads
     x = np.empty((cfg.n_steps + 1, 1))
-    _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, increments[None, :], x)
+    _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, dw[None, :], x)
     model.check_bounds(lo, hi)
     x = x.reshape(-1)
-    w = np.concatenate(([0.0], np.cumsum(increments)))
-    return Path(grid=cfg.grid(), x=x, m=x[running_argmax(x)], i=x[running_argmin(x)], w=w)
+    return Path(grid=cfg.grid(), x=x, m=x[running_argmax(x)], i=x[running_argmin(x)], dw=dw)
 
 
 def ensemble_block_rows(n_rows: int, row_bytes: int, budget: int) -> int:
@@ -526,11 +556,10 @@ def simulate_picard(
     """
     if increments is None:
         increments = brownian_driver(cfg.n_steps, cfg.horizon, cfg.rng_seed)
-    increments = np.asarray(increments, dtype=float)
-    x, m, i = picard_chunk(model, params, cfg, increments[None, :])
+    dw = np.array(increments, dtype=float)  # the path's own copy of what the kernel reads
+    x, m, i = picard_chunk(model, params, cfg, dw[None, :])
     model.check_bounds(float(np.min(x)), float(np.max(x)))
-    w = np.concatenate(([0.0], np.cumsum(increments)))
-    return Path(grid=cfg.grid(), x=x[0], m=m[0], i=i[0], w=w)
+    return Path(grid=cfg.grid(), x=x[0], m=m[0], i=i[0], dw=dw)
 
 
 def simulate(

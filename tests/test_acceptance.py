@@ -228,8 +228,7 @@ def _field_h_profiles(model, params, cfg, n_paths, chunk_size=128):
         _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, drivers, trajectories)
         model.check_bounds(lo, hi)
         for p, (x, increments) in enumerate(zip(trajectories.T.copy(), drivers), start):
-            w = np.concatenate(([0.0], np.cumsum(increments)))
-            path = psde.Path(grid=grid, x=x, m=x[running_argmax(x)], i=x[running_argmin(x)], w=w)
+            path = psde.Path(grid=grid, x=x, m=x[running_argmax(x)], i=x[running_argmin(x)], dw=increments)
             field = psde.derivative_field(path, model, params)
             profiles[p] = psde.h_norm_profile(field)
             worst_old[p] = _worst_old_time(field, profiles[p])

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import importlib
 import io
 import json
 import math
@@ -12,7 +13,7 @@ import pytest
 
 import psde
 from psde import artifacts
-from psde.cli import CONFIG_SCHEMA, _check_schema, _CliFailure, main
+from psde.cli import CONFIG_SCHEMA, _check_schema, _CliFailure, _context, build_parser, main
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -76,6 +77,15 @@ def test_constants_report_t0(tmp_path, capsys):
     assert report["t0"] == pytest.approx(0.057191, abs=1e-6)
     assert report["threshold_ok"] is True
     assert (tmp_path / "out" / "constants.csv").exists()
+
+
+def test_constants_at_time_zero(tmp_path):
+    # the schema admits t = 0, where the H-norm lower bound is 0
+    cfgp = write_config(tmp_path, params={"alpha": 0.1, "beta": 0.0}, analysis={"t_values": [0.0, 0.5]})
+    assert main(["constants", "--config", str(cfgp), "--quiet"]) == 0
+    rows = list(csv.reader(io.StringIO((tmp_path / "out" / "constants.csv").read_text())))
+    assert rows[1][0] == rows[1][2] == "0"
+    assert float(rows[2][2]) > 0.0
 
 
 COMMANDS = ("validate", "constants", "simulate", "picard-compare", "malliavin", "density", "lamperti-check")
@@ -301,6 +311,8 @@ def test_paths_override_enters_fingerprint(tmp_path):
         ("density", {}, ["--paths", "0"], "ConfigError"),
         # 150 windows on a 100-step grid do not map to grid steps
         ("malliavin", {"n_paths": 10, "n_intervals": 150}, [], "ConfigError"),
+        # one terminal value has no spread, so bandwidth "auto" would be 0
+        ("density", {"n_paths": 1}, [], "ConfigError"),
     ],
 )
 def test_rejection_writes_nothing(tmp_path, capsys, command, analysis, extra, error):
@@ -308,6 +320,34 @@ def test_rejection_writes_nothing(tmp_path, capsys, command, analysis, extra, er
     assert main([command, "--config", str(cfgp), "--quiet", *extra]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == error
     assert not (tmp_path / "out").exists()
+
+
+def test_density_without_spread_asks_for_a_bandwidth(tmp_path, capsys):
+    # sigma = b = 0 leaves all 10 terminal values at x0, where "auto" would
+    # be 0: nothing is written and the message names the key; a number runs
+    still = {"b": {"kind": "constant", "value": 0.0}, "sigma": {"kind": "constant", "value": 0.0}}
+    cfgp = write_config(tmp_path, model=still, analysis={"n_paths": 10})
+    assert main(["density", "--config", str(cfgp), "--quiet"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "analysis.bandwidth" in err["message"]
+    assert not (tmp_path / "out").exists()
+    cfgp = write_config(tmp_path, model=still, analysis={"n_paths": 10, "bandwidth": 0.1})
+    assert main(["density", "--config", str(cfgp), "--quiet"]) == 0
+
+
+@pytest.mark.parametrize("command", ["picard-compare", "lamperti-check"])
+def test_refinement_ladder_cap(tmp_path, capsys, monkeypatch, command):
+    # 100 steps halved twice reach a cap of 400; a third halving is refused
+    # before any work, naming the key, and writes nothing
+    monkeypatch.setattr(importlib.import_module("psde.simulate"), "MAX_LADDER_STEPS", 400)
+    generic = {"model": {"preset": "smooth-generic"}, "params": {"alpha": 0.3, "beta": -0.2}}
+    cfgp = write_config(tmp_path, **generic, analysis={"refinements": 4})
+    assert main([command, "--config", str(cfgp), "--quiet"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and "analysis.refinements" in err["message"]
+    assert not (tmp_path / "out").exists()
+    cfgp = write_config(tmp_path, **generic, analysis={"refinements": 3})
+    assert main([command, "--config", str(cfgp), "--quiet"]) == 0
 
 
 def test_field_cap_applies_only_to_export(tmp_path, capsys, monkeypatch):
@@ -517,3 +557,41 @@ def test_example_config_fingerprint(tmp_path, command, report, expected):
     # field would change every report's fingerprint
     assert main([command, "--config", str(EXAMPLE_CONFIG), "--out", str(tmp_path), "--quiet"]) == 0
     assert json.loads((tmp_path / report).read_text())["config_fingerprint"] == expected
+
+
+# a record field that is dropped or derived must leave every key of the
+# fingerprinted descriptions, and every path.csv byte, as they were
+PINNED_FINGERPRINTS = {
+    "unit": ({"preset": "unit"}, "1f768b359f541244"),
+    "additive-sine": ({"preset": "additive-sine"}, "39b69b27496e8cb1"),
+    "smooth-generic": ({"preset": "smooth-generic"}, "aff34b0f50692e25"),
+    "multiplicative-sine": ({"preset": "multiplicative-sine"}, "ea8907f39fc0c985"),
+    "tabulated": (
+        {
+            "b": {"kind": "sinusoidal", "offset": 0.0, "amplitude": 0.5},
+            "sigma": {"kind": "tabulated", "xs": [-3.0, -1.0, 0.5, 3.0], "ys": [0.5, 1.5, 1.0, 2.0]},
+        },
+        "6fc957417268e9d3",
+    ),
+    "config": (
+        {
+            "b": {"kind": "affine_clipped", "slope": -0.5, "intercept": 0.1, "lo": -1.0, "hi": 1.0},
+            "sigma": {"kind": "logistic", "lo": 0.5, "hi": 2.0, "rate": 1.0},
+        },
+        "47507fd88c89c73b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_FINGERPRINTS))
+def test_config_fingerprints_pinned(tmp_path, name):
+    model, expected = PINNED_FINGERPRINTS[name]
+    cfgp = write_config(tmp_path, model=model)
+    assert _context(build_parser().parse_args(["simulate", "--config", str(cfgp)])).fingerprint == expected
+
+
+def test_path_csv_pinned(tmp_path):
+    cfgp = write_config(tmp_path, model={"preset": "smooth-generic"}, params={"alpha": 0.3, "beta": -0.2}, sim={"n_steps": 200})
+    assert main(["simulate", "--config", str(cfgp), "--quiet"]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "path.csv").read_bytes()).hexdigest()
+    assert digest == "46161d48ef20eb78866e0d8845076deef4869ea2b68818d2f13f5e5454bb3bf4"

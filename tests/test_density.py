@@ -97,7 +97,6 @@ def edge_model():
         psde.Coefficient(
             f=lambda x: np.exp(np.asarray(x, dtype=float) * 200.0) * 1e-300,
             f_prime=lambda x: np.zeros(np.shape(np.asarray(x))),
-            lipschitz=0.0,
             prime_sup=0.0,
             inf_abs=0.0,
             spec={"kind": "test-edge"},
@@ -267,6 +266,14 @@ def test_benchmark_workload_block_shapes(monkeypatch):
     assert blocks == [[10_000] * 5, [10_000] * 4, [125] * 4, [100]]
 
 
+def test_ensemble_counts_its_values():
+    # n_paths is the number of values, so the KDE has unit mass and KS sees every value
+    e = psde.Ensemble(np.array([0.1, 0.4, 1.3]))
+    assert e.n_paths == 3
+    assert psde.kde(e).integral() == pytest.approx(1.0, abs=1e-5)
+    assert psde.ks_test(e, psde.reference_gaussian(0.5, 1.0)).n == 3
+
+
 def test_reference_alpha_zero_is_gaussian():
     law = psde.reference_singly_perturbed(0.0, 1.0)
     g = psde.reference_gaussian(0.0, 1.0)
@@ -304,7 +311,7 @@ def test_fine_grid_ensemble_matches_reference(unit_model):
 
 
 def test_atom_scan_degenerate_detects_atom():
-    e = psde.Ensemble(np.full(10_000, 1.25), 10_000)
+    e = psde.Ensemble(np.full(10_000, 1.25))
     scan = psde.atom_scan(e, 0.01)
     assert scan.max_mass == 1.0
     assert abs(scan.location - 1.25) <= 0.01
@@ -376,7 +383,7 @@ def test_kde_rejects_empty(unit_model):
     with pytest.raises(ValueError):
         psde.kde(e)
     with pytest.raises(ValueError):
-        psde.kde(psde.Ensemble(np.array([1.0]), 1), grid=np.empty(0))
+        psde.kde(psde.Ensemble(np.array([1.0])), grid=np.empty(0))
 
 
 def test_ks_gaussian_calibration(unit_model):
@@ -398,7 +405,7 @@ def test_ks_power_against_wrong_variance(unit_model):
 
 
 def test_ks_single_observation_low_power():
-    e = psde.Ensemble(np.array([0.3]), 1)
+    e = psde.Ensemble(np.array([0.3]))
     r = psde.ks_test(e, psde.reference_gaussian(0.0, 1.0))
     assert r.low_power
     assert 0.0 <= r.statistic <= 1.0

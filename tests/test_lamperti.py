@@ -15,7 +15,6 @@ def reciprocal_sine_model():
             f_prime=lambda x: -0.5
             * np.cos(np.asarray(x, dtype=float))
             / (1.0 + 0.5 * np.sin(np.asarray(x, dtype=float))) ** 2,
-            lipschitz=2.0,
             prime_sup=2.0,
             inf_abs=2.0 / 3.0,
             spec={"kind": "reciprocal-sine"},
@@ -145,7 +144,6 @@ def test_reduced_drift_declares_exact_bounds(name):
     zs = np.linspace(tr.g_nodes[0], tr.g_nodes[-1], 200_001)
     reached = float(np.max(np.abs(coef.f_prime(zs))))
     assert coef.prime_sup * (1.0 - 1e-6) <= reached <= coef.prime_sup + 1e-12
-    assert coef.lipschitz == coef.prime_sup
     # both reduced drifts change sign on the table, so inf |b_tilde| is 0
     signs = np.sign(tr.b_tilde(tr.g(np.array([-2.0, 0.0, 2.0]))))
     assert signs.min() < 0.0 < signs.max()

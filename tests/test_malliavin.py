@@ -233,7 +233,7 @@ def test_terminal_h_norms_match_batch_of_one(name, alpha, beta):
     for q in range(7):
         path = psde.simulate_per_step(model, p, dataclasses.replace(c, rng_seed=psde.path_seed(c.rng_seed, q)))
         dt = float(path.grid[1] - path.grid[0])
-        one = _terminal_h_norms(path.x[:, None], np.diff(path.w)[:, None], dt, model, p)
+        one = _terminal_h_norms(path.x[:, None], path.dw[:, None], dt, model, p)
         assert one.tobytes() == batched[q : q + 1].tobytes()
 
 
@@ -252,7 +252,7 @@ def test_adjoint_terminal_column_matches_field(name, alpha, beta, n, seed):
         assume(False)
     model = psde.named_model(name)
     path = psde.simulate_per_step(model, p, cfg(n_steps=n, seed=seed, x0=0.5))
-    x, dw, dt = path.x, np.diff(path.w), float(path.grid[1] - path.grid[0])
+    x, dw, dt = path.x, path.dw, float(path.grid[1] - path.grid[0])
     *_, column = _columns(x, dw, dt, model, p)
     sig, adj = _terminal_adjoint(x[:, None], dw[:, None], dt, model, p)
     assert np.max(np.abs(sig[:, 0] * adj[:-1, 0] - column)) <= 1e-12 * np.max(np.abs(column))
@@ -309,7 +309,7 @@ def reference_field(path, model, p):
     x = path.x
     n = len(x) - 1
     dt = float(path.grid[1] - path.grid[0])
-    dw = np.diff(path.w)
+    dw = path.dw
     sig = np.asarray(model.sigma(x), dtype=float)
     step_weight = np.asarray(model.sigma_prime(x[:-1]), dtype=float) * dw + np.asarray(
         model.b_prime(x[:-1]), dtype=float
@@ -336,8 +336,7 @@ def reference_field(path, model, p):
     return d
 
 
-@pytest.mark.parametrize("n_steps", [1, 2, 64, 300])
-@pytest.mark.parametrize(
+FIELD_CASES = pytest.mark.parametrize(
     "model, alpha, beta",
     [
         (psde.named_model("unit"), 0.5, 0.0),
@@ -350,6 +349,10 @@ def reference_field(path, model, p):
     ],
     ids=["unit", "generic", "additive", "multiplicative", "negzero+", "negzero-"],
 )
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 64, 300])
+@FIELD_CASES
 def test_field_matches_reference_recursion(model, alpha, beta, n_steps):
     p = psde.validate_params(alpha, beta)
     for seed in range(3):
@@ -360,3 +363,17 @@ def test_field_matches_reference_recursion(model, alpha, beta, n_steps):
         profile, terminal = psde.malliavin.field_profile(path, model, p)
         assert profile.tobytes() == psde.h_norm_profile(field).tobytes()
         assert terminal.tobytes() == field.d[:, n_steps].tobytes()
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 64, 300])
+@FIELD_CASES
+def test_h_norm_quadrature_has_one_order(model, alpha, beta, n_steps):
+    # h_norm, h_norm_profile and field_profile sum each column down its rows
+    # in one order, so they agree bit for bit at every grid time
+    p = psde.validate_params(alpha, beta)
+    for seed in range(3):
+        path = psde.simulate_per_step(model, p, cfg(n_steps=n_steps, seed=seed, x0=0.5))
+        field = psde.derivative_field(path, model, p)
+        single = np.array([psde.h_norm(field, k) for k in range(n_steps + 1)])
+        unstored, _ = psde.malliavin.field_profile(path, model, p)
+        assert single.tobytes() == psde.h_norm_profile(field).tobytes() == unstored.tobytes()

@@ -152,6 +152,15 @@ def test_hnorm_lower_bound_vacuous_is_flagged_zero():
         assert psde.hnorm_lower_bound(1.0, 1.0, 1.0, 0.0, 0.0, 2.0) == 0.0
 
 
+def test_hnorm_lower_bound_at_time_zero():
+    # X_0 is deterministic, so the bound at s = 0 is 0; s outside [0, t] is refused
+    assert psde.hnorm_lower_bound(0.0, 0.5, 1.0, 0.1, 0.0, 0.0) == 0.0
+    assert psde.hnorm_lower_bound(0.0, 0.0, 1.0, 0.1, 0.0, 0.0) == 0.0
+    for s, t in ((-0.1, 0.5), (0.6, 0.5)):
+        with pytest.raises(ValueError):
+            psde.hnorm_lower_bound(s, t, 1.0, 0.1, 0.0, 0.0)
+
+
 def test_running_max_lower_bound_value():
     want = 0.01 / (2.0 * (1.0 + 3.0 * (1e-4 + 0.005)))
     got = psde.hnorm_running_max_lower_bound(0.01, 1.0, 0.05, 0.05, 1.0)

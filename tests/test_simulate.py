@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 import math
 
 import numpy as np
@@ -10,6 +11,8 @@ import psde
 from psde import Scheme, SimConfig
 from psde.simulate import _PICARD_WINDOW, path_drivers, per_step_terminal_chunk, picard_chunk
 from psde.skorokhod import max_min_rows
+
+SIMULATE = importlib.import_module("psde.simulate")  # psde.simulate is the function
 
 
 def cfg(n_steps=200, seed=0, x0=0.0, horizon=1.0, **kw):
@@ -74,6 +77,21 @@ def test_refinement_ladder_refines_one_path():
     assert np.array_equal(ladder[2][1], psde.refine_increments(ladder[1][1], 1.0, psde.path_seed(4, 2)))
 
 
+def test_refinement_ladder_cap_refuses_before_drawing(monkeypatch):
+    # a finest level past MAX_LADDER_STEPS is refused before any driver is
+    # drawn, whatever the number of levels; a finest level at the cap runs
+    monkeypatch.setattr(SIMULATE, "MAX_LADDER_STEPS", 200)
+    assert [c.n_steps for c, _ in psde.refinement_ladder(cfg(n_steps=50, seed=4), 3)] == [50, 100, 200]
+
+    def no_draws(*args):
+        raise AssertionError("a driver was drawn")
+
+    monkeypatch.setattr(SIMULATE, "brownian_driver", no_draws)
+    for n_steps, n_levels in ((50, 4), (201, 1), (50, 10**18)):
+        with pytest.raises(ValueError, match="MAX_LADDER_STEPS"):
+            psde.refinement_ladder(cfg(n_steps=n_steps, seed=4), n_levels)
+
+
 def test_ladder_and_ensemble_drivers_need_a_master_seed():
     # a per-path seed has a driver of its own, but no ensemble and no ladder
     c = cfg(n_steps=8, seed=psde.path_seed(4, 1))
@@ -115,6 +133,30 @@ def test_ensembles_on_different_seeds_draw_different_drivers():
     for a in range(4):
         for b in range(a + 1, 4):
             assert not np.array_equal(multisets[a], multisets[b])
+
+
+@pytest.mark.parametrize("scheme, kernel, position", [(Scheme.PER_STEP, "per_step_terminal_chunk", 4), (Scheme.PICARD, "picard_chunk", 3)])
+def test_path_keeps_the_increments_it_consumed(generic_model, monkeypatch, scheme, kernel, position):
+    # dw is the path's own copy of the drivers its kernel read, bit for bit,
+    # drawn or given; w and dt are derived from it
+    consumed = []
+    original = getattr(SIMULATE, kernel)
+
+    def recording(*args):
+        consumed.append(args[position][0].copy())
+        return original(*args)
+
+    monkeypatch.setattr(SIMULATE, kernel, recording)
+    p = psde.validate_params(0.3, -0.2)
+    c = cfg(n_steps=300, seed=6, x0=0.5, scheme=scheme)
+    given = psde.refine_increments(psde.brownian_driver(150, 1.0, 3), 1.0, 4)
+    drawn = psde.simulate(generic_model, p, c)
+    kept = psde.simulate(generic_model, p, c, given)
+    assert drawn.dw.tobytes() == consumed[0].tobytes() == psde.brownian_driver(300, 1.0, 6).tobytes()
+    assert kept.dw.tobytes() == consumed[1].tobytes() == given.tobytes()
+    assert not np.shares_memory(kept.dw, given)
+    assert kept.dt == c.dt
+    assert kept.w.tobytes() == np.concatenate(([0.0], np.cumsum(given))).tobytes()
 
 
 def test_unperturbed_path_is_driver(unit_model):
@@ -340,7 +382,6 @@ def test_overflow_aborts():
         psde.Coefficient(
             f=lambda x: np.exp(np.asarray(x, dtype=float) * 200.0) * 1e300,
             f_prime=lambda x: np.zeros(np.shape(np.asarray(x))),
-            lipschitz=0.0,
             prime_sup=0.0,
             inf_abs=0.0,
             spec={"kind": "test-blowup"},
@@ -360,8 +401,7 @@ def test_declared_bound_violation_detected():
         psde.Coefficient(
             f=lambda x: np.sin(np.asarray(x, dtype=float)) * 5.0,
             f_prime=lambda x: np.cos(np.asarray(x, dtype=float)) * 5.0,
-            lipschitz=0.1,  # declared far below the true slope
-            prime_sup=0.1,
+            prime_sup=0.1,  # declared far below the true slope
             inf_abs=0.0,
             spec={"kind": "test-lying"},
         ),
