@@ -64,6 +64,7 @@ def write_json_report(path, payload: dict, config_fingerprint: str) -> dict:
 
 
 def path_rows(path_obj):
+    """Rows (t, x, m, i, w) of a simulated path, one per grid point."""
     w = path_obj.w  # derived from the increments on every read, so read once
     for k in range(len(path_obj.grid)):
         yield (
@@ -75,18 +76,9 @@ def path_rows(path_obj):
         )
 
 
-def write_path_csv(file_path, path_obj) -> None:
-    """Path export with columns t, x, m, i, w."""
-    write_csv(file_path, ["t", "x", "m", "i", "w"], path_rows(path_obj))
-
-
-def write_field_csv(file_path, field) -> None:
-    """Derivative-field export as (j, k, d) triples over the occupied triangle."""
-
-    def rows():
-        n = field.n_steps
-        for j in range(n + 1):
-            for k in range(j, n + 1):
-                yield (j, k, float(field.d[j, k]))
-
-    write_csv(file_path, ["j", "k", "d"], rows())
+def field_rows(field):
+    """Rows (j, k, d) of a derivative field over its occupied triangle j <= k."""
+    n = field.n_steps
+    for j in range(n + 1):
+        for k in range(j, n + 1):
+            yield (j, k, float(field.d[j, k]))

@@ -6,10 +6,17 @@ published schema (unknown keys and non-finite numbers are errors);
 ``--seed``, ``--paths``, ``--steps`` and ``--out`` override the
 corresponding config entries.  Every override but ``--out`` is folded into
 the config before it is checked, so it enters the config fingerprint that
-each report embeds.  ``density`` needs ``analysis.n_paths`` >= 1, and
-terminal values with some spread when ``analysis.bandwidth`` is "auto";
-``picard-compare`` and ``lamperti-check`` need a refinement ladder that
-``check_ladder`` accepts.  Such rejections come before any output.
+each report embeds.  ``density`` needs ``analysis.n_paths`` >= 1,
+terminal values with some spread when ``analysis.bandwidth`` is "auto",
+and ``analysis.bin_widths`` wide enough that no atom scan needs more than
+``MAX_ATOM_BINS`` bins; ``picard-compare`` and ``lamperti-check`` need a
+refinement ladder that ``check_ladder`` accepts.  An infinite t0 is
+reported as null.
+
+Each subcommand only computes: it returns its report's name and payload,
+and the files it produces, in order.  ``main`` alone writes those files,
+then the report, whose ``artifacts`` lists them.  A run that exits 2 or 3
+has therefore written nothing.
 
 Exit codes: 0 success, 2 validation rejection, 3 numerical failure,
 4 I/O error.  Failures emit a machine-readable JSON object on stderr.
@@ -19,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path as FsPath
@@ -28,14 +36,7 @@ import numpy as np
 from . import density as density_mod
 from . import lamperti as lamperti_mod
 from . import malliavin as malliavin_mod
-from .artifacts import (
-    __version__,
-    fingerprint,
-    write_csv,
-    write_field_csv,
-    write_json_report,
-    write_path_csv,
-)
+from .artifacts import __version__, field_rows, fingerprint, path_rows, write_csv, write_json_report
 from .errors import NoConvergenceError, ParameterRejection, PathFailure, SigmaNotPositiveError
 from .models import CoefficientModel, coefficient_from_spec, make_model, named_model, tabulated
 from .params import (
@@ -268,6 +269,11 @@ def _refinements(run: _Run) -> int:
     return n_levels
 
 
+def _json_t0(horizon) -> float | None:
+    """t0, or None (JSON null) where it is not finite: RFC 8259 has no Infinity."""
+    return horizon.t0 if math.isfinite(horizon.t0) else None
+
+
 def cmd_validate(run: _Run):
     model, params = run.model, run.params
     horizon = smooth_density_horizon(params.alpha, params.beta, model.b_prime_sup)
@@ -276,11 +282,11 @@ def cmd_validate(run: _Run):
         "alpha": params.alpha,
         "beta": params.beta,
         "rho": params.rho,
-        "t0": horizon.t0,
+        "t0": _json_t0(horizon),
         "t0_unbounded": horizon.t0_unbounded,
         "threshold_ok": horizon.threshold_ok,
         "b_prime_sup": model.b_prime_sup,
-    }
+    }, {}
 
 
 def cmd_constants(run: _Run):
@@ -299,28 +305,24 @@ def cmd_constants(run: _Run):
             else 0.0
         )
         rows.append((float(t), float(c), float(bound)))
-    write_csv(run.out_dir / "constants.csv", ["t", "c_of_t", "hnorm_lower_bound"], rows)
     return "constants.json", {
-        "t0": horizon.t0,
+        "t0": _json_t0(horizon),
         "threshold_ok": horizon.threshold_ok,
         "t0_unbounded": horizon.t0_unbounded,
         "c_at_t0": horizon.c_of_t,
         "rho": params.rho,
-        "artifacts": ["constants.csv"],
-    }
+    }, {"constants.csv": (["t", "c_of_t", "hnorm_lower_bound"], rows)}
 
 
 def cmd_simulate(run: _Run):
     path = simulate(run.model, run.params, run.sim)
-    write_path_csv(run.out_dir / "path.csv", path)
     return "simulate.json", {
         "scheme": run.sim.scheme.value,
         "n_steps": run.sim.n_steps,
         "terminal": float(path.x[-1]),
         "running_max": float(path.m[-1]),
         "running_min": float(path.i[-1]),
-        "artifacts": ["path.csv"],
-    }
+    }, {"path.csv": (["t", "x", "m", "i", "w"], path_rows(path))}
 
 
 def cmd_picard_compare(run: _Run):
@@ -329,48 +331,36 @@ def cmd_picard_compare(run: _Run):
         a = simulate_per_step(run.model, run.params, level_cfg, inc)
         b = simulate_picard(run.model, run.params, level_cfg, inc)
         rows.append((level_cfg.n_steps, level_cfg.dt, float(np.max(np.abs(a.x - b.x)))))
-    write_csv(run.out_dir / "scheme_discrepancy.csv", ["n_steps", "dt", "sup_discrepancy"], rows)
     return "picard_compare.json", {
         "levels": [{"n_steps": r[0], "dt": r[1], "sup_discrepancy": r[2]} for r in rows],
-        "artifacts": ["scheme_discrepancy.csv"],
-    }
+    }, {"scheme_discrepancy.csv": (["n_steps", "dt", "sup_discrepancy"], rows)}
 
 
 def cmd_malliavin(run: _Run):
-    model, params, sim_cfg, analysis, out_dir = run.model, run.params, run.sim, run.analysis, run.out_dir
+    model, params, sim_cfg, analysis = run.model, run.params, run.sim, run.analysis
     n_intervals = analysis.get("n_intervals", 10)
     if n_intervals > sim_cfg.n_steps:  # a window narrower than a step maps to no grid step
         message = f"analysis.n_intervals = {n_intervals} exceeds n_steps = {sim_cfg.n_steps}"
         raise _CliFailure(EXIT_REJECTED, "ConfigError", message)
     path = simulate_per_step(model, params, sim_cfg)
-    field = None
+    files = {}
+    profile, terminal = malliavin_mod.field_profile(path, model, params)
+    files["h_norm.csv"] = (["t", "h_norm"], ((float(path.grid[k]), float(profile[k])) for k in range(len(profile))))
     if analysis.get("export_field", False):  # only field.csv needs the (n+1)^2 field, and its cap
-        field = malliavin_mod.derivative_field(path, model, params)
-        profile, terminal = malliavin_mod.h_norm_profile(field), field.d[:, field.n_steps]
-    else:
-        profile, terminal = malliavin_mod.field_profile(path, model, params)
+        files["field.csv"] = (["j", "k", "d"], field_rows(malliavin_mod.derivative_field(path, model, params)))
     edges = np.linspace(0.0, sim_cfg.horizon, n_intervals + 1).tolist()
     windows = list(zip(edges[:-1], edges[1:]))
     finite_differences = malliavin_mod.cameron_martin_directional(
         model, params, sim_cfg, windows, analysis.get("eps", 1e-4)
     )
     positivity = None
-    artifacts = ["h_norm.csv"]
     n_paths = analysis.get("n_paths", 0)
     if n_paths:
         h_values = malliavin_mod.terminal_h_norms(model, params, sim_cfg, n_paths)
         positivity = malliavin_mod.positivity_report(
             h_values, t=sim_cfg.horizon, sigma_inf=model.sigma_inf
         ).to_dict()
-        write_json_report(out_dir / "positivity.json", dict(positivity), run.fingerprint)
-    write_csv(
-        out_dir / "h_norm.csv",
-        ["t", "h_norm"],
-        ((float(path.grid[k]), float(profile[k])) for k in range(len(profile))),
-    )
-    if field is not None:
-        write_field_csv(out_dir / "field.csv", field)
-        artifacts.append("field.csv")
+        files["positivity.json"] = positivity
     checks = []
     for (r_lo, r_hi), fd in zip(windows, finite_differences):
         fv = malliavin_mod.directional_from_column(terminal, path.dt, r_lo, r_hi)
@@ -385,19 +375,16 @@ def cmd_malliavin(run: _Run):
                 "eps_too_small": fd.eps_too_small,
             }
         )
-    if positivity is not None:
-        artifacts.append("positivity.json")
     return "malliavin.json", {
         "terminal_h_norm": float(profile[-1]),
         "cameron_martin": checks,
         "max_rel_error": max(c["rel_error"] for c in checks),
         "positivity": positivity,
-        "artifacts": artifacts,
-    }
+    }, files
 
 
 def cmd_density(run: _Run):
-    model, params, sim_cfg, analysis, out_dir = run.model, run.params, run.sim, run.analysis, run.out_dir
+    model, params, sim_cfg, analysis = run.model, run.params, run.sim, run.analysis
     n_paths = analysis.get("n_paths", 10_000)
     if n_paths < 1:
         raise _CliFailure(EXIT_REJECTED, "ConfigError", f"density needs analysis.n_paths >= 1, got {n_paths}")
@@ -408,20 +395,11 @@ def cmd_density(run: _Run):
         # the schema admits only "auto" or a number > 0, and "auto" is 0 only without spread
         message = 'analysis.bandwidth = "auto" is 0 on terminal values that are all equal; give a number > 0'
         raise _CliFailure(EXIT_REJECTED, "ConfigError", message) from exc
-    write_csv(
-        out_dir / "ensemble.csv",
-        ["terminal_value"],
-        ((float(v),) for v in ensemble.terminal_values),
-    )
-    write_csv(
-        out_dir / "kde.csv",
-        ["v", "density"],
-        ((float(a), float(b)) for a, b in zip(est.grid, est.density)),
-    )
-    scans = [
-        density_mod.atom_scan(ensemble, w).__dict__
-        for w in analysis.get("bin_widths", [1e-1, 1e-2, 1e-3])
-    ]
+    try:
+        # the schema admits only widths > 0, so a width is refused only for MAX_ATOM_BINS
+        scans = [density_mod.atom_scan(ensemble, w).__dict__ for w in analysis.get("bin_widths", [1e-1, 1e-2, 1e-3])]
+    except ValueError as exc:
+        raise _CliFailure(EXIT_REJECTED, "ConfigError", f"analysis.bin_widths: {exc}") from exc
     ks_payload = None
     is_unit = model.constant_value("b") == 0.0 and model.constant_value("sigma") == 1.0
     if is_unit and params.beta == 0.0:
@@ -452,7 +430,9 @@ def cmd_density(run: _Run):
         "kde_integral": est.integral(),
         "atom_scan": scans,
         "ks": ks_payload,
-        "artifacts": ["ensemble.csv", "kde.csv"],
+    }, {
+        "ensemble.csv": (["terminal_value"], ((float(v),) for v in ensemble.terminal_values)),
+        "kde.csv": (["v", "density"], ((float(a), float(b)) for a, b in zip(est.grid, est.density))),
     }
 
 
@@ -461,12 +441,8 @@ def cmd_lamperti_check(run: _Run):
         run.model, run.params, run.sim, n_refinements=_refinements(run)
     )
     transform = report.transform
-    write_csv(
-        run.out_dir / "transform.csv",
-        ["y", "g"],
-        ((float(a), float(b)) for a, b in zip(transform.nodes, transform.g_nodes)),
-    )
-    return "lamperti.json", {**report.to_dict(), "artifacts": ["transform.csv"]}
+    rows = ((float(a), float(b)) for a, b in zip(transform.nodes, transform.g_nodes))
+    return "lamperti.json", report.to_dict(), {"transform.csv": (["y", "g"], rows)}
 
 
 _COMMANDS = {
@@ -499,7 +475,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run = _context(args)
-        name, payload = _COMMANDS[args.command](run)
+        name, payload, files = _COMMANDS[args.command](run)
+        for file_name, content in files.items():
+            if isinstance(content, dict):
+                write_json_report(run.out_dir / file_name, content, run.fingerprint)
+            else:
+                write_csv(run.out_dir / file_name, *content)
+        if files:
+            payload["artifacts"] = list(files)
         report = write_json_report(run.out_dir / name, payload, run.fingerprint)
         if not args.quiet:
             json.dump(report, sys.stdout, sort_keys=True, indent=2)

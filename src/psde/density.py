@@ -33,6 +33,9 @@ _DRIVER_BLOCK_BYTES = 80 << 20  # one thread's per-step drivers; 64 MB blocks ra
 _PICARD_BLOCK_BYTES = 1 << 18  # one (rows, L+1) window of a Picard iterate stays in L2
 _KDE_BLOCK_BYTES = 1 << 19  # one block of kernel values stays in L2
 _SQRT1_2 = math.sqrt(0.5)
+# bins of one atom scan, 4 194 304: np.histogram peaked at ~33 bytes per bin
+# (tracemalloc, 1M and 4M bins), so a scan at the cap stays near 140 MB
+MAX_ATOM_BINS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -167,7 +170,9 @@ def atom_scan(e: Ensemble, bin_width: float) -> AtomScan:
     """Largest bin mass under a uniform binning of the given width.
 
     Absolute continuity predicts max mass shrinking proportionally with the
-    bin width; an atom pins it away from zero.
+    bin width; an atom pins it away from zero.  Raises ValueError, before
+    histogramming, when the width needs more than :data:`MAX_ATOM_BINS` bins
+    (read when called) to cover the values.
     """
     if e.n_paths < 1:
         raise ValueError("atom scan needs a non-empty ensemble")
@@ -176,7 +181,10 @@ def atom_scan(e: Ensemble, bin_width: float) -> AtomScan:
     v = e.terminal_values
     lo = math.floor(float(np.min(v)) / bin_width) * bin_width
     hi = float(np.max(v))
-    n_bins = max(1, int(math.ceil((hi - lo) / bin_width)) + 1)
+    span = (hi - lo) / bin_width  # inf on overflow, which the test below refuses as well
+    if not span <= MAX_ATOM_BINS - 1:
+        raise ValueError(f"bin width {bin_width!r} needs more than MAX_ATOM_BINS = {MAX_ATOM_BINS} bins")
+    n_bins = max(1, int(math.ceil(span)) + 1)
     counts, edges = np.histogram(v, bins=n_bins, range=(lo, lo + n_bins * bin_width))
     top = int(np.argmax(counts))
     return AtomScan(

@@ -245,18 +245,18 @@ def pathwise_reduction_check(
     """Check G(X) against the additive-noise simulation on shared drivers.
 
     The tabulation range comes from a pilot path padded by
-    RANGE_PAD_STDS * max|sigma| * sqrt(T); refinements reuse the same
-    Brownian path through bridge splitting (:func:`refinement_ladder`).
+    RANGE_PAD_STDS * max|sigma| * sqrt(T), and the transform is anchored at
+    its start X_0; refinements reuse the same Brownian path through bridge
+    splitting (:func:`refinement_ladder`, whose ValueError refuses
+    n_refinements < 1).
     """
-    if n_refinements < 1:
-        raise ValueError("n_refinements must be >= 1")
     ladder = refinement_ladder(cfg, n_refinements)
     pilot = simulate_per_step(model, params, cfg, ladder[0][1])
     sig_max = float(np.max(np.abs(np.asarray(model.sigma(pilot.x)))))
     pad = RANGE_PAD_STDS * sig_max * np.sqrt(cfg.horizon)
     lo = float(np.min(pilot.x)) - pad
     hi = float(np.max(pilot.x)) + pad
-    x0 = cfg.x0_seed_value / (1.0 - params.alpha - params.beta)
+    x0 = float(pilot.x[0])
     transform = build_transform(model, x0, min(lo, x0), max(hi, x0))
     additive = make_model(transform.reduced_drift_coefficient(), constant(1.0), name=f"{model.name}-reduced")
     levels = []

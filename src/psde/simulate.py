@@ -228,8 +228,11 @@ def refine_increments(increments: np.ndarray, horizon: float, seed: int) -> np.n
 
 
 def check_ladder(n_steps: int, n_levels: int) -> None:
-    """ValueError unless n_levels halvings of n_steps steps end at most at
-    :data:`MAX_LADDER_STEPS` steps, n_steps * 2**(n_levels - 1), read when called."""
+    """ValueError unless there is at least one level and n_levels halvings
+    of n_steps steps end at most at :data:`MAX_LADDER_STEPS` steps,
+    n_steps * 2**(n_levels - 1), read when called."""
+    if n_levels < 1:
+        raise ValueError(f"a ladder needs n_levels >= 1, got {n_levels}")
     # 2**(n_levels - 1) <= cap // n_steps, without forming the power of a huge n_levels
     if n_levels - 1 >= (MAX_LADDER_STEPS // n_steps).bit_length():
         raise ValueError(

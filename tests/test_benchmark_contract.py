@@ -48,7 +48,9 @@ def _parameters(fn):
 
 
 def test_tracer_reads_exist():
-    # the tracer's hooks read these arguments by position, at the names it wraps
+    # the tracer's hooks read these arguments by position, at the names it wraps;
+    # every CLI output passes through psde.cli's two writers, their path first
+    assert _parameters(psde.cli.write_csv)[0] == _parameters(psde.cli.write_json_report)[0] == "path"
     assert _parameters(psde.density.per_step_terminal_chunk)[4] == "drivers"
     assert _parameters(psde.malliavin.cameron_martin_directional)[2] == "cfg"
     assert _parameters(psde.density.kde)[0] == "e"

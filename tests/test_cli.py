@@ -313,6 +313,8 @@ def test_paths_override_enters_fingerprint(tmp_path):
         ("malliavin", {"n_paths": 10, "n_intervals": 150}, [], "ConfigError"),
         # one terminal value has no spread, so bandwidth "auto" would be 0
         ("density", {"n_paths": 1}, [], "ConfigError"),
+        # an atom scan at this width would need more than MAX_ATOM_BINS bins
+        ("density", {"bin_widths": [1e-300]}, [], "ConfigError"),
     ],
 )
 def test_rejection_writes_nothing(tmp_path, capsys, command, analysis, extra, error):
@@ -320,6 +322,59 @@ def test_rejection_writes_nothing(tmp_path, capsys, command, analysis, extra, er
     assert main([command, "--config", str(cfgp), "--quiet", *extra]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == error
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command,module,name",
+    [("density", "psde.density", "ks_test"), ("malliavin", "psde.malliavin", "directional_from_column")],
+)
+def test_late_failure_writes_nothing(tmp_path, capsys, monkeypatch, command, module, name):
+    # a numerical failure in a command's last step leaves no output behind
+    def fail(*args, **kwargs):
+        raise FloatingPointError("late failure")
+
+    monkeypatch.setattr(importlib.import_module(module), name, fail)
+    cfgp = write_config(tmp_path, analysis={"n_paths": 50})
+    assert main([command, "--config", str(cfgp), "--quiet"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "FloatingPointError"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_commands_compute_and_main_writes(tmp_path, monkeypatch, command):
+    # a command writes nothing itself; main writes the files it returns, in
+    # order, and the report's artifacts name every other file in the directory
+    cfgp = small_config(tmp_path)
+    run = _context(build_parser().parse_args([command, "--config", str(cfgp)]))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a command wrote a file")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(psde.cli, "write_csv", refuse)
+        patch.setattr(psde.cli, "write_json_report", refuse)
+        name, payload, files = psde.cli._COMMANDS[command](run)
+    assert "artifacts" not in payload
+    assert not (tmp_path / "out").exists()
+    assert main([command, "--config", str(cfgp), "--quiet"]) == 0
+    report = json.loads((tmp_path / "out" / name).read_text())
+    assert report.get("artifacts", []) == list(files)
+    assert sorted(files) == sorted(set(_outputs(tmp_path / "out")) - {name})
+    assert ("artifacts" in report) == (command != "validate")
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_reports_are_strict_json(tmp_path, capsys, command):
+    # b' = 0 makes t0 infinite, which RFC 8259 JSON cannot hold: null in its place
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    cfgp = write_config(tmp_path, params={"alpha": 0.1, "beta": 0.0})
+    assert main([command, "--config", str(cfgp)]) == 0
+    texts = [capsys.readouterr().out] + [p.read_text() for p in sorted((tmp_path / "out").glob("*.json"))]
+    reports = [json.loads(text, parse_constant=refuse) for text in texts]
+    if command in ("validate", "constants"):
+        assert reports[0]["t0"] is None and reports[0]["t0_unbounded"] is True
 
 
 def test_density_without_spread_asks_for_a_bandwidth(tmp_path, capsys):

@@ -328,6 +328,24 @@ def test_atom_scan_gaussian_mass(unit_model):
     assert 5.0 <= wide.max_mass / scan.max_mass <= 15.0
 
 
+def test_atom_scan_bin_cap(monkeypatch):
+    # values over [0, 0.99] at width 0.1 need 11 bins: a cap of 11 scans,
+    # a cap of 10 refuses before any histogram is formed
+    density_mod = importlib.import_module("psde.density")
+    e = psde.Ensemble(np.linspace(0.0, 0.99, 100))
+    monkeypatch.setattr(density_mod, "MAX_ATOM_BINS", 11)
+    assert psde.atom_scan(e, 0.1).n_bins == 11
+
+    def no_histogram(*args, **kwargs):
+        raise AssertionError("a histogram was formed")
+
+    monkeypatch.setattr(density_mod, "MAX_ATOM_BINS", 10)
+    monkeypatch.setattr(np, "histogram", no_histogram)
+    for width in (0.1, 1e-300):
+        with pytest.raises(ValueError, match="MAX_ATOM_BINS = 10"):
+            psde.atom_scan(e, width)
+
+
 def test_kde_gaussian_sup_distance(unit_model):
     p = psde.validate_params(0.0, 0.0)
     e = psde.generate_ensemble(unit_model, p, cfg(seed=31), 100_000)

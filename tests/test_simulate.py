@@ -92,6 +92,22 @@ def test_refinement_ladder_cap_refuses_before_drawing(monkeypatch):
             psde.refinement_ladder(cfg(n_steps=n_steps, seed=4), n_levels)
 
 
+def test_a_ladder_has_at_least_one_level():
+    # a request for no levels is refused, not answered with the coarse driver,
+    # and the Lamperti check refuses it by the same rule
+    for n_levels in (-3, 0):
+        for ask in (
+            lambda: SIMULATE.check_ladder(50, n_levels),
+            lambda: psde.refinement_ladder(cfg(n_steps=50, seed=4), n_levels),
+            lambda: psde.pathwise_reduction_check(
+                psde.named_model("unit"), psde.validate_params(0.0, 0.0), cfg(n_steps=50, seed=4), n_levels
+            ),
+        ):
+            with pytest.raises(ValueError, match="n_levels >= 1"):
+                ask()
+    assert [len(psde.refinement_ladder(cfg(n_steps=50, seed=4), n)) for n in (1, 2)] == [1, 2]
+
+
 def test_ladder_and_ensemble_drivers_need_a_master_seed():
     # a per-path seed has a driver of its own, but no ensemble and no ladder
     c = cfg(n_steps=8, seed=psde.path_seed(4, 1))
