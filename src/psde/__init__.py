@@ -78,6 +78,6 @@ from .simulate import (
     simulate_per_step,
     simulate_picard,
 )
-from .skorokhod import DrivingPath, MaxMinSolution, contraction_rate, solve_max_min
+from .skorokhod import MaxMinSolution, contraction_rate, solve_max_min
 
 __all__ = [name for name in dir() if not name.startswith("_")]

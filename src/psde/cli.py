@@ -9,9 +9,9 @@ the config before it is checked, so it enters the config fingerprint that
 each report embeds.  ``density`` needs ``analysis.n_paths`` >= 1,
 terminal values with some spread when ``analysis.bandwidth`` is "auto",
 and ``analysis.bin_widths`` wide enough that no atom scan needs more than
-``MAX_ATOM_BINS`` bins; ``picard-compare`` and ``lamperti-check`` need a
-refinement ladder that ``check_ladder`` accepts.  An infinite t0 is
-reported as null.
+``MAX_ATOM_BINS`` bins or overflows its bin index; ``picard-compare`` and
+``lamperti-check`` need a refinement ladder that ``check_ladder`` accepts.
+An infinite t0 is reported as null.
 
 Each subcommand only computes: it returns its report's name and payload,
 and the files it produces, in order.  ``main`` alone writes those files,
@@ -396,7 +396,8 @@ def cmd_density(run: _Run):
         message = 'analysis.bandwidth = "auto" is 0 on terminal values that are all equal; give a number > 0'
         raise _CliFailure(EXIT_REJECTED, "ConfigError", message) from exc
     try:
-        # the schema admits only widths > 0, so a width is refused only for MAX_ATOM_BINS
+        # the schema admits only widths > 0, so a width is refused only for
+        # MAX_ATOM_BINS or a bin index that overflows
         scans = [density_mod.atom_scan(ensemble, w).__dict__ for w in analysis.get("bin_widths", [1e-1, 1e-2, 1e-3])]
     except ValueError as exc:
         raise _CliFailure(EXIT_REJECTED, "ConfigError", f"analysis.bin_widths: {exc}") from exc

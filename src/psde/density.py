@@ -172,14 +172,18 @@ def atom_scan(e: Ensemble, bin_width: float) -> AtomScan:
     Absolute continuity predicts max mass shrinking proportionally with the
     bin width; an atom pins it away from zero.  Raises ValueError, before
     histogramming, when the width needs more than :data:`MAX_ATOM_BINS` bins
-    (read when called) to cover the values.
+    (read when called) to cover the values, or is so fine that the index of
+    the values' first bin is not a finite float.
     """
     if e.n_paths < 1:
         raise ValueError("atom scan needs a non-empty ensemble")
     if bin_width <= 0.0:
         raise ValueError("bin_width must be > 0")
     v = e.terminal_values
-    lo = math.floor(float(np.min(v)) / bin_width) * bin_width
+    first = float(np.min(v)) / bin_width
+    if not math.isfinite(first):  # math.floor would overflow
+        raise ValueError(f"bin width {bin_width!r} is too fine: the values' bin index overflows")
+    lo = math.floor(first) * bin_width
     hi = float(np.max(v))
     span = (hi - lo) / bin_width  # inf on overflow, which the test below refuses as well
     if not span <= MAX_ATOM_BINS - 1:
@@ -205,16 +209,11 @@ class KdeResult:
         return float(np.trapezoid(self.density, self.grid))
 
 
-def kde(
-    e: Ensemble,
-    bandwidth: float | str = "auto",
-    grid: np.ndarray | None = None,
-) -> KdeResult:
-    """Gaussian-kernel density estimate.
+def kde(e: Ensemble, bandwidth: float | str = "auto") -> KdeResult:
+    """Gaussian-kernel density estimate on KDE_GRID_POINTS grid points.
 
     AUTO bandwidth is the normal-reference rule 1.06 * std * n^(-1/5).  The
-    default grid is KDE_GRID_POINTS points spanning the values padded by
-    five bandwidths.
+    grid spans the values padded by five bandwidths on each side.
     Values are summed in chunks of DEFAULT_CHUNK; within a chunk, blocks of
     grid rows are evaluated in two reused buffers of _KDE_BLOCK_BYTES each
     (they stay in L2), so no temporary grows with the grid.  Each grid point
@@ -229,11 +228,7 @@ def kde(
     bandwidth = float(bandwidth)
     if bandwidth <= 0.0:
         raise ValueError("bandwidth must be > 0")
-    if grid is None:
-        grid = np.linspace(float(np.min(v)) - 5.0 * bandwidth, float(np.max(v)) + 5.0 * bandwidth, KDE_GRID_POINTS)
-    grid = np.asarray(grid, dtype=float)
-    if grid.size == 0:
-        raise ValueError("kde grid is empty")
+    grid = np.linspace(float(np.min(v)) - 5.0 * bandwidth, float(np.max(v)) + 5.0 * bandwidth, KDE_GRID_POINTS)
     out = np.zeros(grid.shape)
     part = np.empty(grid.shape)
     width = min(DEFAULT_CHUNK, e.n_paths)

@@ -218,21 +218,17 @@ class ReductionLevel:
 @dataclass(frozen=True)
 class ReductionReport:
     """Sup-norm gap between G(X) and the additive-noise path Y per resolution,
-    with the transform the check built (not part of :meth:`to_dict`)."""
+    with the transform the check built (of which :meth:`to_dict` keeps the anchor)."""
 
     levels: tuple
     commutation_exact: bool
     transform: Transform = field(repr=False, compare=False)
 
-    @property
-    def anchor(self) -> float:
-        return self.transform.anchor
-
     def to_dict(self) -> dict:
         return {
             "levels": [asdict(level) for level in self.levels],
             "commutation_exact": self.commutation_exact,
-            "anchor": self.anchor,
+            "anchor": self.transform.anchor,
         }
 
 

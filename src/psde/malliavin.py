@@ -61,11 +61,10 @@ from .simulate import (
 )
 
 MAX_FIELD_STEPS = 4096
-# a terminal_h_norms block peaks at ~7.3 (n+1, rows) arrays, its drivers
-# included (tracemalloc on smooth-generic at n = 1000); the count cancels
-# out of ensemble_block_rows against the budget, which sets 128 rows
-_H_NORM_ROW_ARRAYS = 9
-_H_NORM_BLOCK_BYTES = _H_NORM_ROW_ARRAYS * 8 * 1001 * 128  # 128 rows at n = 1000, ~8.8 MB
+# 128 rows at n = 1000, each of 8 * (n+1) bytes; a terminal_h_norms block
+# peaks at ~7.3 (n+1, rows) arrays, its drivers included (tracemalloc on
+# smooth-generic at n = 1000), so ~7.5 MB
+_H_NORM_BLOCK_BYTES = 8 * 1001 * 128
 
 
 @dataclass(frozen=True)
@@ -91,7 +90,6 @@ class CameronMartinResult:
     """Finite-difference directional derivative along an indicator direction."""
 
     value: float
-    eps: float
     base_terminal: float
     shifted_terminal: float
     eps_too_small: bool
@@ -338,7 +336,7 @@ def terminal_h_norms(
         _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, drivers, x)
         return _terminal_h_norms(x, drivers.T, cfg.dt, model, params), lo, hi
 
-    return run_ensemble(model, cfg, n_paths, kernel, _H_NORM_ROW_ARRAYS * 8 * (n + 1), _H_NORM_BLOCK_BYTES)
+    return run_ensemble(model, cfg, n_paths, kernel, 8 * (n + 1), _H_NORM_BLOCK_BYTES)
 
 
 def scheme_tangent(path: Path, model: CoefficientModel, params: PerturbationParams) -> np.ndarray:
@@ -418,7 +416,6 @@ def cameron_martin_directional(
         results.append(
             CameronMartinResult(
                 value=diff / eps,
-                eps=eps,
                 base_terminal=x_t,
                 shifted_terminal=x_eps,
                 eps_too_small=too_small,
@@ -442,28 +439,22 @@ class PositivityReport:
         return asdict(self)
 
 
-def positivity_report(
-    h_norms: Sequence[float],
-    t: float,
-    sigma_inf: float,
-    thresholds: Sequence[float] = (0.0,),
-) -> PositivityReport:
+def positivity_report(h_norms: Sequence[float], t: float, sigma_inf: float) -> PositivityReport:
     """Summarize terminal H-norms; hypothesis_ok records inf|sigma| > 0.
 
-    Under the absolute-continuity hypotheses every H-norm is positive, so the
-    fraction at threshold 0 must be 0.  With sigma degenerate the report only
-    flags the hypothesis violation.
+    Under the absolute-continuity hypotheses every H-norm is positive, so
+    ``fraction_at_or_below["0.0"]``, the share of H-norms <= 0, must be 0.
+    With sigma degenerate the report only flags the hypothesis violation.
     """
     values = np.asarray(h_norms, dtype=float)
     qs = (0.0, 0.01, 0.05, 0.25, 0.5, 0.75, 1.0)
     quantiles = {str(q): float(np.quantile(values, q)) for q in qs}
-    fractions = {repr(th): float(np.mean(values <= th)) for th in thresholds}
     return PositivityReport(
         n_paths=len(values),
         t=float(t),
         minimum=float(np.min(values)),
         quantiles=quantiles,
-        fraction_at_or_below=fractions,
+        fraction_at_or_below={"0.0": float(np.mean(values <= 0.0))},
         hypothesis_ok=sigma_inf > 0.0,
     )
 

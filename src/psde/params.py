@@ -119,18 +119,22 @@ def smooth_density_horizon(alpha: float, beta: float, b_prime_sup: float) -> Smo
     A non-positive t0 is reported as is, with ``threshold_ok`` False, so a
     caller can explain why a smoothness experiment is refused.  When
     b_prime_sup == 0 there is no finite horizon: t0 is reported as +inf
-    (threshold satisfied) or 0 (threshold violated) with ``t0_unbounded``.
+    (threshold satisfied) or 0 (threshold violated) with ``t0_unbounded``,
+    and C is evaluated at t = 0.  A b_prime_sup so small that t0 is not a
+    finite float (b_prime_sup**2 underflows to 0, or the quotient
+    overflows) is reported the same way.
     """
     if b_prime_sup < 0.0:
         raise ValueError(f"b_prime_sup must be >= 0, got {b_prime_sup}")
     s2 = alpha**2 + beta**2
     threshold_ok = s2 < SMOOTHNESS_THRESHOLD
     numerator = (math.sqrt(2.0) - 1.0) ** 2 / 3.0 - 4.0 * s2
-    if b_prime_sup == 0.0:
+    b_prime_sq = b_prime_sup**2
+    t0 = numerator / b_prime_sq if b_prime_sq else math.inf
+    if not math.isfinite(t0):
         t0 = math.inf if threshold_ok else 0.0
         c = smoothness_constant(0.0, alpha, beta, 0.0)
         return SmoothnessConstants(c_of_t=c, t0=t0, threshold_ok=threshold_ok, t0_unbounded=True)
-    t0 = numerator / b_prime_sup**2
     c = smoothness_constant(max(t0, 0.0), alpha, beta, b_prime_sup)
     return SmoothnessConstants(c_of_t=c, t0=t0, threshold_ok=threshold_ok)
 

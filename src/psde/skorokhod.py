@@ -1,15 +1,17 @@
 """Fixed-point solver for the coupled running-max / running-min system.
 
-Given a driving path a on a grid, the running maximum M and running minimum I
-of the perturbed path x = a + alpha*M + beta*I solve the coupled identities
+Given the values a_0, ..., a_n of a driving path, the running maximum M and
+running minimum I of the perturbed path x = a + alpha*M + beta*I solve the
+coupled identities
 
     (1-alpha) * M_k = max_{j<=k} (a_j + beta * I_j)
     (beta-1)  * I_k = max_{j<=k} (-a_j - alpha * M_j)
 
 Eliminating I gives a self-map of M whose sup-norm contraction factor is
 |rho| = |alpha*beta| / ((1-alpha)(1-beta)) < 1, so plain iteration converges
-geometrically.  All maxima are taken over grid indices; ties resolve to the
-earliest index (running maxima of arrays do this naturally).
+geometrically.  All maxima are taken over grid indices, so the times of the
+grid never enter and a driving path is its 1-d array of values; ties resolve
+to the earliest index (running maxima of arrays do this naturally).
 
 ``max_min_rows`` is the only implementation of the iteration: it sweeps a
 (rows, n+1) block of driving paths along the last axis, and each row stops
@@ -32,26 +34,6 @@ DEFAULT_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
-class DrivingPath:
-    """Uniform time grid and driving-path values, a_0 = seed value x."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        times = np.asarray(self.times, dtype=float)
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-        if times.shape != values.shape or times.ndim != 1:
-            raise ValueError("times and values must be 1-d arrays of equal length")
-        if len(times) >= 2 and not np.all(np.diff(times) > 0.0):
-            raise ValueError("times must be strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("driving-path values must be finite")
-
-
-@dataclass(frozen=True)
 class MaxMinSolution:
     """Converged (M, I) pair with iteration diagnostics."""
 
@@ -60,9 +42,19 @@ class MaxMinSolution:
     iterations: int
     residual: float
 
-    def perturbed_path(self, a: DrivingPath, params: PerturbationParams) -> np.ndarray:
-        """Reconstruct x = a + alpha*M + beta*I."""
-        return a.values + params.alpha * self.m_path + params.beta * self.i_path
+    def perturbed_path(self, a: np.ndarray, params: PerturbationParams) -> np.ndarray:
+        """Reconstruct x = a + alpha*M + beta*I from the driving path's values a."""
+        return np.asarray(a, dtype=float) + params.alpha * self.m_path + params.beta * self.i_path
+
+
+def _driving_values(a) -> np.ndarray:
+    """A driving path's values as a float array; ValueError unless non-empty, 1-d and finite."""
+    values = np.asarray(a, dtype=float)
+    if values.ndim != 1 or not values.size:
+        raise ValueError("driving-path values must be a non-empty 1-d array")
+    if not np.all(np.isfinite(values)):
+        raise ValueError("driving-path values must be finite")
+    return values
 
 
 def _running_max(v: np.ndarray, floor: np.ndarray) -> np.ndarray:
@@ -147,25 +139,25 @@ def no_convergence(history: np.ndarray, tol: float, path: int) -> NoConvergenceE
 
 
 def solve_max_min(
-    a: DrivingPath,
+    a: np.ndarray,
     params: PerturbationParams,
     tol: float = DEFAULT_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    m_init: np.ndarray | None = None,
 ) -> MaxMinSolution:
-    """Iterate the M self-map to sup-norm tolerance ``tol``: a batch of one.
+    """Iterate the M self-map on driving-path values ``a`` to sup-norm tolerance ``tol``.
 
-    Starts from M == a_0 (constant) unless a warm start ``m_init`` is given.
-    After M converges, I is recovered from the (beta-1)*I identity with the
-    final M.  Raises :class:`NoConvergenceError` when the residual is still
-    above ``tol`` after ``max_iter`` sweeps.
+    A batch of one of :func:`max_min_rows`: starts from M == a_0 (constant),
+    and after M converges, I is recovered from the (beta-1)*I identity with
+    the final M.  Raises ValueError unless ``a`` is a non-empty, finite 1-d
+    array, and :class:`NoConvergenceError` when the residual is still above
+    ``tol`` after ``max_iter`` sweeps.
     """
+    values = _driving_values(a)
     if tol <= 0.0:
         raise ValueError("tol must be > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    m_rows = None if m_init is None else np.asarray(m_init, dtype=float)[None, :]
-    m, i, sweeps, history = max_min_rows(a.values[None, :], params.alpha, params.beta, tol, max_iter, m_rows)
+    m, i, sweeps, history = max_min_rows(values[None, :], params.alpha, params.beta, tol, max_iter)
     iterations = int(sweeps[0])
     if not iterations:
         raise no_convergence(history[:, 0], tol, path=0)
@@ -173,23 +165,25 @@ def solve_max_min(
 
 
 def contraction_rate(
-    a: DrivingPath,
+    a: np.ndarray,
     params: PerturbationParams,
     n_sweeps: int,
 ) -> np.ndarray:
-    """Successive sup-norm update ratios of the M iteration.
+    """Successive sup-norm update ratios of the M iteration on driving-path values ``a``.
 
     Returns r_m = ||M^(m+1) - M^(m)|| / ||M^(m) - M^(m-1)||, dropping terms
     whose denominator has fallen into floating-point noise.  Degenerate case
     alpha*beta == 0 converges exactly in one sweep: an empty array is
-    returned.
+    returned.  Raises ValueError unless ``a`` is a non-empty, finite 1-d
+    array.
     """
+    values = _driving_values(a)
     if n_sweeps < 2:
         raise ValueError("n_sweeps must be >= 2")
     if params.alpha * params.beta == 0.0:
         return np.empty(0)
     # tol = 0 sweeps until M stops moving: the updates after that are all zero
-    m, _, sweeps, history = max_min_rows(a.values[None], params.alpha, params.beta, 0.0, n_sweeps)
+    m, _, sweeps, history = max_min_rows(values[None], params.alpha, params.beta, 0.0, n_sweeps)
     deltas = history[: sweeps[0] or n_sweeps, 0]
     scale = max(1.0, float(np.max(np.abs(m))))
     floor = 1e3 * np.finfo(float).eps * scale

@@ -20,6 +20,4 @@ def additive_model():
 
 
 def random_driving_path(rng, n=100, scale=1.0, a0=0.0):
-    values = np.concatenate(([a0], a0 + np.cumsum(rng.standard_normal(n) * scale)))
-    times = np.linspace(0.0, 1.0, n + 1)
-    return psde.DrivingPath(times=times, values=values)
+    return np.concatenate(([a0], a0 + np.cumsum(rng.standard_normal(n) * scale)))

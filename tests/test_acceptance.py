@@ -71,17 +71,15 @@ def test_criterion_1_parameter_domain():
 def test_criterion_2_skorokhod_solver():
     t0 = time.perf_counter()
     rng = np.random.default_rng(11)
-    times = np.linspace(0.0, 1.0, 1001)
     worst_beta0 = worst_alpha0 = 0.0
     p_b0 = psde.validate_params(0.5, 0.0)
     p_a0 = psde.validate_params(0.0, -0.5)
     for _ in range(100):
         vals = np.concatenate(([0.0], np.cumsum(rng.standard_normal(1000) * 0.03)))
-        a = psde.DrivingPath(times, vals)
-        sol = psde.solve_max_min(a, p_b0)
+        sol = psde.solve_max_min(vals, p_b0)
         worst_beta0 = max(worst_beta0, float(np.max(np.abs(
             sol.m_path - np.maximum.accumulate(vals) / 0.5))))
-        sol = psde.solve_max_min(a, p_a0)
+        sol = psde.solve_max_min(vals, p_a0)
         worst_alpha0 = max(worst_alpha0, float(np.max(np.abs(
             sol.i_path - np.minimum.accumulate(vals) / 1.5))))
     ratio_ok = True
@@ -91,7 +89,7 @@ def test_criterion_2_skorokhod_solver():
         worst = 0.0
         for _ in range(100):
             vals = np.concatenate(([0.0], np.cumsum(rng.standard_normal(1000) * 0.03)))
-            ratios = psde.contraction_rate(psde.DrivingPath(times, vals), params, 10)
+            ratios = psde.contraction_rate(vals, params, 10)
             if len(ratios):
                 worst = max(worst, float(np.max(ratios)))
         ratio_ok = ratio_ok and worst <= abs(params.rho) + 0.05

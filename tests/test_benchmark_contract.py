@@ -54,6 +54,7 @@ def test_tracer_reads_exist():
     assert _parameters(psde.density.per_step_terminal_chunk)[4] == "drivers"
     assert _parameters(psde.malliavin.cameron_martin_directional)[2] == "cfg"
     assert _parameters(psde.density.kde)[0] == "e"
+    assert psde.kde(psde.Ensemble(np.array([0.0, 1.0]))).grid.size == psde.density.KDE_GRID_POINTS
     assert _parameters(psde.lamperti.Transform.b_tilde)[1] == "z"
     assert psde.Ensemble(np.zeros(3)).n_paths == 3
     assert "d" in {f.name for f in dataclasses.fields(psde.DerivativeField)}

@@ -89,6 +89,8 @@ def test_constants_at_time_zero(tmp_path):
 
 
 COMMANDS = ("validate", "constants", "simulate", "picard-compare", "malliavin", "density", "lamperti-check")
+# sigma = b = 0: every path stays at x0
+STILL = {"b": {"kind": "constant", "value": 0.0}, "sigma": {"kind": "constant", "value": 0.0}}
 
 
 def small_config(tmp_path):
@@ -315,10 +317,18 @@ def test_paths_override_enters_fingerprint(tmp_path):
         ("density", {"n_paths": 1}, [], "ConfigError"),
         # an atom scan at this width would need more than MAX_ATOM_BINS bins
         ("density", {"bin_widths": [1e-300]}, [], "ConfigError"),
+        # every terminal value is 100, whose bin index at this width overflows
+        (
+            "density",
+            {"model": STILL, "sim": {"x0": 100.0}, "analysis": {"bandwidth": 0.1, "bin_widths": [1e-307]}},
+            [],
+            "ConfigError",
+        ),
     ],
 )
 def test_rejection_writes_nothing(tmp_path, capsys, command, analysis, extra, error):
-    cfgp = write_config(tmp_path, analysis=analysis)
+    # a case overrides the analysis section, or names each section it overrides
+    cfgp = write_config(tmp_path, **(analysis if "analysis" in analysis else {"analysis": analysis}))
     assert main([command, "--config", str(cfgp), "--quiet", *extra]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == error
     assert not (tmp_path / "out").exists()
@@ -365,28 +375,40 @@ def test_commands_compute_and_main_writes(tmp_path, monkeypatch, command):
 
 @pytest.mark.parametrize("command", COMMANDS)
 def test_reports_are_strict_json(tmp_path, capsys, command):
-    # b' = 0 makes t0 infinite, which RFC 8259 JSON cannot hold: null in its place
+    # b' = 0 makes t0 infinite, which RFC 8259 JSON cannot hold: null in its
+    # place; so does a b' whose square underflows (1e-200) or whose t0
+    # overflows (1e-160)
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")
 
-    cfgp = write_config(tmp_path, params={"alpha": 0.1, "beta": 0.0})
-    assert main([command, "--config", str(cfgp)]) == 0
-    texts = [capsys.readouterr().out] + [p.read_text() for p in sorted((tmp_path / "out").glob("*.json"))]
-    reports = [json.loads(text, parse_constant=refuse) for text in texts]
+    params = {"alpha": 0.1, "beta": 0.0}
+    configs = [write_config(tmp_path, params=params)]
     if command in ("validate", "constants"):
-        assert reports[0]["t0"] is None and reports[0]["t0_unbounded"] is True
+        for amplitude in (1e-200, 1e-160):
+            b = {"kind": "sinusoidal", "offset": 0, "amplitude": amplitude}
+            model = {"b": b, "sigma": {"kind": "constant", "value": 1.0}}
+            configs.append(write_config(tmp_path, name=f"b{amplitude}.json", model=model, params=params))
+    for k, cfgp in enumerate(configs):
+        out = tmp_path / f"out{k}"
+        assert main([command, "--config", str(cfgp), "--out", str(out)]) == 0
+        texts = [capsys.readouterr().out] + [p.read_text() for p in sorted(out.glob("*.json"))]
+        reports = [json.loads(text, parse_constant=refuse) for text in texts]
+        if command in ("validate", "constants"):
+            assert reports[0]["t0"] is None and reports[0]["t0_unbounded"] is True
+        if command == "constants":
+            rows = list(csv.reader(io.StringIO((out / "constants.csv").read_text())))[1:]
+            assert len(rows) == 20 and all(math.isfinite(float(v)) for row in rows for v in row)
 
 
 def test_density_without_spread_asks_for_a_bandwidth(tmp_path, capsys):
     # sigma = b = 0 leaves all 10 terminal values at x0, where "auto" would
     # be 0: nothing is written and the message names the key; a number runs
-    still = {"b": {"kind": "constant", "value": 0.0}, "sigma": {"kind": "constant", "value": 0.0}}
-    cfgp = write_config(tmp_path, model=still, analysis={"n_paths": 10})
+    cfgp = write_config(tmp_path, model=STILL, analysis={"n_paths": 10})
     assert main(["density", "--config", str(cfgp), "--quiet"]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConfigError" and "analysis.bandwidth" in err["message"]
     assert not (tmp_path / "out").exists()
-    cfgp = write_config(tmp_path, model=still, analysis={"n_paths": 10, "bandwidth": 0.1})
+    cfgp = write_config(tmp_path, model=STILL, analysis={"n_paths": 10, "bandwidth": 0.1})
     assert main(["density", "--config", str(cfgp), "--quiet"]) == 0
 
 

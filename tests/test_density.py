@@ -7,7 +7,6 @@ import pytest
 from scipy.special import ndtr
 
 import psde
-from psde.malliavin import _H_NORM_ROW_ARRAYS
 from psde.simulate import SimConfig, ensemble_block_rows, path_drivers, picard_chunk
 
 simulate_mod = importlib.import_module("psde.simulate")  # psde.simulate is the function
@@ -127,7 +126,7 @@ def test_ensemble_failure_names_its_ensemble_path(monkeypatch):
     assert str(chunked.value).endswith(f"(ensemble path {failing})")
     with pytest.raises(psde.SimulationAborted) as alone:
         psde.simulate_per_step(edge, p, dataclasses.replace(c, rng_seed=psde.path_seed(0, failing)))
-    monkeypatch.setattr(psde.malliavin, "_H_NORM_BLOCK_BYTES", 2 * _H_NORM_ROW_ARRAYS * 8 * (c.n_steps + 1))
+    monkeypatch.setattr(psde.malliavin, "_H_NORM_BLOCK_BYTES", 2 * 8 * (c.n_steps + 1))
     with pytest.raises(psde.SimulationAborted) as h_norms:
         psde.terminal_h_norms(edge, p, c, 40)
     assert (h_norms.value.path, h_norms.value.step) == (failing, alone.value.step)
@@ -185,7 +184,7 @@ def test_ensemble_driver_blocks_invariant(name, monkeypatch):
     for rows, threads in ((5, "1"), (5, "2"), (7, "1"), (7, "2")):
         budget = rows * 8 * c.n_steps
         monkeypatch.setattr(psde.density, "_DRIVER_BLOCK_BYTES", budget)
-        monkeypatch.setattr(psde.malliavin, "_H_NORM_BLOCK_BYTES", rows * _H_NORM_ROW_ARRAYS * 8 * (c.n_steps + 1))
+        monkeypatch.setattr(psde.malliavin, "_H_NORM_BLOCK_BYTES", rows * 8 * (c.n_steps + 1))
         monkeypatch.setenv("PSDE_THREADS", threads)
         sizes.clear()
         e = psde.generate_ensemble(model, p, c, 300)
@@ -344,6 +343,9 @@ def test_atom_scan_bin_cap(monkeypatch):
     for width in (0.1, 1e-300):
         with pytest.raises(ValueError, match="MAX_ATOM_BINS = 10"):
             psde.atom_scan(e, width)
+    # one bin would do, but 100 / 1e-307 overflows the bin index
+    with pytest.raises(ValueError, match="bin index overflows"):
+        psde.atom_scan(psde.Ensemble(np.full(3, 100.0)), 1e-307)
 
 
 def test_kde_gaussian_sup_distance(unit_model):
@@ -375,10 +377,9 @@ def _one_shot_kde(v, grid, bandwidth, chunk):
 def test_kde_matches_one_shot_formula(unit_model, monkeypatch):
     p = psde.validate_params(0.5, 0.0)
     e = psde.generate_ensemble(unit_model, p, cfg(seed=3), 20_003)
-    # a caller's grid at the real chunk size: two chunks, the second of 3 values
-    grid = np.linspace(-4.0, 6.0, 41)
-    est = psde.kde(e, 0.1, grid=grid)
-    assert est.density.tobytes() == _one_shot_kde(e.terminal_values, grid, 0.1, 20_000).tobytes()
+    # the default grid at the real chunk size: two chunks, the second of 3 values
+    est = psde.kde(e, 0.1)
+    assert est.density.tobytes() == _one_shot_kde(e.terminal_values, est.grid, 0.1, 20_000).tobytes()
     # the default 512-point grid with short chunks and 3-row blocks: 512 is
     # not a multiple of 3, nor 20 003 of 700
     monkeypatch.setattr(psde.density, "DEFAULT_CHUNK", 700)
@@ -400,8 +401,6 @@ def test_kde_rejects_empty(unit_model):
     e = psde.generate_ensemble(unit_model, p, cfg(), 0)
     with pytest.raises(ValueError):
         psde.kde(e)
-    with pytest.raises(ValueError):
-        psde.kde(psde.Ensemble(np.array([1.0])), grid=np.empty(0))
 
 
 def test_ks_gaussian_calibration(unit_model):

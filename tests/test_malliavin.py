@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 import psde
 from psde.malliavin import (
-    _H_NORM_ROW_ARRAYS,
     _columns,
     _terminal_adjoint,
     _terminal_h_norms,
@@ -287,7 +286,7 @@ def test_terminal_h_norms_chunk_invariant(generic_model, monkeypatch):
     whole = psde.terminal_h_norms(generic_model, p, c, 20)
     monkeypatch.setenv("PSDE_THREADS", "2")
     for rows in (1, 3, 7, 19):
-        monkeypatch.setattr(psde.malliavin, "_H_NORM_BLOCK_BYTES", rows * _H_NORM_ROW_ARRAYS * 8 * (c.n_steps + 1))
+        monkeypatch.setattr(psde.malliavin, "_H_NORM_BLOCK_BYTES", rows * 8 * (c.n_steps + 1))
         assert psde.terminal_h_norms(generic_model, p, c, 20).tobytes() == whole.tobytes()
 
 

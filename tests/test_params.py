@@ -122,6 +122,15 @@ def test_horizon_zero_drift_bound_flagged():
     assert h2.t0 == 0.0 and not h2.threshold_ok
 
 
+def test_horizon_tiny_drift_bound_flagged():
+    # b'^2 underflows to 0 at 1e-200, and t0 overflows at 1e-160: reported as b' = 0
+    for k in (1e-200, 1e-160):
+        for alpha, beta in ((0.05, 0.05), (0.3, 0.3)):
+            assert psde.smooth_density_horizon(alpha, beta, k) == psde.smooth_density_horizon(alpha, beta, 0.0)
+    h = psde.smooth_density_horizon(0.05, 0.05, 1e-100)
+    assert math.isfinite(h.t0) and h.t0 > 0.0 and not h.t0_unbounded
+
+
 def test_c_at_t0_consistency_random():
     rng = np.random.default_rng(0)
     checked = 0

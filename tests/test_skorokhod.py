@@ -14,7 +14,7 @@ def solve(a, alpha, beta, **kw):
 
 def brute_force_fixed_point(a, alpha, beta, m_start, tol=1e-14, iters=10_000):
     """Independent oracle: raw iteration of the coupled discrete system."""
-    av = a.values
+    av = np.asarray(a, dtype=float)
     m = np.asarray(m_start, dtype=float).copy()
     for _ in range(iters):
         i = np.maximum.accumulate(-av - alpha * m) / (beta - 1.0)
@@ -26,7 +26,7 @@ def brute_force_fixed_point(a, alpha, beta, m_start, tol=1e-14, iters=10_000):
 
 
 def test_beta_zero_decouples():
-    a = psde.DrivingPath(times=[0.0, 1.0, 2.0], values=[0.0, 1.0, 0.5])
+    a = [0.0, 1.0, 0.5]
     sol = solve(a, 0.5, 0.0)
     assert np.allclose(sol.m_path, [0.0, 2.0, 2.0], atol=1e-15)
     # I = running min of a + alpha*M
@@ -34,7 +34,7 @@ def test_beta_zero_decouples():
 
 
 def test_alpha_zero_decouples():
-    a = psde.DrivingPath(times=[0.0, 1.0, 2.0], values=[0.0, -1.0, 2.0])
+    a = [0.0, -1.0, 2.0]
     sol = solve(a, 0.0, -1.0)
     assert np.allclose(sol.i_path, [0.0, -0.5, -0.5], atol=1e-15)
 
@@ -45,9 +45,9 @@ def test_general_case_agrees_with_two_start_oracle():
     for _ in range(20):
         a = random_driving_path(rng, n=5)
         sol = solve(a, alpha, beta, tol=1e-14)
-        cold, _ = brute_force_fixed_point(a, alpha, beta, np.full(6, a.values[0]))
+        cold, _ = brute_force_fixed_point(a, alpha, beta, np.full(6, a[0]))
         hot, _ = brute_force_fixed_point(
-            a, alpha, beta, np.full(6, np.max(a.values) / (1.0 - alpha))
+            a, alpha, beta, np.full(6, np.max(a) / (1.0 - alpha))
         )
         assert np.max(np.abs(cold - hot)) < 1e-12
         assert np.max(np.abs(sol.m_path - cold)) < 1e-12
@@ -64,7 +64,7 @@ def test_solution_invariants(alpha, beta):
         assert np.all(np.diff(sol.m_path) >= -1e-11)
         assert np.all(np.diff(sol.i_path) <= 1e-11)
         assert sol.m_path[0] == pytest.approx(sol.i_path[0], abs=1e-10)
-        assert sol.m_path[0] == pytest.approx(a.values[0] / (1.0 - alpha - beta), abs=1e-10)
+        assert sol.m_path[0] == pytest.approx(a[0] / (1.0 - alpha - beta), abs=1e-10)
         assert np.all(x <= sol.m_path + 1e-10)
         assert np.all(x >= sol.i_path - 1e-10)
         # reconstruction: running extremes of x reproduce M and I
@@ -86,11 +86,8 @@ def test_monotone_in_driver_for_nonnegative_weights(alpha, beta, seed):
     params = psde.validate_params(alpha, beta)
     a_vals = np.concatenate(([0.0], np.cumsum(rng.standard_normal(60))))
     bump = np.concatenate(([0.0], rng.uniform(0.0, 0.5, size=60)))
-    times = np.arange(61.0)
-    a = psde.DrivingPath(times=times, values=a_vals)
-    a_up = psde.DrivingPath(times=times, values=a_vals + bump)
-    m_lo = psde.solve_max_min(a, params).m_path
-    m_hi = psde.solve_max_min(a_up, params).m_path
+    m_lo = psde.solve_max_min(a_vals, params).m_path
+    m_hi = psde.solve_max_min(a_vals + bump, params).m_path
     assert np.all(m_hi >= m_lo - 1e-10)
 
 
@@ -103,9 +100,8 @@ def test_scale_covariance(c, seed):
     rng = np.random.default_rng(seed)
     params = psde.validate_params(0.5, -0.5)
     a_vals = np.concatenate(([0.0], np.cumsum(rng.standard_normal(50))))
-    times = np.arange(51.0)
-    base = psde.solve_max_min(psde.DrivingPath(times, a_vals), params, tol=1e-13)
-    scaled = psde.solve_max_min(psde.DrivingPath(times, c * a_vals), params, tol=1e-13 * max(c, 1.0))
+    base = psde.solve_max_min(a_vals, params, tol=1e-13)
+    scaled = psde.solve_max_min(c * a_vals, params, tol=1e-13 * max(c, 1.0))
     scale = max(1.0, c) * max(1.0, float(np.max(np.abs(base.m_path))))
     assert np.max(np.abs(scaled.m_path - c * base.m_path)) < 1e-10 * scale
     assert np.max(np.abs(scaled.i_path - c * base.i_path)) < 1e-10 * scale
@@ -132,10 +128,9 @@ def test_rows_match_batch_of_one(alpha, beta, rows, n, tol, seed):
     av = np.concatenate((rng.standard_normal((rows, 1)), scales * rng.standard_normal((rows, n))), axis=1)
     av = np.cumsum(av, axis=1)
     m, i, sweeps, history = max_min_rows(av, alpha, beta, tol, 60)
-    times = np.arange(n + 1.0)
     for r in range(rows):
         try:
-            one = psde.solve_max_min(psde.DrivingPath(times, av[r]), params, tol=tol, max_iter=60)
+            one = psde.solve_max_min(av[r], params, tol=tol, max_iter=60)
         except psde.NoConvergenceError as err:
             assert sweeps[r] == 0 and err.path == 0
             assert err.history == history[:, r].tolist()
@@ -210,14 +205,12 @@ def test_refinement_idempotence():
     qualified = 0
     for _ in range(20):
         a_vals = np.concatenate(([0.0], np.cumsum(rng.standard_normal(40))))
-        times = np.arange(41.0)
         fine_vals = np.empty(81)
         fine_vals[0::2] = a_vals
         fine_vals[1::2] = 0.5 * (a_vals[:-1] + a_vals[1:])
-        fine_times = np.arange(0.0, 40.5, 0.5)
-        coarse = psde.solve_max_min(psde.DrivingPath(times, a_vals), params, tol=1e-13)
-        fine = psde.solve_max_min(psde.DrivingPath(fine_times, fine_vals), params, tol=1e-13)
-        x_fine = fine.perturbed_path(psde.DrivingPath(fine_times, fine_vals), params)
+        coarse = psde.solve_max_min(a_vals, params, tol=1e-13)
+        fine = psde.solve_max_min(fine_vals, params, tol=1e-13)
+        x_fine = fine.perturbed_path(fine_vals, params)
         absorbed = np.all(
             (x_fine[1::2] <= fine.m_path[2::2] + 1e-12)
             & (x_fine[1::2] >= fine.i_path[2::2] - 1e-12)
@@ -259,10 +252,23 @@ def test_no_convergence_reports_history():
     # iteration can only converge geometrically at rate |rho| = 0.923
     k = np.arange(1.0, 51.0)
     zigzag = np.concatenate(([0.0], np.where(np.arange(50) % 2 == 0, k, -k)))
-    a = psde.DrivingPath(times=np.arange(51.0), values=zigzag)
     with pytest.raises(psde.NoConvergenceError) as exc:
-        psde.solve_max_min(a, psde.validate_params(0.49, 0.49), tol=1e-15, max_iter=2)
+        psde.solve_max_min(zigzag, psde.validate_params(0.49, 0.49), tol=1e-15, max_iter=2)
     assert len(exc.value.history) == 2
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[0.0, np.nan, 1.0], [0.0, np.inf], [0.0, -np.inf], [[0.0, 1.0], [2.0, 3.0]], []],
+    ids=["nan", "inf", "-inf", "2-d", "empty"],
+)
+def test_driving_path_values_checked(values):
+    # both readers check before any sweep, also where alpha*beta == 0 needs none
+    for params in (psde.validate_params(0.4, 0.3), psde.validate_params(0.5, 0.0)):
+        with pytest.raises(ValueError, match="driving-path values"):
+            psde.solve_max_min(values, params)
+        with pytest.raises(ValueError, match="driving-path values"):
+            psde.contraction_rate(values, params, 4)
 
 
 def test_warm_start_option():
@@ -270,6 +276,6 @@ def test_warm_start_option():
     params = psde.validate_params(0.6, 0.3)
     a = random_driving_path(rng, n=100)
     cold = psde.solve_max_min(a, params)
-    warm = psde.solve_max_min(a, params, m_init=cold.m_path)
-    assert warm.iterations <= 2
-    assert np.max(np.abs(warm.m_path - cold.m_path)) < 1e-11
+    warm_m, _, warm_sweeps, _ = max_min_rows(a[None], params.alpha, params.beta, m_init=cold.m_path[None])
+    assert 1 <= warm_sweeps[0] <= 2  # 0 would mean no convergence
+    assert np.max(np.abs(warm_m[0] - cold.m_path)) < 1e-11
