@@ -20,9 +20,9 @@ path = psde.simulate_per_step(unit, p, cfg)
 field = psde.derivative_field(path, unit, p)
 
 print("Singly perturbed case: d[j,k] = 1 + (alpha/(1-alpha)) 1{argmax_k >= j}")
-ref = field_closed_form_singly_perturbed(field, p.alpha)
+ref = field_closed_form_singly_perturbed(path, p.alpha)
 print(f"  entrywise agreement: {np.max(np.abs(field.d - ref)):.2e}")
-tau = int(field.argmax_idx[-1])
+tau = int(psde.running_argmax(path.x)[-1])
 print(f"  terminal argmax index {tau} (t = {field.grid[tau]:.3f}); "
       f"rows before it see the extra max term, rows after do not")
 

@@ -33,7 +33,6 @@ from .malliavin import (
     cameron_martin_directional,
     derivative_field,
     directional_from_field,
-    h_norm,
     h_norm_profile,
     positivity_report,
     scheme_tangent,

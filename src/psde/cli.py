@@ -11,7 +11,8 @@ terminal values with some spread when ``analysis.bandwidth`` is "auto",
 and ``analysis.bin_widths`` wide enough that no atom scan needs more than
 ``MAX_ATOM_BINS`` bins or overflows its bin index; ``picard-compare`` and
 ``lamperti-check`` need a refinement ladder that ``check_ladder`` accepts.
-An infinite t0 is reported as null.
+An infinite t0 is reported as null, and ``constants`` exits 3 where C(t)
+or the H-norm lower bound of a row overflows.
 
 Each subcommand only computes: it returns its report's name and payload,
 and the files it produces, in order.  ``main`` alone writes those files,
@@ -297,14 +298,16 @@ def cmd_constants(run: _Run):
         top = horizon.t0 if (horizon.threshold_ok and not horizon.t0_unbounded) else run.sim.horizon
         t_values = list(np.linspace(top / 20.0, top, 20))
     rows = []
-    for t in t_values:
+    for t in map(float, t_values):  # in Python floats an overflow is inf, with no numpy warning
         c = smoothness_constant(t, params.alpha, params.beta, model.b_prime_sup)
         bound = (
             hnorm_lower_bound(t, t, model.sigma_inf, params.alpha, params.beta, model.b_prime_sup)
             if c < 1.0
             else 0.0
         )
-        rows.append((float(t), float(c), float(bound)))
+        if not (math.isfinite(c) and math.isfinite(bound)):
+            raise FloatingPointError(f"C(t) = {c} or its H-norm lower bound {bound} is not a float at t = {t}")
+        rows.append((t, float(c), float(bound)))
     return "constants.json", {
         "t0": _json_t0(horizon),
         "threshold_ok": horizon.threshold_ok,

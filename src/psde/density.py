@@ -8,7 +8,11 @@ bins, Kolmogorov-Smirnov agreement with analytic laws in the solvable special
 cases, and kernel density estimates.  The singly perturbed reference law
 (beta = 0) is the closed form of the integral of the joint density of the
 Brownian endpoint and running maximum along the line w + c*m = v with
-c = alpha/(1-alpha).
+c = alpha/(1-alpha).  That law is C^1 but not C^2 at X_0 for every
+alpha != 0: (log p)'' jumps there from -1/t to -(1-alpha)^2/t.  Yet b = 0,
+so the smooth-density horizon t0 of :mod:`psde.params` is unbounded for
+alpha^2 below its threshold: t0 is the paper's constant, which the lab
+reports, not a horizon it measures.
 """
 
 from __future__ import annotations

@@ -34,9 +34,9 @@ column in another order).  The same sweep gives :func:`scheme_tangent`, the
 exact derivative of the discrete scheme's X_T in each driver increment.
 
 Every reader of the H-norm quadrature h[k] = dt * sum_{j<k} d[j,k]^2
-(:func:`h_norm`, :func:`h_norm_profile`, :func:`field_profile` and
-:func:`terminal_h_norms`) sums it in row order, j = 0, 1, ..., k-1, by
-``np.add.accumulate``, so the same column gives the same value bit for bit.
+(:func:`h_norm_profile`, :func:`field_profile` and :func:`terminal_h_norms`)
+calls :func:`_quadrature`, so the same column gives the same value bit for
+bit, and a non-finite value raises FloatingPointError.
 """
 
 from __future__ import annotations
@@ -69,11 +69,10 @@ _H_NORM_BLOCK_BYTES = 8 * 1001 * 128
 
 @dataclass(frozen=True)
 class DerivativeField:
-    """Lower-triangular grid derivative d[j,k] = D_{r_j} X_{t_k}, j <= k."""
+    """Grid derivative d[j,k] = D_{r_j} X_{t_k}, zero below the diagonal (j > k)."""
 
     grid: np.ndarray
     d: np.ndarray
-    argmax_idx: np.ndarray
 
     @property
     def dt(self) -> float:
@@ -223,6 +222,20 @@ def _terminal_adjoint(
     return sig, adj
 
 
+def _quadrature(col: np.ndarray, dt: float, out: np.ndarray):
+    """The H-norm quadrature dt * sum_j col[j]^2, squared into ``out`` and summed down axis 0.
+
+    ``np.add.accumulate`` adds rows j = 0, 1, ... in order, where ``np.sum``
+    would add a one-column block pairwise.  Raises FloatingPointError on a
+    non-finite value: a non-finite entry, or squares whose sum overflows.
+    """
+    sq = np.multiply(col, col, out=out)
+    h = np.add.accumulate(sq, axis=0, out=sq)[-1] * dt
+    if not np.isfinite(h).all():
+        raise FloatingPointError("non-finite H-norm: a derivative field entry or its square overflows")
+    return h
+
+
 def _terminal_h_norms(
     x: np.ndarray,
     dw: np.ndarray,
@@ -230,18 +243,11 @@ def _terminal_h_norms(
     model: CoefficientModel,
     params: PerturbationParams,
 ) -> np.ndarray:
-    """dt * sum_{j<n} d[j, n]^2 per path of an (n+1, batch) trajectory block.
-
-    Each path's column is summed down its rows in place, in :func:`h_norm`'s
-    row order: an axis-0 ``np.sum`` would sum a one-path block pairwise.
-    """
+    """dt * sum_{j<n} d[j, n]^2 per path of an (n+1, batch) trajectory block."""
     n = x.shape[0] - 1
     sig, adj = _terminal_adjoint(x, dw, dt, model, params)
     terminal = np.multiply(sig, adj[:-1], out=sig)
-    if not np.all(np.isfinite(terminal)):
-        raise FloatingPointError("non-finite entries in derivative field")
-    sq = np.multiply(terminal[:n], terminal[:n], out=terminal[:n])
-    return np.add.accumulate(sq, axis=0, out=sq)[-1] * dt
+    return _quadrature(terminal[:n], dt, out=terminal[:n])
 
 
 def derivative_field(path: Path, model: CoefficientModel, params: PerturbationParams) -> DerivativeField:
@@ -259,28 +265,17 @@ def derivative_field(path: Path, model: CoefficientModel, params: PerturbationPa
         d[: k + 1, k] = col
     if not np.all(np.isfinite(d)):
         raise FloatingPointError("non-finite entries in derivative field")
-    return DerivativeField(grid=path.grid, d=d, argmax_idx=running_argmax(x))
-
-
-def h_norm(field: DerivativeField, k: int) -> float:
-    """||D X_{t_k}||_H^2 ~ dt * sum_{j<k} d[j,k]^2 (left-point in r), summed in row order."""
-    if not 0 <= k <= field.n_steps:
-        raise ValueError(f"k={k} outside grid with {field.n_steps} steps")
-    if not k:
-        return 0.0
-    col = field.d[:k, k]
-    return float(np.add.accumulate(col * col)[-1]) * field.dt
+    return DerivativeField(grid=path.grid, d=d)
 
 
 def h_norm_profile(field: DerivativeField) -> np.ndarray:
-    """H-norm quadrature at every grid time, h[k] = dt * sum_{j<k} d[j,k]^2.
+    """||D X_{t_k}||_H^2 ~ h[k] = dt * sum_{j<k} d[j,k]^2 (left-point in r) at every grid time.
 
     Column k of the strict upper triangle is summed down its rows, so h[k]
-    is ``h_norm(field, k)`` bit for bit: the zeros below row k-1 add nothing.
+    is the sum of rows 0..k-1 in order bit for bit: the zeros add nothing.
     """
     sq = np.triu(field.d, 1)
-    np.multiply(sq, sq, out=sq)
-    return np.add.accumulate(sq, axis=0, out=sq)[-1] * field.dt
+    return _quadrature(sq, field.dt, out=sq)
 
 
 def field_profile(
@@ -290,19 +285,18 @@ def field_profile(
 
     The forward recursion, in O(n) memory and without the
     :data:`MAX_FIELD_STEPS` cap; both arrays equal those read off
-    ``derivative_field(path, ...)`` bit for bit; h[k] is the running sum of
-    column k's rows 0..k-1, in :func:`h_norm`'s order.  Raises
-    FloatingPointError wherever that field would: a non-finite entry feeds
-    its row's running source, which then stays non-finite, so it reaches the
-    terminal column.
+    ``derivative_field(path, ...)`` bit for bit: h[k] is column k's rows
+    0..k-1 summed by :func:`_quadrature`.  Raises FloatingPointError
+    wherever that field would, or its ``h_norm_profile``: a non-finite
+    entry feeds its row's running source, which then stays non-finite, so
+    it reaches the terminal column.
     """
-    x = path.x
+    x, dt = path.x, path.dt
     profile = np.zeros(len(x))
-    sq, sums = np.empty(len(x)), np.empty(len(x))
-    for k, col in enumerate(_columns(x, path.dw, path.dt, model, params)):
+    sq = np.empty(len(x))
+    for k, col in enumerate(_columns(x, path.dw, dt, model, params)):
         if k:
-            np.add.accumulate(np.multiply(col[:k], col[:k], out=sq[:k]), out=sums[:k])
-            profile[k] = sums[k - 1] * path.dt
+            profile[k] = _quadrature(col[:k], dt, out=sq[:k])
     if not np.all(np.isfinite(col)):
         raise FloatingPointError("non-finite entries in derivative field")
     return profile, col
@@ -323,11 +317,11 @@ def terminal_h_norms(
     bit-identical for any block budget, any PSDE_THREADS and a batch of one
     on the path's own driver.  The sweep builds the column in another order
     than the forward recursion, so a value agrees with
-    ``h_norm(derivative_field(path), n)`` to 1e-12 relative, not bit for
-    bit; the quadrature over the column is h_norm's.  The sweep reads the
-    drivers the kernel consumed, as a path's ``dw`` holds them.  Raises
-    FloatingPointError on a non-finite terminal column, before the bound
-    check.
+    ``h_norm_profile(derivative_field(path))[n]`` to 1e-12 relative, not
+    bit for bit; the quadrature over the column, :func:`_quadrature`, is the
+    same.  The sweep reads the drivers the kernel consumed, as a path's
+    ``dw`` holds them.  Raises FloatingPointError on a non-finite H-norm,
+    before the bound check.
     """
     n = cfg.n_steps
 
@@ -459,15 +453,15 @@ def positivity_report(h_norms: Sequence[float], t: float, sigma_inf: float) -> P
     )
 
 
-def field_closed_form_singly_perturbed(field: DerivativeField, alpha: float) -> np.ndarray:
-    """Reference field for beta=0, sigma=1, b=0, seed 0.
+def field_closed_form_singly_perturbed(path: Path, alpha: float) -> np.ndarray:
+    """Reference field of a path for beta=0, sigma=1, b=0.
 
     Differentiating X = W + (alpha/(1-alpha)) max W with the local property:
-    d[j,k] = 1 + (alpha/(1-alpha)) * 1{argmax_idx[k] >= j}, for j <= k.
+    d[j,k] = 1 + (alpha/(1-alpha)) * 1{p_k >= j} for j <= k, with p the
+    path's running argmax.
     """
-    n = field.n_steps
+    argmax_idx = running_argmax(path.x)
     c = alpha / (1.0 - alpha)
-    j = np.arange(n + 1)[:, None]
-    k = np.arange(n + 1)[None, :]
-    ref = 1.0 + c * (field.argmax_idx[None, :] >= j)
-    return np.where(j <= k, ref, 0.0)
+    j = np.arange(len(argmax_idx))[:, None]
+    ref = 1.0 + c * (argmax_idx[None, :] >= j)
+    return np.where(j <= j.T, ref, 0.0)

@@ -106,7 +106,8 @@ def smoothness_constant(t: float, alpha: float, beta: float, b_prime_sup: float)
         raise ValueError(f"t must be >= 0, got {t}")
     if b_prime_sup < 0.0:
         raise ValueError(f"b_prime_sup must be >= 0, got {b_prime_sup}")
-    arg = 3.0 * (b_prime_sup**2 * t + 4.0 * (alpha**2 + beta**2))
+    # ||b'||^2 t as b' * (b' t): no ||b'||^2 that overflows where the product does not
+    arg = 3.0 * (b_prime_sup * (b_prime_sup * t) + 4.0 * (alpha**2 + beta**2))
     return arg + 2.0 * math.sqrt(arg)
 
 
@@ -115,22 +116,30 @@ def smooth_density_horizon(alpha: float, beta: float, b_prime_sup: float) -> Smo
 
         t0 = (1/||b'||^2) * ((sqrt(2)-1)^2/3 - 4*(alpha^2+beta^2))
 
+    t0 is the paper's constant, and the lab reports it as such; it is not a
+    measured smoothness horizon.  The singly perturbed law (sigma = 1,
+    b = 0, beta = 0) has b_prime_sup = 0, so t0 is unbounded there for
+    alpha^2 < (3-2*sqrt(2))/12, yet its density is C^1 but not C^2 at X_0
+    for every alpha != 0: (log p)'' jumps from -1/t to -(1-alpha)^2/t.
+
     t0 > 0 exactly when alpha^2 + beta^2 < (3-2*sqrt(2))/12 (``threshold_ok``).
     A non-positive t0 is reported as is, with ``threshold_ok`` False, so a
     caller can explain why a smoothness experiment is refused.  When
     b_prime_sup == 0 there is no finite horizon: t0 is reported as +inf
     (threshold satisfied) or 0 (threshold violated) with ``t0_unbounded``,
     and C is evaluated at t = 0.  A b_prime_sup so small that t0 is not a
-    finite float (b_prime_sup**2 underflows to 0, or the quotient
-    overflows) is reported the same way.
+    finite float (the quotient overflows) is reported the same way.  The
+    quotient divides by b_prime_sup twice and never forms its square, so a
+    b_prime_sup whose square overflows gives the float nearest t0, which
+    may be subnormal or 0.0: a positive horizon below float resolution
+    when ``threshold_ok`` holds.
     """
     if b_prime_sup < 0.0:
         raise ValueError(f"b_prime_sup must be >= 0, got {b_prime_sup}")
     s2 = alpha**2 + beta**2
     threshold_ok = s2 < SMOOTHNESS_THRESHOLD
     numerator = (math.sqrt(2.0) - 1.0) ** 2 / 3.0 - 4.0 * s2
-    b_prime_sq = b_prime_sup**2
-    t0 = numerator / b_prime_sq if b_prime_sq else math.inf
+    t0 = numerator / b_prime_sup / b_prime_sup if b_prime_sup else math.inf
     if not math.isfinite(t0):
         t0 = math.inf if threshold_ok else 0.0
         c = smoothness_constant(0.0, alpha, beta, 0.0)
@@ -155,7 +164,10 @@ def hnorm_lower_bound(
 
     At s = 0 the bound is 0.0, as X_0 is deterministic.  When C(t) >= 1
     the bound is vacuous: a flagged 0.0 is returned (with a
-    :class:`BoundVacuousWarning`), never an exception.
+    :class:`BoundVacuousWarning`), never an exception.  Numerator and
+    denominator are divided by s^2, so neither s^2 nor ||b'||^2 s^2 is
+    formed: the bound stays finite where those squares overflow and it
+    does not (it tends to (1 - C) sigma^2 / (6 ||b'||^2) as s grows).
     """
     if not 0.0 <= s <= t:
         raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
@@ -167,8 +179,10 @@ def hnorm_lower_bound(
             stacklevel=2,
         )
         return 0.0
-    denom = 2.0 * (1.0 + 3.0 * b_prime_sup**2 * s**2 + 3.0 * (alpha**2 + beta**2))
-    return (1.0 - c) * sigma_const**2 * s**2 / denom
+    if s == 0.0:
+        return 0.0
+    denom = 2.0 * ((1.0 + 3.0 * (alpha**2 + beta**2)) / s / s + 3.0 * b_prime_sup * b_prime_sup)
+    return (1.0 - c) * sigma_const * sigma_const / denom
 
 
 def hnorm_running_max_lower_bound(
@@ -177,8 +191,11 @@ def hnorm_running_max_lower_bound(
     """Lower bound on max_{s<=t} ||DX_s||_H^2 for the additive-noise model.
 
         sigma^2 * t / (2 * (1 + 3*(t^2 ||b'||^2 + alpha^2 + beta^2)))
+
+    Evaluated divided by t, with ||b'||^2 t as b' * (b' t), so neither t^2
+    nor ||b'||^2 t^2 is formed.
     """
     if t <= 0.0:
         raise ValueError(f"t must be > 0, got {t}")
-    denom = 2.0 * (1.0 + 3.0 * (t**2 * b_prime_sup**2 + alpha**2 + beta**2))
-    return sigma_const**2 * t / denom
+    denom = 2.0 * ((1.0 + 3.0 * (alpha**2 + beta**2)) / t + 3.0 * b_prime_sup * (b_prime_sup * t))
+    return sigma_const * sigma_const / denom

@@ -185,7 +185,7 @@ def test_criterion_5_malliavin_field():
         cfg = SimConfig(x0_seed_value=0.0, horizon=1.0, n_steps=1000, rng_seed=seed)
         path = psde.simulate_per_step(unit, p_half, cfg)
         field = psde.derivative_field(path, unit, p_half)
-        ref = field_closed_form_singly_perturbed(field, 0.5)
+        ref = field_closed_form_singly_perturbed(path, 0.5)
         worst_entry = max(worst_entry, float(np.max(np.abs(field.d - ref))))
     generic = psde.named_model("smooth-generic")
     params = psde.validate_params(0.3, -0.2)

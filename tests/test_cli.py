@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,7 @@ def test_constants_at_time_zero(tmp_path):
 
 
 COMMANDS = ("validate", "constants", "simulate", "picard-compare", "malliavin", "density", "lamperti-check")
+ONE = {"kind": "constant", "value": 1.0}
 # sigma = b = 0: every path stays at x0
 STILL = {"b": {"kind": "constant", "value": 0.0}, "sigma": {"kind": "constant", "value": 0.0}}
 
@@ -377,27 +379,57 @@ def test_commands_compute_and_main_writes(tmp_path, monkeypatch, command):
 def test_reports_are_strict_json(tmp_path, capsys, command):
     # b' = 0 makes t0 infinite, which RFC 8259 JSON cannot hold: null in its
     # place; so does a b' whose square underflows (1e-200) or whose t0
-    # overflows (1e-160)
+    # overflows (1e-160).  A b' of 1e-100 has a finite t0 ~ 1.7e198, whose
+    # squares would overflow the H-norm bound, and one of 1e200 a square
+    # that overflows: t0 is then 0.0
     def refuse(constant):
         raise ValueError(f"{constant} is not JSON")
 
     params = {"alpha": 0.1, "beta": 0.0}
     configs = [write_config(tmp_path, params=params)]
     if command in ("validate", "constants"):
-        for amplitude in (1e-200, 1e-160):
+        for amplitude in (1e-200, 1e-160, 1e-100, 1e200):
             b = {"kind": "sinusoidal", "offset": 0, "amplitude": amplitude}
-            model = {"b": b, "sigma": {"kind": "constant", "value": 1.0}}
+            model = {"b": b, "sigma": ONE}
             configs.append(write_config(tmp_path, name=f"b{amplitude}.json", model=model, params=params))
     for k, cfgp in enumerate(configs):
         out = tmp_path / f"out{k}"
         assert main([command, "--config", str(cfgp), "--out", str(out)]) == 0
         texts = [capsys.readouterr().out] + [p.read_text() for p in sorted(out.glob("*.json"))]
         reports = [json.loads(text, parse_constant=refuse) for text in texts]
-        if command in ("validate", "constants"):
+        if command in ("validate", "constants") and k < 3:
             assert reports[0]["t0"] is None and reports[0]["t0_unbounded"] is True
         if command == "constants":
             rows = list(csv.reader(io.StringIO((out / "constants.csv").read_text())))[1:]
             assert len(rows) == 20 and all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+@pytest.mark.parametrize(
+    "command,overrides",
+    [
+        # with the threshold violated (alpha = 0.5) the table runs to the
+        # horizon, where ||b'||^2 t = 1e400 makes C(t) no float
+        ("constants", {"model": {"b": {"kind": "sinusoidal", "offset": 0, "amplitude": 1e200}, "sigma": ONE}}),
+        # sigma = 1e200 keeps every path and field entry finite, but
+        # ||DX||_H^2 ~ 1e400 is no float
+        (
+            "malliavin",
+            {
+                "model": {"b": {"kind": "constant", "value": 0.0}, "sigma": {"kind": "constant", "value": 1e200}},
+                "params": {"alpha": 0.0, "beta": 0.0},
+                "sim": {"n_steps": 20},
+                "analysis": {"n_paths": 3, "n_intervals": 4},
+            },
+        ),
+    ],
+)
+def test_overflow_exits_3_and_writes_nothing(tmp_path, capsys, command, overrides):
+    cfgp = write_config(tmp_path, **overrides)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main([command, "--config", str(cfgp), "--quiet"]) == 3
+    assert json.loads(capsys.readouterr().err)["error"] == "FloatingPointError"
+    assert not (tmp_path / "out").exists()
 
 
 def test_density_without_spread_asks_for_a_bandwidth(tmp_path, capsys):

@@ -290,6 +290,26 @@ def test_reference_matches_closed_form(alpha):
     assert np.max(np.abs(law.cdf(v) - closed_form_cdf(v, c))) <= 1e-7
 
 
+@pytest.mark.parametrize("t", [1.0, 0.25])
+@pytest.mark.parametrize("alpha", [0.05, 0.1])
+def test_singly_perturbed_law_is_not_c2_at_x0(alpha, t):
+    # for unit with beta = 0 the constants report threshold_ok and an
+    # unbounded t0, the paper's horizon; yet the closed form's log-density is
+    # quadratic on each side of X_0 = 0, with curvature -1/t below and
+    # -(1-alpha)^2/t above (at t = 1: -1 and -0.9025 or -0.81), so the law is
+    # C^1 but not C^2 at X_0
+    horizon = psde.smooth_density_horizon(alpha, 0.0, psde.named_model("unit").b_prime_sup)
+    assert horizon.threshold_ok and horizon.t0_unbounded and horizon.t0 == math.inf
+    law = psde.reference_singly_perturbed(alpha, t)
+    step = 1e-3
+    for v, curvature in ((-0.3, -1.0 / t), (0.3, -((1.0 - alpha) ** 2) / t)):
+        log_p = np.log(law.density(np.array([v - step, v, v + step])))
+        assert (log_p[0] - 2.0 * log_p[1] + log_p[2]) / step**2 == pytest.approx(curvature, rel=1e-6)
+    # the density itself is continuous at X_0
+    p = law.density(np.array([-1e-9, 0.0, 1e-9]))
+    assert np.ptp(p) <= 1e-12 * p[1]
+
+
 def test_reference_density_normalized():
     law = psde.reference_singly_perturbed(0.5, 1.0)
     v = np.linspace(-9.0, 18.0, 40_001)

@@ -43,24 +43,24 @@ def test_unperturbed_field_is_one(unit_model):
 
 def test_unperturbed_h_norm_exact(unit_model):
     field, _, _ = field_for(unit_model, 0.0, 0.0, n_steps=1000, seed=1)
-    assert psde.h_norm(field, 1000) == 1.0
+    assert psde.h_norm_profile(field)[1000] == 1.0
 
 
 @pytest.mark.parametrize("alpha", [0.5, 0.25, -0.7])
 def test_singly_perturbed_field_closed_form(unit_model, alpha):
     for seed in range(5):
-        field, _, _ = field_for(unit_model, alpha, 0.0, n_steps=400, seed=seed)
-        ref = field_closed_form_singly_perturbed(field, alpha)
+        field, path, _ = field_for(unit_model, alpha, 0.0, n_steps=400, seed=seed)
+        ref = field_closed_form_singly_perturbed(path, alpha)
         assert np.max(np.abs(field.d - ref)) <= 1e-12
 
 
 def test_singly_perturbed_h_norm_closed_form(unit_model):
     alpha = 0.5
-    field, _, _ = field_for(unit_model, alpha, 0.0, n_steps=400, seed=2)
+    field, path, _ = field_for(unit_model, alpha, 0.0, n_steps=400, seed=2)
     c = alpha / (1.0 - alpha)
     profile = psde.h_norm_profile(field)
     for k in (50, 200, 400):
-        cnt = min(int(field.argmax_idx[k]) + 1, k)
+        cnt = min(int(psde.running_argmax(path.x)[k]) + 1, k)
         want = field.dt * ((1.0 + c) ** 2 * cnt + (k - cnt))
         assert profile[k] == pytest.approx(want, rel=1e-12)
 
@@ -146,7 +146,7 @@ def test_positivity_report_positive_case(generic_model):
     values = []
     for seed in range(50):
         field, _, _ = field_for(generic_model, 0.3, -0.2, n_steps=128, seed=seed, x0=0.5)
-        values.append(psde.h_norm(field, 128))
+        values.append(psde.h_norm_profile(field)[128])
     report = psde.positivity_report(values, t=1.0, sigma_inf=generic_model.sigma_inf)
     assert report.hypothesis_ok
     assert report.minimum > 0.0
@@ -161,7 +161,7 @@ def test_positivity_report_degenerate_sigma():
     for seed in range(5):
         path = psde.simulate_per_step(degenerate, p, cfg(n_steps=64, seed=seed, x0=0.3))
         field = psde.derivative_field(path, degenerate, p)
-        values.append(psde.h_norm(field, 64))
+        values.append(psde.h_norm_profile(field)[64])
     report = psde.positivity_report(values, t=1.0, sigma_inf=degenerate.sigma_inf)
     assert not report.hypothesis_ok
     assert report.fraction_at_or_below["0.0"] == 1.0
@@ -179,7 +179,7 @@ def test_h_norm_grid_refinement_stability(generic_model):
         c = cfg(n_steps=n, seed=11, x0=0.5)
         path = psde.simulate_per_step(generic_model, p, c, inc)
         field = psde.derivative_field(path, generic_model, p)
-        vals[n] = psde.h_norm(field, n)
+        vals[n] = psde.h_norm_profile(field)[n]
     assert abs(vals[1000] - vals[500]) <= 0.05 * abs(vals[500])
 
 
@@ -190,7 +190,7 @@ def per_path_terminal_h_norms(model, p, c, n_paths):
     values = []
     for q in range(n_paths):
         path = psde.simulate_per_step(model, p, dataclasses.replace(c, rng_seed=psde.path_seed(c.rng_seed, q)))
-        values.append(psde.h_norm(psde.derivative_field(path, model, p), c.n_steps))
+        values.append(psde.h_norm_profile(psde.derivative_field(path, model, p))[c.n_steps])
     return np.array(values)
 
 
@@ -303,6 +303,24 @@ def test_terminal_h_norms_non_finite_raises():
             psde.terminal_h_norms(steep, p, c, 3)
 
 
+def test_overflowing_h_norm_raises():
+    # sigma = 1e200 keeps every path value and field entry finite, but
+    # ||DX||_H^2 ~ 1e400 is no float: every H-norm reader raises
+    huge = psde.make_model(psde.constant(0.0), psde.constant(1e200), name="huge")
+    p = psde.validate_params(0.0, 0.0)
+    c = cfg(n_steps=20, seed=1)
+    path = psde.simulate_per_step(huge, p, c)
+    field = psde.derivative_field(path, huge, p)
+    assert np.all(np.isfinite(field.d))
+    with np.errstate(over="ignore"):
+        with pytest.raises(FloatingPointError):
+            psde.malliavin.field_profile(path, huge, p)
+        with pytest.raises(FloatingPointError):
+            psde.h_norm_profile(field)
+        with pytest.raises(FloatingPointError):
+            psde.terminal_h_norms(huge, p, c, 3)
+
+
 def reference_field(path, model, p):
     """Per-path recursion down each column's rows, the field's reference."""
     x = path.x
@@ -367,12 +385,11 @@ def test_field_matches_reference_recursion(model, alpha, beta, n_steps):
 @pytest.mark.parametrize("n_steps", [1, 2, 64, 300])
 @FIELD_CASES
 def test_h_norm_quadrature_has_one_order(model, alpha, beta, n_steps):
-    # h_norm, h_norm_profile and field_profile sum each column down its rows
-    # in one order, so they agree bit for bit at every grid time
+    # h_norm_profile and field_profile sum each column down its rows in one
+    # order, so they agree bit for bit at every grid time
     p = psde.validate_params(alpha, beta)
     for seed in range(3):
         path = psde.simulate_per_step(model, p, cfg(n_steps=n_steps, seed=seed, x0=0.5))
         field = psde.derivative_field(path, model, p)
-        single = np.array([psde.h_norm(field, k) for k in range(n_steps + 1)])
         unstored, _ = psde.malliavin.field_profile(path, model, p)
-        assert single.tobytes() == psde.h_norm_profile(field).tobytes() == unstored.tobytes()
+        assert psde.h_norm_profile(field).tobytes() == unstored.tobytes()

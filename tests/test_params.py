@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -129,6 +130,32 @@ def test_horizon_tiny_drift_bound_flagged():
             assert psde.smooth_density_horizon(alpha, beta, k) == psde.smooth_density_horizon(alpha, beta, 0.0)
     h = psde.smooth_density_horizon(0.05, 0.05, 1e-100)
     assert math.isfinite(h.t0) and h.t0 > 0.0 and not h.t0_unbounded
+
+
+def test_huge_drift_bound_is_not_squared():
+    # ||b'||^2 = 1e400 is no float, but t0 = 0.0172/1e400 is a positive
+    # horizon below float resolution, reported as 0.0 with threshold_ok
+    h = psde.smooth_density_horizon(0.1, 0.0, 1e200)
+    assert h.t0 == 0.0 and h.threshold_ok and not h.t0_unbounded
+    assert h.c_of_t == psde.smoothness_constant(0.0, 0.1, 0.0, 0.0)
+    # at 2e154 the square overflows and t0 is subnormal; C(t0) is still 1
+    h = psde.smooth_density_horizon(0.1, 0.0, 2e154)
+    assert 0.0 < h.t0 < sys.float_info.min and h.threshold_ok
+    assert h.c_of_t == pytest.approx(1.0, abs=1e-9)
+    # ||b'||^2 t = 1e100 is a float although ||b'||^2 is not
+    assert psde.smoothness_constant(1e-300, 0.0, 0.0, 1e200) == pytest.approx(3e100 + 2.0 * math.sqrt(3e100))
+
+
+def test_huge_time_is_not_squared():
+    # b' = 1e-100 puts t0 at ~1.7e198, where s^2 overflows but the bounds
+    # do not: they tend to (1 - C) sigma^2 / (6 ||b'||^2) and 1 / (6 ||b'||^2 t)
+    k = 1e-100
+    h = psde.smooth_density_horizon(0.1, 0.0, k)
+    assert h.t0 == pytest.approx(1.719e198, rel=1e-3)
+    s = h.t0 / 2.0
+    c = psde.smoothness_constant(s, 0.1, 0.0, k)
+    assert psde.hnorm_lower_bound(s, s, 1.0, 0.1, 0.0, k) == pytest.approx((1.0 - c) / (6.0 * k * k), rel=1e-12)
+    assert psde.hnorm_running_max_lower_bound(1e200, 1.0, 0.1, 0.0, k) == pytest.approx(1.0 / 6.0, rel=1e-12)
 
 
 def test_c_at_t0_consistency_random():
