@@ -1,20 +1,16 @@
 """Numerical laboratory for one-dimensional doubly perturbed diffusions.
 
 X_t = x + int sigma(X) dW + int b(X) ds + alpha * max X + beta * min X
+
+The core modules (artifacts, errors, models, params, simulate, skorokhod)
+load with the package, as every command needs them.  The analysis modules
+density, lamperti and malliavin, and the names they export here, load on
+first use, so a command loads only the analysis it runs.
 """
 
+from importlib import import_module as _import_module
+
 from .artifacts import __version__
-from .density import (
-    Ensemble,
-    LawKind,
-    ReferenceLaw,
-    atom_scan,
-    generate_ensemble,
-    kde,
-    ks_test,
-    reference_gaussian,
-    reference_singly_perturbed,
-)
 from .errors import (
     BoundVacuousWarning,
     CaseInconsistentError,
@@ -25,18 +21,6 @@ from .errors import (
     PsdeError,
     SigmaNotPositiveError,
     SimulationAborted,
-)
-from .lamperti import Transform, build_transform, pathwise_reduction_check
-from .malliavin import (
-    CameronMartinResult,
-    DerivativeField,
-    cameron_martin_directional,
-    derivative_field,
-    directional_from_field,
-    h_norm_profile,
-    positivity_report,
-    scheme_tangent,
-    terminal_h_norms,
 )
 from .models import (
     Coefficient,
@@ -79,4 +63,26 @@ from .simulate import (
 )
 from .skorokhod import MaxMinSolution, contraction_rate, solve_max_min
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+_LAZY = {
+    "density": ("Ensemble", "LawKind", "ReferenceLaw", "atom_scan", "generate_ensemble", "kde", "ks_test",
+                "reference_gaussian", "reference_singly_perturbed"),
+    "lamperti": ("Transform", "build_transform", "pathwise_reduction_check"),
+    "malliavin": ("CameronMartinResult", "DerivativeField", "cameron_martin_directional", "derivative_field",
+                  "directional_from_field", "h_norm_profile", "malliavin_pass", "positivity_report",
+                  "scheme_tangent", "terminal_h_norms"),
+}
+_MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
+
+__all__ = sorted([name for name in dir() if not name.startswith("_")] + list(_LAZY) + list(_MODULE_OF))
+
+
+def __getattr__(name):
+    """An analysis module, or a name it exports, imported on first use."""
+    module = name if name in _LAZY else _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = _import_module(f".{module}", __name__)
+    if module != name:
+        value = getattr(value, name)
+        globals()[name] = value
+    return value

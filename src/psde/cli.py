@@ -12,7 +12,8 @@ and ``analysis.bin_widths`` wide enough that no atom scan needs more than
 ``MAX_ATOM_BINS`` bins or overflows its bin index; ``picard-compare`` and
 ``lamperti-check`` need a refinement ladder that ``check_ladder`` accepts.
 An infinite t0 is reported as null, and ``constants`` exits 3 where C(t)
-or the H-norm lower bound of a row overflows.
+or the H-norm lower bound of a row overflows.  The stderr JSON of a failure
+writes a non-finite diagnostic (a NaN in a history) as null too.
 
 Each subcommand only computes: it returns its report's name and payload,
 and the files it produces, in order.  ``main`` alone writes those files,
@@ -34,9 +35,6 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from . import density as density_mod
-from . import lamperti as lamperti_mod
-from . import malliavin as malliavin_mod
 from .artifacts import __version__, field_rows, fingerprint, path_rows, write_csv, write_json_report
 from .errors import NoConvergenceError, ParameterRejection, PathFailure, SigmaNotPositiveError
 from .models import CoefficientModel, coefficient_from_spec, make_model, named_model, tabulated
@@ -270,9 +268,12 @@ def _refinements(run: _Run) -> int:
     return n_levels
 
 
-def _json_t0(horizon) -> float | None:
-    """t0, or None (JSON null) where it is not finite: RFC 8259 has no Infinity."""
-    return horizon.t0 if math.isfinite(horizon.t0) else None
+def _json_number(value):
+    """value, or None (JSON null) for a float that is not finite, also inside a
+    list: RFC 8259 has no NaN or Infinity."""
+    if isinstance(value, list):
+        return [_json_number(v) for v in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
 
 
 def cmd_validate(run: _Run):
@@ -283,7 +284,7 @@ def cmd_validate(run: _Run):
         "alpha": params.alpha,
         "beta": params.beta,
         "rho": params.rho,
-        "t0": _json_t0(horizon),
+        "t0": _json_number(horizon.t0),
         "t0_unbounded": horizon.t0_unbounded,
         "threshold_ok": horizon.threshold_ok,
         "b_prime_sup": model.b_prime_sup,
@@ -309,7 +310,7 @@ def cmd_constants(run: _Run):
             raise FloatingPointError(f"C(t) = {c} or its H-norm lower bound {bound} is not a float at t = {t}")
         rows.append((t, float(c), float(bound)))
     return "constants.json", {
-        "t0": _json_t0(horizon),
+        "t0": _json_number(horizon.t0),
         "threshold_ok": horizon.threshold_ok,
         "t0_unbounded": horizon.t0_unbounded,
         "c_at_t0": horizon.c_of_t,
@@ -345,28 +346,27 @@ def cmd_malliavin(run: _Run):
     if n_intervals > sim_cfg.n_steps:  # a window narrower than a step maps to no grid step
         message = f"analysis.n_intervals = {n_intervals} exceeds n_steps = {sim_cfg.n_steps}"
         raise _CliFailure(EXIT_REJECTED, "ConfigError", message)
-    path = simulate_per_step(model, params, sim_cfg)
-    files = {}
-    profile, terminal = malliavin_mod.field_profile(path, model, params)
-    files["h_norm.csv"] = (["t", "h_norm"], ((float(path.grid[k]), float(profile[k])) for k in range(len(profile))))
-    if analysis.get("export_field", False):  # only field.csv needs the (n+1)^2 field, and its cap
-        files["field.csv"] = (["j", "k", "d"], field_rows(malliavin_mod.derivative_field(path, model, params)))
+    from . import malliavin
+
     edges = np.linspace(0.0, sim_cfg.horizon, n_intervals + 1).tolist()
     windows = list(zip(edges[:-1], edges[1:]))
-    finite_differences = malliavin_mod.cameron_martin_directional(
-        model, params, sim_cfg, windows, analysis.get("eps", 1e-4)
-    )
-    positivity = None
     n_paths = analysis.get("n_paths", 0)
+    # one kernel run: the base path is path 0 of the positivity ensemble
+    path, finite_differences, h_values = malliavin.malliavin_pass(
+        model, params, sim_cfg, windows, analysis.get("eps", 1e-4), n_paths
+    )
+    files = {}
+    profile, terminal = malliavin.field_profile(path, model, params)
+    files["h_norm.csv"] = (["t", "h_norm"], ((float(path.grid[k]), float(profile[k])) for k in range(len(profile))))
+    if analysis.get("export_field", False):  # only field.csv needs the (n+1)^2 field, and its cap
+        files["field.csv"] = (["j", "k", "d"], field_rows(malliavin.derivative_field(path, model, params)))
+    positivity = None
     if n_paths:
-        h_values = malliavin_mod.terminal_h_norms(model, params, sim_cfg, n_paths)
-        positivity = malliavin_mod.positivity_report(
-            h_values, t=sim_cfg.horizon, sigma_inf=model.sigma_inf
-        ).to_dict()
+        positivity = malliavin.positivity_report(h_values, t=sim_cfg.horizon, sigma_inf=model.sigma_inf).to_dict()
         files["positivity.json"] = positivity
     checks = []
     for (r_lo, r_hi), fd in zip(windows, finite_differences):
-        fv = malliavin_mod.directional_from_column(terminal, path.dt, r_lo, r_hi)
+        fv = malliavin.directional_from_column(terminal, path.dt, r_lo, r_hi)
         denom = max(abs(fd.value), 1e-300)
         checks.append(
             {
@@ -391,9 +391,11 @@ def cmd_density(run: _Run):
     n_paths = analysis.get("n_paths", 10_000)
     if n_paths < 1:
         raise _CliFailure(EXIT_REJECTED, "ConfigError", f"density needs analysis.n_paths >= 1, got {n_paths}")
-    ensemble = density_mod.generate_ensemble(model, params, sim_cfg, n_paths)
+    from . import density
+
+    ensemble = density.generate_ensemble(model, params, sim_cfg, n_paths)
     try:
-        est = density_mod.kde(ensemble, analysis.get("bandwidth", "auto"))
+        est = density.kde(ensemble, analysis.get("bandwidth", "auto"))
     except ValueError as exc:
         # the schema admits only "auto" or a number > 0, and "auto" is 0 only without spread
         message = 'analysis.bandwidth = "auto" is 0 on terminal values that are all equal; give a number > 0'
@@ -401,7 +403,7 @@ def cmd_density(run: _Run):
     try:
         # the schema admits only widths > 0, so a width is refused only for
         # MAX_ATOM_BINS or a bin index that overflows
-        scans = [density_mod.atom_scan(ensemble, w).__dict__ for w in analysis.get("bin_widths", [1e-1, 1e-2, 1e-3])]
+        scans = [density.atom_scan(ensemble, w).__dict__ for w in analysis.get("bin_widths", [1e-1, 1e-2, 1e-3])]
     except ValueError as exc:
         raise _CliFailure(EXIT_REJECTED, "ConfigError", f"analysis.bin_widths: {exc}") from exc
     ks_payload = None
@@ -409,15 +411,15 @@ def cmd_density(run: _Run):
     if is_unit and params.beta == 0.0:
         shift = sim_cfg.x0_seed_value / (1.0 - params.alpha)
         if params.alpha == 0.0:
-            law = density_mod.reference_gaussian(shift, sim_cfg.horizon)
+            law = density.reference_gaussian(shift, sim_cfg.horizon)
         else:
-            base = density_mod.reference_singly_perturbed(params.alpha, sim_cfg.horizon)
-            law = density_mod.ReferenceLaw(
+            base = density.reference_singly_perturbed(params.alpha, sim_cfg.horizon)
+            law = density.ReferenceLaw(
                 base.kind,
                 lambda v: base.density(np.asarray(v) - shift),
                 lambda v: base.cdf(np.asarray(v) - shift),
             )
-        ks = density_mod.ks_test(ensemble, law)
+        ks = density.ks_test(ensemble, law)
         ks_payload = {
             "statistic": ks.statistic,
             "critical_1pct": ks.critical_1pct,
@@ -441,7 +443,9 @@ def cmd_density(run: _Run):
 
 
 def cmd_lamperti_check(run: _Run):
-    report = lamperti_mod.pathwise_reduction_check(
+    from . import lamperti
+
+    report = lamperti.pathwise_reduction_check(
         run.model, run.params, run.sim, n_refinements=_refinements(run)
     )
     transform = report.transform
@@ -515,6 +519,7 @@ def main(argv=None) -> int:
 
 
 def _error(kind: str, message: str, code: int, **diagnostics) -> None:
+    diagnostics = {key: _json_number(value) for key, value in diagnostics.items()}
     json.dump({"error": kind, "message": message, "exit_code": code, **diagnostics}, sys.stderr, sort_keys=True)
     sys.stderr.write("\n")
 

@@ -83,13 +83,13 @@ def generate_ensemble(
     """
     if cfg.scheme is Scheme.PER_STEP:
 
-        def kernel(drivers):
+        def kernel(first, drivers):
             return per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, drivers)
 
         row_bytes, budget = 8 * cfg.n_steps, _DRIVER_BLOCK_BYTES
     else:
 
-        def kernel(drivers):
+        def kernel(first, drivers):
             x = picard_chunk(model, params, cfg, drivers)[0]
             return x[:, -1].copy(), float(np.min(x)), float(np.max(x))
 

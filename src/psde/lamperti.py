@@ -69,7 +69,9 @@ class Transform:
         in Python floats from the inverted table's interpolant until a step is
         a few ulp; a step leaving the bracket that G's monotonicity gives
         bisects instead.  Non-finite z gives NaN; raises
-        :class:`NoConvergenceError` at the step cap."""
+        :class:`NoConvergenceError` at the step cap, and FloatingPointError
+        at once where G or a Newton step is not finite (a bisection between
+        finite ends is finite)."""
         return _pointwise(self._g_inv_point, z)
 
     def _g_inv_point(self, z: float) -> float:
@@ -91,18 +93,22 @@ class Transform:
                     history,
                 )
             sig = float(self._model.sigma(y))
-            resid = (self._g.at(y) if y_lo <= y <= y_hi else self.g(y)) - z
+            g = self._g.at(y) if y_lo <= y <= y_hi else self.g(y)
+            resid = g - z
+            new = y - resid * sig
+            if not math.isfinite(new):
+                raise FloatingPointError(
+                    f"G^-1 Newton step at z = {z!r} is not finite: the transform G({y!r}) = {g!r}, "
+                    f"sigma = {sig!r}"
+                )
             if resid > 0.0:
                 hi = y
             else:
                 lo = y
-            new = y - resid * sig
             if not lo <= new <= hi:
                 new = 0.5 * (lo + hi)
             step = y - new
             history.append(abs(step))
-            # math.ulp(inf) is inf, but an infinite y only comes from an
-            # infinite bracket end, and its step is then NaN
             floor = NEWTON_ULPS * (math.ulp(max(abs(y), y_scale)) + sig * z_ulp)
             y = new
             if abs(step) <= floor:

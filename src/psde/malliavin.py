@@ -47,14 +47,14 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import EpsTooSmallWarning
+from .errors import EpsTooSmallWarning, PathFailure
 from .models import CoefficientModel
 from .params import PerturbationParams
 from .simulate import (
     Path,
     SimConfig,
     _fresh_max,
-    brownian_driver,
+    per_step_path,
     per_step_terminal_chunk,
     run_ensemble,
     running_argmax,
@@ -302,6 +302,59 @@ def field_profile(
     return profile, col
 
 
+def _kernel_pass(
+    model: CoefficientModel,
+    params: PerturbationParams,
+    cfg: SimConfig,
+    n_paths: int,
+    windows: Sequence[tuple[float, float]] | None = None,
+    eps: float = 0.0,
+) -> tuple[dict, np.ndarray]:
+    """One ``run_ensemble`` run of paths p < n_paths, and of path 0 with windows.
+
+    Path 0's block then also runs, after its paths, one row per window:
+    path 0's driver plus eps*dt on the window's steps.  Returns the oracle
+    ({"path": path 0, "shifted": those rows' terminals}, {} without
+    windows) and the terminal H-norms of paths p < n_paths.
+    """
+    n, dt = cfg.n_steps, cfg.dt
+    steps = []
+    if windows is not None:
+        if eps <= 0.0:
+            raise ValueError("eps must be > 0")
+        if not windows:
+            raise ValueError("need at least one window")
+        steps = [_window_steps(r_lo, r_hi, dt, n) for r_lo, r_hi in windows]
+    oracle = {}
+
+    def kernel(first, drivers):
+        n_rows = len(drivers)
+        shifts = steps if first == 0 else ()
+        if shifts:
+            block = np.empty((n_rows + len(shifts), n), order="F")
+            block[:n_rows] = drivers
+            block[n_rows:] = drivers[0]
+            for row, (j_lo, j_hi) in zip(block[n_rows:], shifts):
+                row[j_lo:j_hi] += eps * dt
+            drivers = block
+        x = np.empty((n + 1, len(drivers)))
+        try:
+            _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, dt, drivers, x)
+        except PathFailure as err:
+            if err.path >= n_rows:
+                err.args = (f"{err.args[0]} (Cameron-Martin shift of window {err.path - n_rows})",)
+                err.path = None
+            raise
+        if shifts:
+            oracle.update(path=per_step_path(cfg, x[:, 0].copy(), drivers[0].copy()), shifted=x[n, n_rows:].tolist())
+        if not n_paths:  # path 0 ran for the oracle alone
+            return np.empty(0), lo, hi
+        return _terminal_h_norms(x[:, :n_rows], drivers[:n_rows].T, dt, model, params), lo, hi
+
+    runs = max(n_paths, 1) if steps else n_paths
+    return oracle, run_ensemble(model, cfg, runs, kernel, 8 * (n + 1), _H_NORM_BLOCK_BYTES)
+
+
 def terminal_h_norms(
     model: CoefficientModel,
     params: PerturbationParams,
@@ -321,16 +374,10 @@ def terminal_h_norms(
     bit for bit; the quadrature over the column, :func:`_quadrature`, is the
     same.  The sweep reads the drivers the kernel consumed, as a path's
     ``dw`` holds them.  Raises FloatingPointError on a non-finite H-norm,
-    before the bound check.
+    before the bound check.  It is :func:`malliavin_pass` without windows,
+    and gives the same values.
     """
-    n = cfg.n_steps
-
-    def kernel(drivers):
-        x = np.empty((n + 1, len(drivers)))
-        _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, drivers, x)
-        return _terminal_h_norms(x, drivers.T, cfg.dt, model, params), lo, hi
-
-    return run_ensemble(model, cfg, n_paths, kernel, 8 * (n + 1), _H_NORM_BLOCK_BYTES)
+    return _kernel_pass(model, params, cfg, n_paths)[1]
 
 
 def scheme_tangent(path: Path, model: CoefficientModel, params: PerturbationParams) -> np.ndarray:
@@ -367,6 +414,32 @@ def directional_from_field(field: DerivativeField, r_lo: float, r_hi: float) -> 
     return directional_from_column(field.d[:, field.n_steps], field.dt, r_lo, r_hi)
 
 
+def _finite_differences(oracle: dict, eps: float) -> list[CameronMartinResult]:
+    """The quotients (X^eps_T - X_T)/eps of a ``_kernel_pass`` oracle; a
+    warning points at the call of the public function that called this one."""
+    x_t = float(oracle["path"].x[-1])
+    floor = 10.0 * np.spacing(max(abs(x_t), 1.0))
+    results = []
+    for x_eps in oracle["shifted"]:
+        diff = x_eps - x_t
+        too_small = bool(abs(diff) < floor)
+        if too_small:
+            warnings.warn(
+                f"finite difference {diff:.3e} below 10 ulp of X_T; increase eps",
+                EpsTooSmallWarning,
+                stacklevel=3,
+            )
+        results.append(
+            CameronMartinResult(
+                value=diff / eps,
+                base_terminal=x_t,
+                shifted_terminal=x_eps,
+                eps_too_small=too_small,
+            )
+        )
+    return results
+
+
 def cameron_martin_directional(
     model: CoefficientModel,
     params: PerturbationParams,
@@ -378,44 +451,40 @@ def cameron_martin_directional(
 
     For each window (r_lo, r_hi], re-simulates on the same Brownian driver
     shifted by eps * int_0^s h(u) du with h the window's indicator: every
-    increment inside the window gains eps*dt.  The base path is simulated
-    once, as row 0 of one per-step kernel batch whose other rows are the
-    shifted drivers, under one bound check.  Each quotient
-    (X^eps_T - X_T)/eps matches the field-based sum up to O(eps) + O(dt).
+    increment inside the window gains eps*dt.  The base path is path 0 of
+    the ensemble on cfg.rng_seed, which must be a master seed, below 2**64,
+    as for :func:`terminal_h_norms`: it is simulated once, and the shifted
+    drivers run as further rows of its one per-step kernel batch, under one
+    bound check.  It is :func:`malliavin_pass` without positivity paths,
+    and gives the same values.  Each quotient (X^eps_T - X_T)/eps matches
+    the field-based sum up to O(eps) + O(dt).
     """
-    if eps <= 0.0:
-        raise ValueError("eps must be > 0")
-    if not windows:
-        raise ValueError("need at least one window")
-    dt = cfg.dt
-    steps = [_window_steps(r_lo, r_hi, dt, cfg.n_steps) for r_lo, r_hi in windows]
-    increments = brownian_driver(cfg.n_steps, cfg.horizon, cfg.rng_seed)
-    drivers = np.tile(increments, (len(steps) + 1, 1))
-    for row, (j_lo, j_hi) in zip(drivers[1:], steps):
-        row[j_lo:j_hi] += eps * dt
-    terminals, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, dt, drivers)
-    model.check_bounds(lo, hi)
-    x_t, *bumped = terminals.tolist()
-    floor = 10.0 * np.spacing(max(abs(x_t), 1.0))
-    results = []
-    for x_eps in bumped:
-        diff = x_eps - x_t
-        too_small = bool(abs(diff) < floor)
-        if too_small:
-            warnings.warn(
-                f"finite difference {diff:.3e} below 10 ulp of X_T; increase eps",
-                EpsTooSmallWarning,
-                stacklevel=2,
-            )
-        results.append(
-            CameronMartinResult(
-                value=diff / eps,
-                base_terminal=x_t,
-                shifted_terminal=x_eps,
-                eps_too_small=too_small,
-            )
-        )
-    return results
+    return _finite_differences(_kernel_pass(model, params, cfg, 0, windows, eps)[0], eps)
+
+
+def malliavin_pass(
+    model: CoefficientModel,
+    params: PerturbationParams,
+    cfg: SimConfig,
+    windows: Sequence[tuple[float, float]],
+    eps: float,
+    n_paths: int,
+) -> tuple[Path, list[CameronMartinResult], np.ndarray]:
+    """Path 0, its Cameron-Martin quotients and the terminal H-norms of paths
+    p < n_paths, from one run of the per-step kernel.
+
+    Returns what ``simulate_per_step`` on cfg, ``cameron_martin_directional``
+    on windows and eps, and ``terminal_h_norms`` on n_paths return, bit for
+    bit: path 0's driver runs once, as row 0 of its ``run_ensemble`` block,
+    and its shifted drivers as further rows of that block, after its paths.
+    So a failure is that of the lowest failing block, and in path 0's block
+    that of its lowest failing path before any shifted row.  A path's
+    failure names its ensemble path p; a shifted row's names its window, by
+    its index in windows, and no path (``path`` None).  One bound check
+    covers every row's range.
+    """
+    oracle, h_norms = _kernel_pass(model, params, cfg, n_paths, windows, eps)
+    return oracle["path"], _finite_differences(oracle, eps), h_norms
 
 
 @dataclass(frozen=True)

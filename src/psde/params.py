@@ -8,7 +8,9 @@ process.  Well-posedness requires alpha < 1, beta < 1 and |rho| < 1 with
 which together force alpha + beta < 1.  This module also evaluates the
 constants of the additive-noise regularity analysis: the oscillation constant
 C(t, alpha, beta, b), the smooth-density horizon t0, and the lower bound on
-the squared H-norm of the first variation.
+the squared H-norm of the first variation.  alpha^2 and beta^2 are
+products: a Python float power raises OverflowError where the product is
+inf, and validate_params accepts alpha = -1e200 with beta = 0 (rho = 0).
 """
 
 from __future__ import annotations
@@ -107,7 +109,7 @@ def smoothness_constant(t: float, alpha: float, beta: float, b_prime_sup: float)
     if b_prime_sup < 0.0:
         raise ValueError(f"b_prime_sup must be >= 0, got {b_prime_sup}")
     # ||b'||^2 t as b' * (b' t): no ||b'||^2 that overflows where the product does not
-    arg = 3.0 * (b_prime_sup * (b_prime_sup * t) + 4.0 * (alpha**2 + beta**2))
+    arg = 3.0 * (b_prime_sup * (b_prime_sup * t) + 4.0 * (alpha * alpha + beta * beta))
     return arg + 2.0 * math.sqrt(arg)
 
 
@@ -136,7 +138,7 @@ def smooth_density_horizon(alpha: float, beta: float, b_prime_sup: float) -> Smo
     """
     if b_prime_sup < 0.0:
         raise ValueError(f"b_prime_sup must be >= 0, got {b_prime_sup}")
-    s2 = alpha**2 + beta**2
+    s2 = alpha * alpha + beta * beta
     threshold_ok = s2 < SMOOTHNESS_THRESHOLD
     numerator = (math.sqrt(2.0) - 1.0) ** 2 / 3.0 - 4.0 * s2
     t0 = numerator / b_prime_sup / b_prime_sup if b_prime_sup else math.inf
@@ -181,7 +183,7 @@ def hnorm_lower_bound(
         return 0.0
     if s == 0.0:
         return 0.0
-    denom = 2.0 * ((1.0 + 3.0 * (alpha**2 + beta**2)) / s / s + 3.0 * b_prime_sup * b_prime_sup)
+    denom = 2.0 * ((1.0 + 3.0 * (alpha * alpha + beta * beta)) / s / s + 3.0 * b_prime_sup * b_prime_sup)
     return (1.0 - c) * sigma_const * sigma_const / denom
 
 
@@ -197,5 +199,5 @@ def hnorm_running_max_lower_bound(
     """
     if t <= 0.0:
         raise ValueError(f"t must be > 0, got {t}")
-    denom = 2.0 * ((1.0 + 3.0 * (alpha**2 + beta**2)) / t + 3.0 * b_prime_sup * (b_prime_sup * t))
+    denom = 2.0 * ((1.0 + 3.0 * (alpha * alpha + beta * beta)) / t + 3.0 * b_prime_sup * (b_prime_sup * t))
     return sigma_const * sigma_const / denom

@@ -396,7 +396,12 @@ def simulate_per_step(
     x = np.empty((cfg.n_steps + 1, 1))
     _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, dw[None, :], x)
     model.check_bounds(lo, hi)
-    x = x.reshape(-1)
+    return per_step_path(cfg, x.reshape(-1), dw)
+
+
+def per_step_path(cfg: SimConfig, x: np.ndarray, dw: np.ndarray) -> Path:
+    """The Path of per-step values x on cfg's grid, driven by dw: m and i are
+    the values at the earliest running argmax/argmin, as the kernel keeps them."""
     return Path(grid=cfg.grid(), x=x, m=x[running_argmax(x)], i=x[running_argmin(x)], dw=dw)
 
 
@@ -411,7 +416,7 @@ def run_ensemble(
     model: CoefficientModel,
     cfg: SimConfig,
     n_paths: int,
-    kernel: Callable[[np.ndarray], tuple[np.ndarray, float, float]],
+    kernel: Callable[[int, np.ndarray], tuple[np.ndarray, float, float]],
     row_bytes: int,
     budget: int,
 ) -> np.ndarray:
@@ -419,11 +424,15 @@ def run_ensemble(
 
     Each block of ``ensemble_block_rows(n_paths, row_bytes, budget)`` paths
     draws its ``path_drivers`` into its thread's one reused buffer and runs
-    kernel(drivers) -> (values in row order, low, high of its realized
-    range).  Blocks run on PSDE_THREADS threads (default 1; the pool is
-    imported only for more).  The lowest failing block's PathFailure or
-    NoConvergenceError is raised, naming its ensemble path p.  One
-    ``check_bounds`` covers the range of every block.
+    kernel(first, drivers) -> (values, low, high of its realized range):
+    row r of drivers is path first + r, and the values of the block's paths
+    come in row order.  A kernel may run rows of its own past the block's
+    paths, for values that are no ensemble path's; a failure on such a row
+    must name no path (``path`` None).  Blocks run on PSDE_THREADS threads
+    (default 1; the pool is imported only for more).  The lowest failing
+    block's PathFailure or NoConvergenceError is raised, a block's row
+    renumbered to its ensemble path p.  One ``check_bounds`` covers the
+    range of every block.
     """
     if not n_paths:
         return np.empty(0)
@@ -435,7 +444,7 @@ def run_ensemble(
             buffers.drivers = np.empty((rows, cfg.n_steps), order="F")
         last = min(first + rows, n_paths)
         try:
-            return kernel(path_drivers(cfg, first, last, buffers.drivers[: last - first]))
+            return kernel(first, path_drivers(cfg, first, last, buffers.drivers[: last - first]))
         except (PathFailure, NoConvergenceError) as err:
             err.renumber(first)
             raise

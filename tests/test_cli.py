@@ -421,6 +421,9 @@ def test_reports_are_strict_json(tmp_path, capsys, command):
                 "analysis": {"n_paths": 3, "n_intervals": 4},
             },
         ),
+        # alpha = -1e200 with beta = 0 is accepted (rho = 0), and alpha^2 is
+        # inf, not an OverflowError, so C(t) is no float
+        ("constants", {"params": {"alpha": -1e200, "beta": 0.0}}),
     ],
 )
 def test_overflow_exits_3_and_writes_nothing(tmp_path, capsys, command, overrides):
@@ -430,6 +433,63 @@ def test_overflow_exits_3_and_writes_nothing(tmp_path, capsys, command, override
         assert main([command, "--config", str(cfgp), "--quiet"]) == 3
     assert json.loads(capsys.readouterr().err)["error"] == "FloatingPointError"
     assert not (tmp_path / "out").exists()
+
+
+def _refuse_constant(constant):
+    raise ValueError(f"{constant} is not JSON")
+
+
+def test_huge_alpha_validates_with_the_threshold_violated(tmp_path, capsys):
+    # alpha^2 = inf: t0 is 0.0 and the threshold fails, in strict JSON
+    cfgp = write_config(tmp_path, params={"alpha": -1e200, "beta": 0.0})
+    assert main(["validate", "--config", str(cfgp)]) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_refuse_constant)
+    assert (report["t0"], report["threshold_ok"], report["alpha"]) == (0.0, False, -1e200)
+
+
+def test_non_finite_newton_step_fails_at_once(tmp_path, capsys):
+    # sigma = 1e200 spreads G's table over ~1e200, where its cubic overflows
+    # between nodes: G^-1's first Newton step is not finite, and the check
+    # stops there with exit 3 and strict JSON on stderr
+    model = {"b": {"kind": "constant", "value": 0.0}, "sigma": {"kind": "constant", "value": 1e200}}
+    cfgp = write_config(tmp_path, model=model, params={"alpha": 0.0, "beta": 0.0}, sim={"n_steps": 20})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["lamperti-check", "--config", str(cfgp), "--quiet"]) == 3
+    err = json.loads(capsys.readouterr().err, parse_constant=_refuse_constant)
+    assert err["error"] == "FloatingPointError"
+    assert "G^-1 Newton step" in err["message"] and "the transform G(" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_error_writes_non_finite_diagnostics_as_null(capsys):
+    psde.cli._error("NoConvergenceError", "no", 3, path=None, history=[math.nan, math.inf, -math.inf, 1.5])
+    err = json.loads(capsys.readouterr().err, parse_constant=_refuse_constant)
+    assert (err["path"], err["history"]) == (None, [None, None, None, 1.5])
+
+
+def test_malliavin_runs_the_kernel_once(tmp_path, monkeypatch):
+    # on the benchmark's pathwise config the base path, its 10 shifted rows and
+    # the 100 positivity paths share one per-step kernel call
+    simulate_mod = sys.modules["psde.simulate"]
+    kernel = simulate_mod.per_step_terminal_chunk
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[4].shape)
+        return kernel(*args, **kwargs)
+
+    for module in (simulate_mod, importlib.import_module("psde.malliavin")):
+        monkeypatch.setattr(module, "per_step_terminal_chunk", counting)
+    cfgp = write_config(
+        tmp_path,
+        model={"preset": "smooth-generic"},
+        params={"alpha": 0.4, "beta": 0.3},
+        sim={"n_steps": 1000, "seed": 3},
+        analysis={"n_paths": 100, "eps": 1e-4, "n_intervals": 10},
+    )
+    assert main(["malliavin", "--config", str(cfgp), "--quiet"]) == 0
+    assert calls == [(110, 1000)]
 
 
 def test_density_without_spread_asks_for_a_bandwidth(tmp_path, capsys):
@@ -506,22 +566,30 @@ def test_bad_config_value_rejected(tmp_path, capsys, command, section, key, lite
     assert not (tmp_path / "out").exists()
 
 
-def _imports_of_a_run(argv):
-    """Exit code of main(argv) in a fresh single-threaded interpreter, and
-    the scipy, jsonschema and concurrent (thread pool) modules it loaded."""
+def _fresh_interpreter(script):
+    """The last stdout line of script, JSON, run in a fresh single-threaded
+    interpreter on this psde."""
     src = Path(psde.__file__).resolve().parent.parent
-    script = (
-        "import sys; import psde.cli; "
-        f"code = psde.cli.main({argv!r}); "
-        "print(code, sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'jsonschema', 'concurrent')))"
-    )
     env = dict(
         os.environ,
         PSDE_THREADS="1",
         PYTHONPATH=os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH")))),
     )
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
-    return result.stdout.split()
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+def _imports_of_a_run(argv):
+    """Exit code of main(argv) in a fresh single-threaded interpreter, the
+    scipy, jsonschema and concurrent (thread pool) modules it loaded, and
+    the psde modules it loaded."""
+    script = (
+        "import json, sys; import psde.cli; "
+        f"code = psde.cli.main({argv!r}); "
+        "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] in "
+        "('scipy', 'jsonschema', 'concurrent')), sorted(m for m in sys.modules if m.startswith('psde.'))]))"
+    )
+    return tuple(_fresh_interpreter(script))
 
 
 def test_startup_imports_no_scipy(tmp_path):
@@ -532,13 +600,46 @@ def test_startup_imports_no_scipy(tmp_path):
     (tmp_path / "sigma.csv").write_text("x,sigma\n-2.0,1.0\n0.0,1.5\n1.0,1.2\n3.0,2.0\n")
     cfgp = write_config(tmp_path, model={"b": {"kind": "sinusoidal", "offset": 0.0, "amplitude": 0.5},
                                          "sigma": {"kind": "tabulated", "path": "sigma.csv"}})
-    assert _imports_of_a_run(["validate", "--config", str(cfgp), "--quiet"]) == ["0", "[]"]
+    assert _imports_of_a_run(["validate", "--config", str(cfgp), "--quiet"])[:2] == (0, [])
     unit = write_config(tmp_path, name="unit.json")
-    assert _imports_of_a_run(["density", "--config", str(unit), "--quiet"]) == ["0", "[]"]
+    assert _imports_of_a_run(["density", "--config", str(unit), "--quiet"])[:2] == (0, [])
     assert json.loads((tmp_path / "out" / "density.json").read_text())["ks"]["reference"] == "singly-perturbed-bm"
     argv = ["malliavin", "--config", str(unit), "--quiet", "--steps", "1000", "--paths", "200"]
-    assert _imports_of_a_run(argv) == ["0", "[]"]
+    assert _imports_of_a_run(argv)[:2] == (0, [])
     assert json.loads((tmp_path / "out" / "positivity.json").read_text())["n_paths"] == 200
+
+
+ANALYSIS_MODULES = ("psde.density", "psde.lamperti", "psde.malliavin")
+
+
+def test_a_command_loads_only_the_analysis_it_runs(tmp_path):
+    # the analysis modules load on first use: validate loads none of them,
+    # and each analysis command only its own
+    cfgp = write_config(tmp_path, analysis={"n_paths": 20, "refinements": 2})
+    runs = {
+        command: _imports_of_a_run([command, "--config", str(cfgp), "--quiet"])
+        for command in ("validate", "malliavin", "density", "lamperti-check")
+    }
+    loaded = {command: [m for m in modules if m in ANALYSIS_MODULES] for command, (_, _, modules) in runs.items()}
+    assert [code for code, _, _ in runs.values()] == [0] * 4
+    assert loaded == {
+        "validate": [],
+        "malliavin": ["psde.malliavin"],
+        "density": ["psde.density"],
+        "lamperti-check": ["psde.lamperti"],
+    }
+
+
+def test_every_exported_name_resolves():
+    # in a fresh interpreter every name of psde.__all__ resolves, the lazy
+    # ones by importing their module, and psde.simulate stays the function
+    script = (
+        "import json, psde; "
+        "missing = [name for name in psde.__all__ if not hasattr(psde, name)]; "
+        "print(json.dumps([missing, psde.simulate.__module__, psde.simulate.__name__]))"
+    )
+    assert _fresh_interpreter(script) == [[], "psde.simulate", "simulate"]
+    assert {"density", "lamperti", "malliavin", "kde", "malliavin_pass"} <= set(psde.__all__)
 
 
 def test_csv_files_match_csv_writer(tmp_path, monkeypatch):

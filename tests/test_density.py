@@ -133,6 +133,34 @@ def test_ensemble_failure_names_its_ensemble_path(monkeypatch):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_malliavin_pass_failure_names_a_path_or_a_window(monkeypatch):
+    # one kernel run holds the positivity paths and path 0's shifted rows: a
+    # positivity path past path 0's 2-path block fails as its ensemble path,
+    # path 0 (the base) as path 0, and a shifted row, by its window, as no path
+    edge = edge_model()
+    p = psde.validate_params(0.0, 0.0)
+    windows = [(0.9, 1.0), (0.0, 1.0)]
+    monkeypatch.setattr(psde.malliavin, "_H_NORM_BLOCK_BYTES", 2 * 8 * 51)
+    with pytest.raises(psde.SimulationAborted) as late:
+        psde.malliavin_pass(edge, p, cfg(n_steps=50, seed=0, x0=2.0), windows, 1e-4, 40)
+    assert (late.value.path, late.value.step) == (2, 33)
+    assert str(late.value).endswith("(ensemble path 2)")
+    with pytest.raises(psde.SimulationAborted) as base:
+        psde.malliavin_pass(edge, p, cfg(n_steps=50, seed=2, x0=2.0), windows, 1e-4, 40)
+    with pytest.raises(psde.SimulationAborted) as alone:
+        psde.simulate_per_step(edge, p, cfg(n_steps=50, seed=2, x0=2.0))
+    assert (base.value.path, base.value.step) == (0, alone.value.step) == (0, 37)
+    # path 0 of seed 0 stays below the edge, and 3 more over (0, 1] pushes it past
+    with pytest.raises(psde.SimulationAborted) as shifted:
+        psde.malliavin_pass(edge, p, cfg(n_steps=50, seed=0, x0=2.0), windows, 3.0, 1)
+    assert shifted.value.path is None
+    assert str(shifted.value).endswith("(Cameron-Martin shift of window 1)")
+    with pytest.raises(psde.SimulationAborted) as oracle:
+        psde.cameron_martin_directional(edge, p, cfg(n_steps=50, seed=0, x0=2.0), windows, 3.0)
+    assert (oracle.value.path, oracle.value.step, str(oracle.value)) == (None, shifted.value.step, str(shifted.value))
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
 @pytest.mark.parametrize("seed, path, step", [(0, 2, 33), (2, 0, 37), (5, 6, 47)])
 def test_per_step_failure_is_the_lowest_failing_path(seed, path, step):
     # in one 40-row block several paths fail; with or without recorded

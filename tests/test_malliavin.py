@@ -290,6 +290,29 @@ def test_terminal_h_norms_chunk_invariant(generic_model, monkeypatch):
         assert psde.terminal_h_norms(generic_model, p, c, 20).tobytes() == whole.tobytes()
 
 
+@pytest.mark.parametrize("n_paths", [0, 1, 30])
+def test_malliavin_pass_is_the_three_runs_bit_for_bit(generic_model, monkeypatch, n_paths):
+    # path 0, its Cameron-Martin quotients and the positivity H-norms from one
+    # kernel run equal the base simulation, the oracle and the ensemble run
+    # apart, also when a budget of 8 rows cuts 30 paths into four blocks
+    # (path 0's block then holds 8 paths and the 3 shifted rows) on two threads
+    p = psde.validate_params(0.4, 0.3)
+    c = cfg(n_steps=200, seed=11, x0=0.5)
+    windows = [(0.0, 0.25), (0.25, 0.6), (0.6, 1.0)]
+    base = psde.simulate_per_step(generic_model, p, c)
+    oracle = psde.cameron_martin_directional(generic_model, p, c, windows, eps=1e-4)
+    h_norms = psde.terminal_h_norms(generic_model, p, c, n_paths)
+    assert len(h_norms) == n_paths
+    for rows, threads in ((128, "1"), (8, "2")):
+        monkeypatch.setattr(psde.malliavin, "_H_NORM_BLOCK_BYTES", rows * 8 * (c.n_steps + 1))
+        monkeypatch.setenv("PSDE_THREADS", threads)
+        path, finite_differences, h_pass = psde.malliavin_pass(generic_model, p, c, windows, 1e-4, n_paths)
+        for field in ("grid", "x", "m", "i", "dw"):
+            assert getattr(path, field).tobytes() == getattr(base, field).tobytes()
+        assert repr(finite_differences) == repr(oracle)
+        assert h_pass.tobytes() == h_norms.tobytes()
+
+
 def test_terminal_h_norms_non_finite_raises():
     # b is below 1e-100 everywhere, so paths stay finite, but |b'| reaches 1e200
     # and the field overflows

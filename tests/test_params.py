@@ -201,3 +201,17 @@ def test_running_max_lower_bound_value():
     want = 0.01 / (2.0 * (1.0 + 3.0 * (1e-4 + 0.005)))
     got = psde.hnorm_running_max_lower_bound(0.01, 1.0, 0.05, 0.05, 1.0)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_huge_alpha_squares_to_inf():
+    # alpha = -1e200 with beta = 0 is accepted (rho = 0): alpha^2 is inf, not
+    # an OverflowError, so C is inf, t0 is reported 0.0 with the threshold
+    # violated, and both H-norm bounds are 0.0
+    p = psde.validate_params(-1e200, 0.0)
+    assert psde.smoothness_constant(0.5, p.alpha, p.beta, 1.0) == math.inf
+    for b_prime_sup in (0.0, 1.0):
+        horizon = psde.smooth_density_horizon(p.alpha, p.beta, b_prime_sup)
+        assert (horizon.t0, horizon.threshold_ok, horizon.c_of_t) == (0.0, False, math.inf)
+    assert psde.hnorm_running_max_lower_bound(1.0, 1.0, p.alpha, p.beta, 1.0) == 0.0
+    with pytest.warns(psde.BoundVacuousWarning):
+        assert psde.hnorm_lower_bound(0.5, 1.0, 1.0, p.alpha, p.beta, 1.0) == 0.0
