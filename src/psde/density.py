@@ -216,8 +216,11 @@ class KdeResult:
 def kde(e: Ensemble, bandwidth: float | str = "auto") -> KdeResult:
     """Gaussian-kernel density estimate on KDE_GRID_POINTS grid points.
 
-    AUTO bandwidth is the normal-reference rule 1.06 * std * n^(-1/5).  The
-    grid spans the values padded by five bandwidths on each side.
+    AUTO bandwidth is the normal-reference rule 1.06 * std * n^(-1/5); it
+    raises FloatingPointError where it is not finite (the std overflows),
+    and ValueError where it is 0 (values without spread).  A given bandwidth
+    must be finite and > 0 (ValueError).  The grid spans the values padded
+    by five bandwidths on each side.
     Values are summed in chunks of DEFAULT_CHUNK; within a chunk, blocks of
     grid rows are evaluated in two reused buffers of _KDE_BLOCK_BYTES each
     (they stay in L2), so no temporary grows with the grid.  Each grid point
@@ -229,9 +232,11 @@ def kde(e: Ensemble, bandwidth: float | str = "auto") -> KdeResult:
     v = e.terminal_values
     if bandwidth == "auto":
         bandwidth = 1.06 * float(np.std(v)) * e.n_paths ** (-0.2)
+        if not math.isfinite(bandwidth):
+            raise FloatingPointError(f"auto bandwidth {bandwidth} is not finite: the values' std overflows")
     bandwidth = float(bandwidth)
-    if bandwidth <= 0.0:
-        raise ValueError("bandwidth must be > 0")
+    if not 0.0 < bandwidth < math.inf:
+        raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth}")
     grid = np.linspace(float(np.min(v)) - 5.0 * bandwidth, float(np.max(v)) + 5.0 * bandwidth, KDE_GRID_POINTS)
     out = np.zeros(grid.shape)
     part = np.empty(grid.shape)

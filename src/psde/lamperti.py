@@ -56,12 +56,11 @@ class Transform:
         out = self._g(flat)
         lo, hi = self.nodes[0], self.nodes[-1]
         outside = (flat < lo) | (flat > hi)
-        if outside.any():
-            yo = flat[outside]
-            above = yo > hi
-            ends = np.where(above, hi, lo)
-            span = _simpson(self._model.sigma, np.minimum(yo, ends), np.maximum(yo, ends), QUADRATURE_TOL)
-            out[outside] = np.where(above, self.g_nodes[-1] + span, self.g_nodes[0] - span)
+        yo = flat[outside]
+        above = yo > hi
+        ends = np.where(above, hi, lo)
+        span = _simpson(self._model.sigma, np.minimum(yo, ends), np.maximum(yo, ends), QUADRATURE_TOL)
+        out[outside] = np.where(above, self.g_nodes[-1] + span, self.g_nodes[0] - span)
         return float(out[0]) if y.ndim == 0 else out
 
     def g_inv(self, z):

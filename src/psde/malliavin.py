@@ -41,6 +41,7 @@ bit, and a non-finite value raises FloatingPointError.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import asdict, dataclass
 from typing import Iterator, Sequence
@@ -92,13 +93,6 @@ class CameronMartinResult:
     base_terminal: float
     shifted_terminal: float
     eps_too_small: bool
-
-
-def _fresh_paths(fresh: np.ndarray) -> list:
-    """For each grid index k, the batch columns flagged in fresh[k] (None if none)."""
-    ks, paths = np.nonzero(fresh)
-    bounds = np.searchsorted(ks, np.arange(len(fresh) + 1)).tolist()
-    return [paths[lo:hi] if lo < hi else None for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _column_map(x: np.ndarray, dw: np.ndarray, dt: float, model: CoefficientModel, params: PerturbationParams):
@@ -187,15 +181,15 @@ def _terminal_adjoint(
     where a fresh extreme's carry is reset to 0 once collected, and a column
     that is not a fresh maximum (minimum) adds alpha g_k (beta g_k) to the
     maximum's (minimum's) carry: those columns read the earlier argmax
-    (argmin) column.  Returns sigma(x) (n+1, batch) and S (n+2, batch), in
-    O(n * batch) work and memory; every operation is elementwise over the
-    batch, so a path's values do not depend on the batch.
+    (argmin) column.  Each column finds its fresh-maximum and fresh-minimum
+    rows itself, and skips the carries of an extreme that no row has fresh.
+    Returns sigma(x) (n+1, batch) and S (n+2, batch), in O(n * batch) work
+    and memory; every operation is elementwise over the batch, so a path's
+    values do not depend on the batch.
     """
     n = x.shape[0] - 1
     alpha, beta = params.alpha, params.beta
     sig, step_weight, den, fresh_max, fresh_min = _column_map(x, dw, dt, model, params)
-    new_max = _fresh_paths(fresh_max)
-    new_min = _fresh_paths(fresh_min)
     adj = np.zeros((n + 2, x.shape[1]))
     carry_max = np.zeros(x.shape[1])
     carry_min = np.zeros(x.shape[1])
@@ -204,10 +198,10 @@ def _terminal_adjoint(
     for k in range(n, -1, -1):
         if k < n:
             np.multiply(step_weight[k], adj[k + 1], out=g)
-        up, down = new_max[k], new_min[k]
-        if up is not None:
+        up, down = fresh_max[k].nonzero()[0], fresh_min[k].nonzero()[0]
+        if len(up):
             g[up] += carry_max[up]
-        if down is not None:
+        if len(down):
             g[down] += carry_min[down]
         g /= den[k]
         np.add(g, adj[k + 1], out=adj[k])
@@ -215,9 +209,9 @@ def _terminal_adjoint(
         # reset, which drops what its own column added
         carry_max += np.multiply(g, alpha, out=term)
         carry_min += np.multiply(g, beta, out=term)
-        if up is not None:
+        if len(up):
             carry_max[up] = 0.0
-        if down is not None:
+        if len(down):
             carry_min[down] = 0.0
     return sig, adj
 
@@ -318,6 +312,8 @@ def _kernel_pass(
     windows) and the terminal H-norms of paths p < n_paths.
     """
     n, dt = cfg.n_steps, cfg.dt
+    if n_paths < 0:
+        raise ValueError(f"n_paths must be >= 0, got {n_paths}")
     steps = []
     if windows is not None:
         if eps <= 0.0:
@@ -502,16 +498,34 @@ class PositivityReport:
         return asdict(self)
 
 
+def _quantile(ordered: list, q: float) -> float:
+    """``np.quantile(values, q)`` from the values sorted, bit for bit, without
+    the numpy.ma import of its first call: numpy's linear method at the
+    index v = (n-1)*q, whose neighbours a, b are both the last value where
+    v >= n-1 (then its weight g = v + 1), and a + (b-a)*g, or b - (b-a)*(1-g)
+    where g >= 0.5."""
+    v = (len(ordered) - 1) * q
+    lo = -1 if v >= len(ordered) - 1 else math.floor(v)
+    a, b = ordered[lo], ordered[lo + 1 if lo >= 0 else -1]
+    g = v - lo
+    return b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g
+
+
 def positivity_report(h_norms: Sequence[float], t: float, sigma_inf: float) -> PositivityReport:
     """Summarize terminal H-norms; hypothesis_ok records inf|sigma| > 0.
 
     Under the absolute-continuity hypotheses every H-norm is positive, so
     ``fraction_at_or_below["0.0"]``, the share of H-norms <= 0, must be 0.
     With sigma degenerate the report only flags the hypothesis violation.
+    The quantiles are ``np.quantile``'s, bit for bit.  Raises ValueError
+    unless there is at least one H-norm and every one is finite.
     """
     values = np.asarray(h_norms, dtype=float)
+    if not (len(values) and np.isfinite(values).all()):
+        raise ValueError("positivity_report needs at least one H-norm, all finite")
+    ordered = np.sort(values).tolist()
     qs = (0.0, 0.01, 0.05, 0.25, 0.5, 0.75, 1.0)
-    quantiles = {str(q): float(np.quantile(values, q)) for q in qs}
+    quantiles = {str(q): _quantile(ordered, q) for q in qs}
     return PositivityReport(
         n_paths=len(values),
         t=float(t),

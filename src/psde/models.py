@@ -152,8 +152,9 @@ class CoefficientModel:
 
     def constant_value(self, name: str) -> float | None:
         """The value of coefficient ``name`` ("b" or "sigma") if its spec is
-        kind ``constant``, else None.  A kernel multiplies by it in place of
-        the array ``constant`` returns; the products are the same bit for bit."""
+        kind ``constant``, else None.  The per-step kernel multiplies by it in
+        place of the array ``constant`` returns; the products are the same bit
+        for bit."""
         spec = self.spec.get(name, {})
         return spec["value"] if spec.get("kind") == "constant" else None
 

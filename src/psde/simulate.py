@@ -379,6 +379,17 @@ def per_step_terminal_chunk(
     return x, float(np.min(i_arr)), float(np.max(m))
 
 
+def _path_increments(cfg: SimConfig, increments: np.ndarray | None) -> np.ndarray:
+    """A single path's own copy of its driver: cfg.rng_seed's by default, else
+    the given increments, which must be a 1-d array of cfg.n_steps values."""
+    if increments is None:
+        return brownian_driver(cfg.n_steps, cfg.horizon, cfg.rng_seed)
+    dw = np.array(increments, dtype=float)
+    if dw.shape != (cfg.n_steps,):
+        raise ValueError(f"increments must have shape (n_steps,) = ({cfg.n_steps},), got {dw.shape}")
+    return dw
+
+
 def simulate_per_step(
     model: CoefficientModel,
     params: PerturbationParams,
@@ -387,12 +398,12 @@ def simulate_per_step(
 ) -> Path:
     """Per-step implicit Euler scheme: the chunk kernel on a batch of one.
 
-    m and i are the values at the earliest running argmax/argmin, as the
+    ``increments`` defaults to the driver of cfg.rng_seed; given, it must be
+    cfg.n_steps values (ValueError otherwise, before the kernel runs).  m
+    and i are the values at the earliest running argmax/argmin, as the
     kernel keeps them (np.maximum.accumulate may take the later of -0.0, 0.0).
     """
-    if increments is None:
-        increments = brownian_driver(cfg.n_steps, cfg.horizon, cfg.rng_seed)
-    dw = np.array(increments, dtype=float)  # the path's own copy of what the kernel reads
+    dw = _path_increments(cfg, increments)
     x = np.empty((cfg.n_steps + 1, 1))
     _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, dw[None, :], x)
     model.check_bounds(lo, hi)
@@ -432,8 +443,11 @@ def run_ensemble(
     (default 1; the pool is imported only for more).  The lowest failing
     block's PathFailure or NoConvergenceError is raised, a block's row
     renumbered to its ensemble path p.  One ``check_bounds`` covers the
-    range of every block.
+    range of every block.  A negative n_paths raises ValueError before any
+    draw.
     """
+    if n_paths < 0:
+        raise ValueError(f"n_paths must be >= 0, got {n_paths}")
     if not n_paths:
         return np.empty(0)
     rows = ensemble_block_rows(n_paths, row_bytes, budget)
@@ -473,14 +487,15 @@ def picard_chunk(
     Row r is the path on drivers[r], and X_0 = M_0 = I_0 = x/(1-alpha-beta).
     Column k of the scheme depends only on columns < k, so the columns are
     found in time order, in windows (s, s+L] of L = ``_PICARD_WINDOW``
-    steps.  With the columns up to s fixed, each pass of a window freezes
-    sigma and b along every live row's previous iterate of it, forms the
-    driving path onward from a_s, and solves the window's max/min system in
-    one ``max_min_rows`` call: the prefix extremes (1-alpha)*M_s and
-    (beta-1)*I_s are its floors, and the previous pass's M its warm start
-    (the first pass starts from M == M_s).  A row whose change on the window
-    falls to cfg.fixed_point_tol leaves it with those columns fixed, and
-    cfg.picard_outer_iters caps the passes per window.  Every operation is
+    steps.  With the columns up to s fixed, each pass of a window evaluates
+    sigma and b as arrays (a constant coefficient too) along every live
+    row's previous iterate of it, forms the driving path onward from a_s,
+    and solves the window's max/min system in one ``max_min_rows`` call: the
+    prefix extremes (1-alpha)*M_s and (beta-1)*I_s are its floors, and the
+    previous pass's M its warm start (the first pass starts from M == M_s).
+    A row whose change on the window falls to cfg.fixed_point_tol leaves it
+    with those columns fixed, and cfg.picard_outer_iters caps the passes per
+    window.  Every operation is
     row-wise, so row r is bit-identical to a batch of one on drivers[r].
     Returns the (rows, n_steps + 1) arrays x, m, i.
 
@@ -497,7 +512,6 @@ def picard_chunk(
     a_end = np.full(rows, float(cfg.x0_seed_value))  # each row's a_s
     alive = np.ones(rows, dtype=bool)
     failures = {}
-    sigma_c, b_c = model.constant_value("sigma"), model.constant_value("b")
     for s in range(0, n, _PICARD_WINDOW):
         e = min(s + _PICARD_WINDOW, n)
         live = np.flatnonzero(alive)
@@ -506,8 +520,7 @@ def picard_chunk(
         inc_live = np.asarray(drivers[live, s:e], dtype=float)
         history = np.empty((cfg.picard_outer_iters, rows))
         for k in range(cfg.picard_outer_iters):
-            sig = np.asarray(model.sigma(x_live[:, :-1])) if sigma_c is None else sigma_c
-            drift = np.asarray(model.b(x_live[:, :-1])) if b_c is None else b_c
+            sig, drift = np.asarray(model.sigma(x_live[:, :-1])), np.asarray(model.b(x_live[:, :-1]))
             a = np.cumsum(sig * inc_live + drift * cfg.dt, axis=1)
             a += a_end[live, None]
             # a cumulative sum stays non-finite, so the last column names every failing row
@@ -530,12 +543,11 @@ def picard_chunk(
             change = np.maximum.reduce(np.abs(x_next - x_live[:, 1:]), axis=1)
             history[k, live] = change
             done = (change <= cfg.fixed_point_tol) & ~stuck
-            if done.any():
-                fixed = live[done]
-                x[fixed, s + 1 : e + 1], m[fixed, s + 1 : e + 1], i[fixed, s + 1 : e + 1] = (
-                    x_next[done], m_live[done], i_live[done]
-                )
-                a_end[fixed] = a[done, -1]
+            fixed = live[done]
+            x[fixed, s + 1 : e + 1], m[fixed, s + 1 : e + 1], i[fixed, s + 1 : e + 1] = (
+                x_next[done], m_live[done], i_live[done]
+            )
+            a_end[fixed] = a[done, -1]
             left = ~(done | stuck)
             if not left.all():
                 live, x_live, m_live, inc_live, x_next = (v[left] for v in (live, x_live, m_live, inc_live, x_next))
@@ -563,12 +575,11 @@ def simulate_picard(
 ) -> Path:
     """Outer fixed-point iteration, window by window: the Picard kernel on a batch of one.
 
+    ``increments`` is checked as for ``simulate_per_step``.
     cfg.picard_outer_iters caps the passes of each window; a failure is
     that of ``picard_chunk`` on the one row, with ``path`` = 0.
     """
-    if increments is None:
-        increments = brownian_driver(cfg.n_steps, cfg.horizon, cfg.rng_seed)
-    dw = np.array(increments, dtype=float)  # the path's own copy of what the kernel reads
+    dw = _path_increments(cfg, increments)
     x, m, i = picard_chunk(model, params, cfg, dw[None, :])
     model.check_bounds(float(np.min(x)), float(np.max(x)))
     return Path(grid=cfg.grid(), x=x[0], m=m[0], i=i[0], dw=dw)

@@ -62,6 +62,13 @@ def test_missing_config_io_error(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "IOError"
 
 
+def test_unwritable_output_dir_exits_4(tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    cfgp = write_config(tmp_path)
+    assert main(["validate", "--config", str(cfgp), "--quiet", "--out", str(tmp_path / "file" / "out")]) == 4
+    assert json.loads(capsys.readouterr().err)["error"] == "IOError"
+
+
 def test_malformed_json_io_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -326,6 +333,11 @@ def test_paths_override_enters_fingerprint(tmp_path):
             [],
             "ConfigError",
         ),
+        # a preset and a coefficient spec together
+        ("simulate", {"model": {"preset": "unit", "b": {"kind": "constant", "value": 0.0}}, "analysis": {}}, [],
+         "ConfigError"),
+        # a drift without a diffusion
+        ("simulate", {"model": {"b": {"kind": "constant", "value": 0.0}}, "analysis": {}}, [], "ConfigError"),
     ],
 )
 def test_rejection_writes_nothing(tmp_path, capsys, command, analysis, extra, error):
@@ -424,6 +436,17 @@ def test_reports_are_strict_json(tmp_path, capsys, command):
         # alpha = -1e200 with beta = 0 is accepted (rho = 0), and alpha^2 is
         # inf, not an OverflowError, so C(t) is no float
         ("constants", {"params": {"alpha": -1e200, "beta": 0.0}}),
+        # terminal values of ~1e190 are finite, but their std, and so the
+        # "auto" KDE bandwidth, overflows
+        (
+            "density",
+            {
+                "model": {"b": {"kind": "constant", "value": 0.0}, "sigma": {"kind": "constant", "value": 1e190}},
+                "params": {"alpha": 0.1, "beta": 0.0},
+                "sim": {"n_steps": 10},
+                "analysis": {"n_paths": 50, "bin_widths": [1e189]},
+            },
+        ),
     ],
 )
 def test_overflow_exits_3_and_writes_nothing(tmp_path, capsys, command, overrides):
@@ -581,13 +604,14 @@ def _fresh_interpreter(script):
 
 def _imports_of_a_run(argv):
     """Exit code of main(argv) in a fresh single-threaded interpreter, the
-    scipy, jsonschema and concurrent (thread pool) modules it loaded, and
-    the psde modules it loaded."""
+    scipy, jsonschema, concurrent (thread pool) and numpy.ma modules it
+    loaded, and the psde modules it loaded."""
     script = (
         "import json, sys; import psde.cli; "
         f"code = psde.cli.main({argv!r}); "
         "print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] in "
-        "('scipy', 'jsonschema', 'concurrent')), sorted(m for m in sys.modules if m.startswith('psde.'))]))"
+        "('scipy', 'jsonschema', 'concurrent') or m.split('.')[:2] == ['numpy', 'ma']), "
+        "sorted(m for m in sys.modules if m.startswith('psde.'))]))"
     )
     return tuple(_fresh_interpreter(script))
 
@@ -596,7 +620,7 @@ def test_startup_imports_no_scipy(tmp_path):
     # neither start-up with a tabulated model nor a single-threaded density
     # run with its KS test (unit model, alpha = 0.5, beta = 0) nor a
     # single-threaded malliavin run with two blocks of positivity paths
-    # imports scipy, jsonschema or the thread pool
+    # imports scipy, jsonschema, the thread pool or numpy.ma
     (tmp_path / "sigma.csv").write_text("x,sigma\n-2.0,1.0\n0.0,1.5\n1.0,1.2\n3.0,2.0\n")
     cfgp = write_config(tmp_path, model={"b": {"kind": "sinusoidal", "offset": 0.0, "amplitude": 0.5},
                                          "sigma": {"kind": "tabulated", "path": "sigma.csv"}})

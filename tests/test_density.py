@@ -451,6 +451,28 @@ def test_kde_rejects_empty(unit_model):
         psde.kde(e)
 
 
+@pytest.mark.parametrize("bandwidth", [math.nan, math.inf, 0.0, -1.0])
+def test_kde_refuses_a_bandwidth_that_is_not_finite_and_positive(bandwidth):
+    with pytest.raises(ValueError, match="finite and > 0"):
+        psde.kde(psde.Ensemble(np.array([0.1, 0.4, 0.2])), bandwidth)
+
+
+def test_kde_auto_bandwidth_that_overflows_fails():
+    # the std of values near 1e190 squares past the float range
+    e = psde.Ensemble(np.array([-3e190, 1e190, 2e190]))
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="not finite"):
+        psde.kde(e)
+
+
+def test_negative_ensemble_size_fails_before_any_draw(unit_model, monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drivers were drawn")
+
+    monkeypatch.setattr(simulate_mod, "path_drivers", no_draw)
+    with pytest.raises(ValueError, match="n_paths must be >= 0"):
+        psde.generate_ensemble(unit_model, psde.validate_params(0.0, 0.0), cfg(), -1)
+
+
 def test_ks_gaussian_calibration(unit_model):
     p = psde.validate_params(0.0, 0.0)
     law = psde.reference_gaussian(0.0, 1.0)

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib
 
 import numpy as np
 import pytest
@@ -152,6 +153,41 @@ def test_positivity_report_positive_case(generic_model):
     assert report.minimum > 0.0
     assert report.fraction_at_or_below["0.0"] == 0.0
     assert report.quantiles["0.5"] >= report.quantiles["0.0"]
+
+
+def test_positivity_quantiles_are_numpys_bit_for_bit():
+    # one sort and numpy's linear method, clamped at the last value as numpy
+    # clamps it; ties included
+    rng = np.random.default_rng(5)
+    samples = [rng.exponential(size=n) for n in (1, 2, 7, 100) for _ in range(20)]
+    samples += [rng.integers(1, 4, size=n).astype(float) for n in (2, 7, 100)]
+    for values in samples:
+        report = psde.positivity_report(values, t=1.0, sigma_inf=1.0)
+        for q, got in report.quantiles.items():
+            assert np.float64(got).tobytes() == np.quantile(values, float(q)).tobytes()
+
+
+@pytest.mark.parametrize("values", [[], [0.5, np.nan], [np.inf]])
+def test_positivity_report_needs_finite_h_norms(values):
+    with pytest.raises(ValueError, match="at least one H-norm, all finite"):
+        psde.positivity_report(values, t=1.0, sigma_inf=1.0)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda model, p, c: psde.terminal_h_norms(model, p, c, -1),
+        lambda model, p, c: psde.malliavin_pass(model, p, c, [(0.0, 0.5)], 1e-4, n_paths=-2),
+    ],
+    ids=["terminal_h_norms", "malliavin_pass"],
+)
+def test_negative_path_count_fails_before_any_draw(generic_model, monkeypatch, run):
+    def no_draw(*args):
+        raise AssertionError("drivers were drawn")
+
+    monkeypatch.setattr(importlib.import_module("psde.simulate"), "path_drivers", no_draw)
+    with pytest.raises(ValueError, match="n_paths must be >= 0"):
+        run(generic_model, psde.validate_params(0.3, 0.2), cfg(n_steps=20))
 
 
 def test_positivity_report_degenerate_sigma():

@@ -63,3 +63,16 @@ def test_tabulated_bounds_are_exact(name):
     dense_inf = np.min(np.abs(coef.f(v)))
     assert coef.inf_abs <= dense_inf
     assert coef.inf_abs == np.min(np.abs(y)) or coef.inf_abs == 0.0
+
+
+def test_affine_clipped_values_derivative_and_bounds():
+    # f = clip(2x - 1, -0.5, 1.5): the band is 0.25 < x < 1.25
+    coef = psde.affine_clipped(2.0, -1.0, -0.5, 1.5)
+    x = np.array([-1.0, 0.0, 0.5, 1.0, 2.0])
+    assert coef.f(x).tolist() == [-0.5, -0.5, 0.0, 1.0, 1.5]
+    assert coef.f_prime(x).tolist() == [0.0, 0.0, 2.0, 2.0, 0.0]
+    assert (coef.prime_sup, coef.inf_abs) == (2.0, 0.0)
+    assert psde.affine_clipped(-3.0, 0.0, 1.0, 2.0).prime_sup == 3.0
+    model = psde.make_model(coef, psde.affine_clipped(0.5, 2.0, 1.0, 3.0))
+    assert model.sigma_inf == 1.0
+    model.check_bounds(-5.0, 5.0)

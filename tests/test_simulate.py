@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 import importlib
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import psde
+import psde.cli
 from psde import Scheme, SimConfig
 from psde.simulate import _PICARD_WINDOW, path_drivers, per_step_terminal_chunk, picard_chunk
 from psde.skorokhod import max_min_rows
@@ -175,6 +179,20 @@ def test_path_keeps_the_increments_it_consumed(generic_model, monkeypatch, schem
     assert kept.w.tobytes() == np.concatenate(([0.0], np.cumsum(given))).tobytes()
 
 
+@pytest.mark.parametrize("simulate", ["simulate_per_step", "simulate_picard"])
+@pytest.mark.parametrize("shape", [(5,), (20,), (2, 10)])
+def test_single_path_refuses_increments_of_another_shape(unit_model, monkeypatch, simulate, shape):
+    # 10 steps take exactly 10 increments, checked before any kernel runs
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(SIMULATE, "per_step_terminal_chunk", no_kernel)
+    monkeypatch.setattr(SIMULATE, "picard_chunk", no_kernel)
+    increments = psde.brownian_driver(math.prod(shape), 1.0, 1).reshape(shape)
+    with pytest.raises(ValueError, match=rf"n_steps.*\(10,\).*{re.escape(str(shape))}"):
+        getattr(psde, simulate)(unit_model, psde.validate_params(0.3, 0.0), cfg(n_steps=10, seed=1), increments)
+
+
 def test_unperturbed_path_is_driver(unit_model):
     p = psde.validate_params(0.0, 0.0)
     path = psde.simulate_per_step(unit_model, p, cfg(n_steps=500, seed=9))
@@ -237,8 +255,9 @@ def test_picard_constant_coefficients_single_pass(unit_model):
 
 @pytest.mark.parametrize("name", ["unit", "additive-sine", "multiplicative-sine"])
 def test_constant_coefficients_enter_as_scalars(name):
-    # a constant b or sigma is multiplied in as its value; the same model
-    # without its spec evaluates the arrays, and both kernels agree bit for bit
+    # the per-step kernel multiplies a constant b or sigma in as its value;
+    # the same model without its spec evaluates the arrays, and both kernels
+    # agree bit for bit
     model = psde.named_model(name)
     assert model.constant_value("b") is not None or model.constant_value("sigma") is not None
     arrays = dataclasses.replace(model, spec={})
@@ -376,6 +395,38 @@ def test_picard_failure_past_the_first_window(generic_model, monkeypatch):
     with pytest.raises(psde.SimulationAborted) as aborted:
         picard_chunk(generic_model, p, dataclasses.replace(c, picard_outer_iters=50), drivers)
     assert (aborted.value.path, aborted.value.step) == (1, _PICARD_WINDOW + 51)
+
+
+def test_stuck_max_min_rows_fail_the_picard_kernel(unit_model, monkeypatch, tmp_path, capsys):
+    # with one max/min sweep allowed, the first pass of a window leaves some
+    # rows above tol: the lowest of them, path 1 of seed 1 (path 0 gets
+    # through), fails with its sweep history, in an ensemble and alone
+    monkeypatch.setattr(SIMULATE, "max_min_rows", functools.partial(max_min_rows, max_iter=1))
+    p = psde.validate_params(0.4, 0.3)
+    c = cfg(n_steps=50, seed=1, scheme=Scheme.PICARD)
+    with pytest.raises(psde.NoConvergenceError) as whole:
+        psde.generate_ensemble(unit_model, p, c, 8)
+    assert whole.value.path == 1
+    message = str(whole.value)
+    assert message.startswith("max/min fixed point above tol") and message.endswith("(ensemble path 1)")
+    psde.generate_ensemble(unit_model, p, c, 1)  # path 0 converges
+    with pytest.raises(psde.NoConvergenceError) as alone:
+        psde.simulate_picard(unit_model, p, dataclasses.replace(c, rng_seed=psde.path_seed(1, 1)))
+    assert alone.value.path == 0
+    assert alone.value.history == whole.value.history and len(whole.value.history) == 1
+    # the CLI reports it with exit 3 and writes nothing
+    config = {
+        "model": {"preset": "unit"},
+        "params": {"alpha": 0.4, "beta": 0.3},
+        "sim": {"x0": 0.0, "horizon": 1.0, "n_steps": 50, "seed": 1, "scheme": "picard"},
+        "analysis": {"n_paths": 8},
+        "output_dir": str(tmp_path / "out"),
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert psde.cli.main(["density", "--config", str(tmp_path / "cfg.json"), "--quiet"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["path"], err["history"]) == ("NoConvergenceError", 1, whole.value.history)
+    assert not (tmp_path / "out").exists()
 
 
 def test_picard_no_convergence_raises(generic_model):
