@@ -59,6 +59,7 @@ from .simulate import (
     running_argmin,
     simulate,
     simulate_per_step,
+    simulate_per_step_levels,
     simulate_picard,
 )
 from .skorokhod import MaxMinSolution, contraction_rate, solve_max_min

@@ -45,7 +45,9 @@ from .params import (
     smoothness_constant,
     validate_params,
 )
-from .simulate import Scheme, SimConfig, check_ladder, refinement_ladder, simulate, simulate_per_step, simulate_picard
+from .simulate import (
+    Scheme, SimConfig, check_ladder, refinement_ladder, simulate, simulate_per_step_levels, simulate_picard
+)
 
 EXIT_OK = 0
 EXIT_REJECTED = 2
@@ -330,9 +332,10 @@ def cmd_simulate(run: _Run):
 
 
 def cmd_picard_compare(run: _Run):
+    ladder = refinement_ladder(run.sim, _refinements(run))
     rows = []
-    for level_cfg, inc in refinement_ladder(run.sim, _refinements(run)):
-        a = simulate_per_step(run.model, run.params, level_cfg, inc)
+    # the per-step levels run as one kernel batch, the Picard levels one by one
+    for (level_cfg, inc), a in zip(ladder, simulate_per_step_levels(run.model, run.params, ladder)):
         b = simulate_picard(run.model, run.params, level_cfg, inc)
         rows.append((level_cfg.n_steps, level_cfg.dt, float(np.max(np.abs(a.x - b.x)))))
     return "picard_compare.json", {

@@ -220,7 +220,8 @@ def kde(e: Ensemble, bandwidth: float | str = "auto") -> KdeResult:
     raises FloatingPointError where it is not finite (the std overflows),
     and ValueError where it is 0 (values without spread).  A given bandwidth
     must be finite and > 0 (ValueError).  The grid spans the values padded
-    by five bandwidths on each side.
+    by five bandwidths on each side; FloatingPointError where that span is
+    not finite.
     Values are summed in chunks of DEFAULT_CHUNK; within a chunk, blocks of
     grid rows are evaluated in two reused buffers of _KDE_BLOCK_BYTES each
     (they stay in L2), so no temporary grows with the grid.  Each grid point
@@ -237,7 +238,12 @@ def kde(e: Ensemble, bandwidth: float | str = "auto") -> KdeResult:
     bandwidth = float(bandwidth)
     if not 0.0 < bandwidth < math.inf:
         raise ValueError(f"bandwidth must be finite and > 0, got {bandwidth}")
-    grid = np.linspace(float(np.min(v)) - 5.0 * bandwidth, float(np.max(v)) + 5.0 * bandwidth, KDE_GRID_POINTS)
+    lo, hi = float(np.min(v)) - 5.0 * bandwidth, float(np.max(v)) + 5.0 * bandwidth
+    if not math.isfinite(hi - lo):
+        raise FloatingPointError(
+            f"KDE grid [{lo!r}, {hi!r}], the values padded by five bandwidths of {bandwidth!r}, is not finite"
+        )
+    grid = np.linspace(lo, hi, KDE_GRID_POINTS)
     out = np.zeros(grid.shape)
     part = np.empty(grid.shape)
     width = min(DEFAULT_CHUNK, e.n_paths)

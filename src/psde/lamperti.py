@@ -10,9 +10,13 @@ Y = G(X), with unit diffusion and reduced drift
 G is tabulated by adaptive composite Simpson (the same rule extends it past
 the table) and interpolated by the in-package PCHIP table
 :class:`~psde.models.MonotoneCubic`; G^{-1} is Newton with G' = 1/sigma from
-the inverted table, one iteration in Python floats applied point by point.
+the inverted table, one iteration in Python floats applied point by point,
+where the coefficient families evaluate a float as a float.
 Anchoring G at X_0 makes the reduced identity seed-free: Y then solves the
-additive equation with seed value 0 on the same Brownian driver.  Only the
+additive equation with seed value 0 on the same Brownian driver.  The
+pathwise check runs the levels of a refinement ladder as one batch of the
+per-step kernel for X and one for Y, so each step of Y evaluates b_tilde
+once, on every level still running.  Only the
 inf sigma > 0 branch is implemented; a model with sup sigma < 0 is handled by
 negating sigma and the driver first.
 """
@@ -27,7 +31,7 @@ import numpy as np
 from .errors import NoConvergenceError, SigmaNotPositiveError
 from .models import Coefficient, CoefficientModel, MonotoneCubic, constant, make_model, tabulated
 from .params import PerturbationParams
-from .simulate import SimConfig, refinement_ladder, simulate_per_step
+from .simulate import SimConfig, refinement_ladder, simulate_per_step_levels
 
 TABULATION_NODES = 4096
 QUADRATURE_TOL = 1e-10
@@ -137,8 +141,8 @@ def _pointwise(f, z):
 
 
 def _reduced_drift(model: CoefficientModel, y):
-    b, sigma, sigma_prime = (np.asarray(f(y), dtype=float) for f in (model.b, model.sigma, model.sigma_prime))
-    return b / sigma - 0.5 * sigma_prime
+    # coefficients return arrays or numpy scalars, so the division is numpy's
+    return model.b(y) / model.sigma(y) - 0.5 * model.sigma_prime(y)
 
 
 def _panel_integrals(sigma, lefts: np.ndarray, rights: np.ndarray, panels: int) -> np.ndarray:
@@ -191,7 +195,10 @@ def build_transform(
     grid = np.linspace(lo, hi, TABULATION_NODES)
     # a grid node within roundoff of the anchor would leave G flat between the two
     grid = grid[np.abs(grid - x) > 1e-9 * (hi - lo)]
-    nodes = np.unique(np.concatenate((grid, [float(x)])))
+    # the grid is sorted, so this is np.unique of grid and anchor (a range of a
+    # few ulp repeats grid values) without np.unique's import of numpy.ma
+    nodes = np.insert(grid, np.searchsorted(grid, x), float(x))
+    nodes = nodes[np.insert(nodes[1:] != nodes[:-1], 0, True)]
     sig_samples = np.asarray(model.sigma(nodes), dtype=float)
     if np.any(sig_samples <= 0.0):
         bad = float(nodes[np.argmin(sig_samples)])
@@ -245,26 +252,36 @@ def pathwise_reduction_check(
 ) -> ReductionReport:
     """Check G(X) against the additive-noise simulation on shared drivers.
 
-    The tabulation range comes from a pilot path padded by
-    RANGE_PAD_STDS * max|sigma| * sqrt(T), and the transform is anchored at
-    its start X_0; refinements reuse the same Brownian path through bridge
-    splitting (:func:`refinement_ladder`, whose ValueError refuses
-    n_refinements < 1).
+    The levels reuse one Brownian path through bridge splitting
+    (:func:`refinement_ladder`, whose ValueError refuses n_refinements < 1).
+    The X levels run as one batch of the per-step kernel and the Y levels
+    of the reduced additive model as another (:func:`simulate_per_step_levels`).
+    The tabulation range is X's level 0, the pilot path, padded by
+    RANGE_PAD_STDS * max|sigma| * sqrt(T); a range whose width is not
+    finite raises FloatingPointError.  The transform is anchored at the
+    pilot's start X_0.
     """
     ladder = refinement_ladder(cfg, n_refinements)
-    pilot = simulate_per_step(model, params, cfg, ladder[0][1])
+    x_paths = simulate_per_step_levels(model, params, ladder)
+    pilot = x_paths[0]
     sig_max = float(np.max(np.abs(np.asarray(model.sigma(pilot.x)))))
-    pad = RANGE_PAD_STDS * sig_max * np.sqrt(cfg.horizon)
+    pad = RANGE_PAD_STDS * sig_max * math.sqrt(cfg.horizon)
     lo = float(np.min(pilot.x)) - pad
     hi = float(np.max(pilot.x)) + pad
+    if not math.isfinite(hi - lo):
+        raise FloatingPointError(
+            f"the pilot path's range padded by RANGE_PAD_STDS max|sigma| sqrt(T) = {pad!r} is "
+            f"[{lo!r}, {hi!r}], a tabulation range that is not finite"
+        )
     x0 = float(pilot.x[0])
     transform = build_transform(model, x0, min(lo, x0), max(hi, x0))
     additive = make_model(transform.reduced_drift_coefficient(), constant(1.0), name=f"{model.name}-reduced")
+    y_paths = simulate_per_step_levels(
+        additive, params, [(replace(level_cfg, x0_seed_value=0.0), level_inc) for level_cfg, level_inc in ladder]
+    )
     levels = []
     commutation = True
-    for level, (level_cfg, level_inc) in enumerate(ladder):
-        x_path = simulate_per_step(model, params, level_cfg, level_inc) if level else pilot
-        y_path = simulate_per_step(additive, params, replace(level_cfg, x0_seed_value=0.0), level_inc)
+    for (level_cfg, _), x_path, y_path in zip(ladder, x_paths, y_paths):
         gx = transform.g(x_path.x)
         gap = float(np.max(np.abs(gx - y_path.x)))
         commutation = commutation and (

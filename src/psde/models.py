@@ -4,7 +4,11 @@ Coefficients come from a small registry of named analytic families (constant,
 affine-clipped, sinusoidal, logistic) plus tabulated functions with monotone
 interpolation (:class:`MonotoneCubic`).  Each family supplies exact derivative
 functions and its bound constants, so the declared bounds are verifiable
-rather than guessed.
+rather than guessed.  A coefficient takes an array or a float.  For a float
+the families built from arithmetic and ufuncs (constant, affine-clipped,
+sinusoidal, logistic) return a numpy scalar with the bits of their value
+on the 0-d array, so dividing by it keeps numpy's inf and NaN semantics,
+and they compute it without wrapping the float in an array (``_operand``).
 """
 
 from __future__ import annotations
@@ -174,14 +178,22 @@ class CoefficientModel:
         }
 
 
+def _operand(x):
+    """x itself if it is a float (a Python float or a numpy float64), else x
+    as a float array: the same operations on a float give the bits they give
+    on its 0-d array, without the array's per-call cost."""
+    return x if isinstance(x, float) else np.asarray(x, dtype=float)
+
+
 def constant(value: float) -> Coefficient:
     value = float(value)
 
+    # [()] makes the 0-d result of a float a numpy scalar and leaves an array as it is
     def f(x):
-        return np.full(np.shape(np.asarray(x)), value)
+        return np.full(np.shape(x), value)[()]
 
     def f_prime(x):
-        return np.zeros(np.shape(np.asarray(x)))
+        return np.zeros(np.shape(x))[()]
 
     return Coefficient(f, f_prime, 0.0, abs(value), {"kind": "constant", "value": value})
 
@@ -193,11 +205,11 @@ def affine_clipped(slope: float, intercept: float, lo: float, hi: float) -> Coef
     slope, intercept = float(slope), float(intercept)
 
     def f(x):
-        return np.clip(slope * np.asarray(x, dtype=float) + intercept, lo, hi)
+        return np.clip(slope * _operand(x) + intercept, lo, hi)
 
     def f_prime(x):
-        raw = slope * np.asarray(x, dtype=float) + intercept
-        return slope * ((raw > lo) & (raw < hi))
+        raw = slope * _operand(x) + intercept
+        return slope * np.logical_and(raw > lo, raw < hi)
 
     inf_abs = 0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi))
     return Coefficient(
@@ -214,10 +226,10 @@ def sinusoidal(offset: float, amplitude: float, frequency: float = 1.0, phase: f
     offset, amplitude, frequency, phase = map(float, (offset, amplitude, frequency, phase))
 
     def f(x):
-        return offset + amplitude * np.sin(frequency * np.asarray(x, dtype=float) + phase)
+        return offset + amplitude * np.sin(frequency * _operand(x) + phase)
 
     def f_prime(x):
-        return amplitude * frequency * np.cos(frequency * np.asarray(x, dtype=float) + phase)
+        return amplitude * frequency * np.cos(frequency * _operand(x) + phase)
 
     lip = abs(amplitude * frequency)
     inf_abs = max(abs(offset) - abs(amplitude), 0.0)
@@ -241,11 +253,11 @@ def logistic(lo: float, hi: float, rate: float, center: float = 0.0) -> Coeffici
     lo, hi, rate, center = map(float, (lo, hi, rate, center))
 
     def f(x):
-        z = rate * (np.asarray(x, dtype=float) - center)
+        z = rate * (_operand(x) - center)
         return lo + (hi - lo) / (1.0 + np.exp(-z))
 
     def f_prime(x):
-        z = rate * (np.asarray(x, dtype=float) - center)
+        z = rate * (_operand(x) - center)
         s = 1.0 / (1.0 + np.exp(-z))
         return (hi - lo) * rate * s * (1.0 - s)
 

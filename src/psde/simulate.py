@@ -7,7 +7,10 @@ Two independent schemes on the same uniform grid and Brownian driver:
   A fresh maximum solves x' = u + alpha*(x' - m), i.e.
   x' = (u - alpha*m)/(1-alpha); symmetrically with (1-beta) for a fresh
   minimum.  It is the only implementation of the step and runs a batch of
-  paths at once; ``simulate_per_step`` is a batch of one.
+  paths at once, each row with its own step and step count if need be;
+  ``simulate_per_step_levels`` runs single paths, such as the levels of a
+  refinement ladder, as one batch, and ``simulate_per_step`` is a batch of
+  one.
 * ``picard_chunk``: the outer fixed-point iteration.  Each pass freezes
   the coefficients along the previous iterate, forms the driving path
   a_k = x + sum sigma(X_i) dW_i + sum b(X_i) dt by left-point sums, solves
@@ -132,11 +135,14 @@ _BRIDGE_TAG = 1
 _BLOCK_BYTES = 1 << 20  # one block of normals stays in L2
 _BLOCK_ROWS = 128
 _PICARD_WINDOW = 200  # steps per causal window of picard_chunk, chosen by measurement
-# steps of a refinement ladder's finest level, 1 048 576: a picard-compare
-# ladder peaked at ~165 bytes and a lamperti-check ladder at ~440 per finest
-# step (tracemalloc, smooth-generic, finest level 16 384, the latter mostly
-# its fixed tabulation), so a ladder at the cap stays under 0.5 GB
+# steps of a refinement ladder's finest level, 1 048 576: at the cap, on 1
+# step and 21 levels (tracemalloc, smooth-generic), the per-step levels
+# peaked at 138 MB and a whole lamperti-check at 256 MB, so a ladder at the
+# cap stays under 0.5 GB
 MAX_LADDER_STEPS = 1 << 20
+# drivers and trajectory values, 16 bytes a cell, of one simulate_per_step_levels
+# batch: one batch of those 21 levels would hold 352 MB (peak 416 MB)
+_LEVEL_BATCH_BYTES = 1 << 26
 
 
 def path_seed(master_seed: int, path_index: int) -> int:
@@ -317,9 +323,10 @@ def per_step_terminal_chunk(
     model: CoefficientModel,
     params: PerturbationParams,
     x0_seed_value: float,
-    dt: float,
+    dt: float | np.ndarray,
     drivers: np.ndarray,
     trajectories: np.ndarray | None = None,
+    n_steps: np.ndarray | None = None,
 ) -> tuple[np.ndarray, float, float]:
     """Per-step scheme over a (n_paths, n_steps) driver matrix.
 
@@ -334,47 +341,79 @@ def per_step_terminal_chunk(
     values plus the realized value range (for a bounds spot-check), read off
     the final running extremes.
 
+    ``dt`` is one step for every row or an array of one per row.  Rows may
+    also differ in length: ``n_steps``, one count per row and non-increasing
+    (longest row first), makes row p run drivers[p, :n_steps[p]] only, so
+    the live rows are a prefix of the batch that shrinks as rows end.  Each
+    row is still bit-identical to a batch of one on its own dt and steps,
+    and its terminal value is the value at its own last step.  Without
+    ``n_steps`` every row runs all drivers.shape[1] steps.
+
     With ``trajectories``, a caller-supplied (n_steps + 1, n_paths) array,
-    row k receives every path's value at step k.  A non-finite terminal
+    row k receives the value at step k of every path live at step k; a
+    row's entries past its own steps are not written.  A non-finite terminal
     value aborts with the lowest such path and its first non-finite step,
     read off the trajectory or, without one, off a replay of that path as a
     batch of one.
     """
     alpha, beta = params.alpha, params.beta
     x0 = x0_seed_value / (1.0 - alpha - beta)
-    x = np.full(drivers.shape[0], x0)
+    n_paths, width = drivers.shape
+    x = np.full(n_paths, x0)
     m = x.copy()
     i_arr = x.copy()
     sigma_c, b_c = model.constant_value("sigma"), model.constant_value("b")
     if trajectories is not None:
         trajectories[0] = x
-    for k in range(drivers.shape[1]):
-        noise = (np.asarray(model.sigma(x)) if sigma_c is None else sigma_c) * drivers[:, k]
-        drift = (np.asarray(model.b(x)) if b_c is None else b_c) * dt
-        x += noise
-        x += drift
-        # a fresh maximum lands above the minimum, so the minimum solve sees
-        # only unsolved candidates; ties (u == m or u == i) solve nothing
-        _solve_fresh(x, m, alpha, np.greater, k)
-        _solve_fresh(x, i_arr, beta, np.less, k)
-        if trajectories is not None:
-            trajectories[k + 1] = x
+    # (last step, live rows) of each stretch of steps on one live prefix:
+    # rows of one length run one stretch of the whole batch
+    if n_steps is None:
+        counts, stretches = None, [(width, n_paths)]
+    else:
+        counts = np.asarray(n_steps)
+        if counts.shape != (n_paths,) or np.any(counts[1:] > counts[:-1]) or np.any((counts < 0) | (counts > width)):
+            raise ValueError(f"n_steps must be {n_paths} non-increasing counts of 0 to {width} steps")
+        stretches = [(stop, int(np.count_nonzero(counts >= stop))) for stop in sorted(set(counts.tolist()))]
+    start = 0
+    for stop, live in stretches:
+        xs, ms, is_, dws = x[:live], m[:live], i_arr[:live], drivers[:live]
+        dts = dt[:live] if np.ndim(dt) else dt
+        traj = None if trajectories is None else trajectories[:, :live]
+        drift_c = None if b_c is None else b_c * dts
+        for k in range(start, stop):
+            noise = (np.asarray(model.sigma(xs)) if sigma_c is None else sigma_c) * dws[:, k]
+            drift = np.asarray(model.b(xs)) * dts if drift_c is None else drift_c
+            xs += noise
+            xs += drift
+            # a fresh maximum lands above the minimum, so the minimum solve sees
+            # only unsolved candidates; ties (u == m or u == i) solve nothing
+            _solve_fresh(xs, ms, alpha, np.greater, k)
+            _solve_fresh(xs, is_, beta, np.less, k)
+            if traj is not None:
+                traj[k + 1] = xs
+        start = stop
     # a non-finite value stays non-finite under the Euler step and the
     # fresh-extreme solve, so the terminal values name every failing path
     finite = np.isfinite(x)
     if not finite.all():
         path = int(np.argmin(finite))
+        count = width if counts is None else int(counts[path])
         if trajectories is None:
             # only terminal values were kept: replay the path as a batch of
             # one, bit-identical, with its trajectory for the step
             try:
                 per_step_terminal_chunk(
-                    model, params, x0_seed_value, dt, drivers[path : path + 1], np.empty((drivers.shape[1] + 1, 1))
+                    model,
+                    params,
+                    x0_seed_value,
+                    dt[path] if np.ndim(dt) else dt,
+                    drivers[path : path + 1, :count],
+                    np.empty((count + 1, 1)),
                 )
             except SimulationAborted as replayed:
                 step = replayed.step
         else:
-            step = int(np.argmin(np.isfinite(trajectories[:, path])))
+            step = int(np.argmin(np.isfinite(trajectories[: count + 1, path])))
         raise SimulationAborted(f"non-finite path value on chunk path {path} at step {step}", step=step, path=path)
     return x, float(np.min(i_arr)), float(np.max(m))
 
@@ -390,24 +429,82 @@ def _path_increments(cfg: SimConfig, increments: np.ndarray | None) -> np.ndarra
     return dw
 
 
+def simulate_per_step_levels(
+    model: CoefficientModel,
+    params: PerturbationParams,
+    levels: list[tuple[SimConfig, np.ndarray | None]],
+) -> list[Path]:
+    """Per-step paths of every (config, increments) level, as one kernel batch.
+
+    The levels, at least one, share cfg.x0_seed_value bit for bit
+    (ValueError otherwise) and may differ in step count, step and driver:
+    a ``refinement_ladder`` is one.  Each level's increments are checked as
+    for ``simulate_per_step``, before the kernel runs.  The levels run as
+    rows of one ``per_step_terminal_chunk`` call, longest first with each
+    its own dt and step count, so every Path is bit-identical to its level
+    run alone; they come back in the given order, and each level's range is
+    checked by its own ``check_bounds``, in that order.  A batch that fails
+    (a PathFailure, or a NoConvergenceError or FloatingPointError of a
+    coefficient such as the reduced drift's G^-1) raises the error of the
+    first level, in the given order, that fails on its own.
+
+    A batch holds (rows, longest + 1) drivers and trajectory values, so
+    rows shorter than the longest waste the cells past their ends.  A
+    level therefore joins the batch of the longer levels before it only
+    while the batch stays within _LEVEL_BATCH_BYTES, and starts the next
+    call otherwise: a ladder whose finest level has at most 2**17 steps
+    runs as one call.
+    """
+    levels = [(cfg, _path_increments(cfg, increments)) for cfg, increments in levels]
+    if len({float(cfg.x0_seed_value).hex() for cfg, _ in levels}) != 1:  # -0.0 is not 0.0
+        raise ValueError("a batch needs at least one level, and its levels must share x0_seed_value")
+    order = sorted(range(len(levels)), key=lambda level: -levels[level][0].n_steps)
+    batches = [order[:1]]
+    for level in order[1:]:
+        if 16 * (len(batches[-1]) + 1) * (levels[batches[-1][0]][0].n_steps + 1) > _LEVEL_BATCH_BYTES:
+            batches.append([])
+        batches[-1].append(level)
+    paths = [None] * len(levels)
+    try:
+        for batch in batches:
+            counts = np.array([levels[level][0].n_steps for level in batch])
+            drivers = np.zeros((len(batch), counts[0]), order="F")
+            for row, level in enumerate(batch):
+                drivers[row, : counts[row]] = levels[level][1]
+            x = np.empty((counts[0] + 1, len(batch)))
+            dts = np.array([levels[level][0].dt for level in batch])
+            per_step_terminal_chunk(model, params, levels[0][0].x0_seed_value, dts, drivers, x, counts)
+            for row, level in enumerate(batch):
+                cfg, dw = levels[level]
+                paths[level] = per_step_path(cfg, x[: cfg.n_steps + 1, row].copy(), dw)
+    except (PathFailure, NoConvergenceError, FloatingPointError):
+        if len(levels) == 1:
+            raise
+        # a row fails alone as in its batch, so the levels run alone in the
+        # given order raise the first failing level's own error
+        for level in levels:
+            simulate_per_step(model, params, *level)
+        raise
+    for path in paths:
+        # a path's m and i end at the kernel's running extremes, bit for bit
+        model.check_bounds(float(path.i[-1]), float(path.m[-1]))
+    return paths
+
+
 def simulate_per_step(
     model: CoefficientModel,
     params: PerturbationParams,
     cfg: SimConfig,
     increments: np.ndarray | None = None,
 ) -> Path:
-    """Per-step implicit Euler scheme: the chunk kernel on a batch of one.
+    """Per-step implicit Euler scheme: ``simulate_per_step_levels`` on one level.
 
     ``increments`` defaults to the driver of cfg.rng_seed; given, it must be
     cfg.n_steps values (ValueError otherwise, before the kernel runs).  m
     and i are the values at the earliest running argmax/argmin, as the
     kernel keeps them (np.maximum.accumulate may take the later of -0.0, 0.0).
     """
-    dw = _path_increments(cfg, increments)
-    x = np.empty((cfg.n_steps + 1, 1))
-    _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, cfg.dt, dw[None, :], x)
-    model.check_bounds(lo, hi)
-    return per_step_path(cfg, x.reshape(-1), dw)
+    return simulate_per_step_levels(model, params, [(cfg, increments)])[0]
 
 
 def per_step_path(cfg: SimConfig, x: np.ndarray, dw: np.ndarray) -> Path:

@@ -70,3 +70,21 @@ def test_picard_check_reads_exist(tmp_path):
     assert main(["density", "--config", str(cfgp), "--out", str(tmp_path / "out"), "--quiet"]) == 0
     src = Path(psde.__file__).resolve().parents[1]
     assert WORKLOADS.check_picard_matches_per_step(w, 1, tmp_path / "out", src) == []
+
+
+@pytest.mark.parametrize("name, command, batches", [("pathwise", "lamperti-check", 2), ("picard", "picard-compare", 1)])
+def test_workload_ladders_run_as_per_step_batches(tmp_path, monkeypatch, name, command, batches):
+    # a refinement ladder's per-step levels run as one kernel call: the
+    # Lamperti check's X and Y ladders two, picard-compare's one
+    simulate = importlib.import_module("psde.simulate")  # psde.simulate is the function
+    kernel, rows = simulate.per_step_terminal_chunk, []
+
+    def counting(*args, **kwargs):
+        rows.append(len(args[4]))
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(simulate, "per_step_terminal_chunk", counting)
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(WORKLOADS.WORKLOADS[name].config(1)))
+    assert main([command, "--config", str(cfgp), "--out", str(tmp_path / "out"), "--quiet"]) == 0
+    assert rows == [WORKLOADS.REFINEMENTS] * batches

@@ -447,6 +447,8 @@ def test_reports_are_strict_json(tmp_path, capsys, command):
                 "analysis": {"n_paths": 50, "bin_widths": [1e189]},
             },
         ),
+        # a finite given bandwidth whose five-bandwidth padding of the KDE grid is not
+        ("density", {"sim": {"n_steps": 10}, "analysis": {"n_paths": 20, "bandwidth": 1e308}}),
     ],
 )
 def test_overflow_exits_3_and_writes_nothing(tmp_path, capsys, command, overrides):
@@ -482,6 +484,18 @@ def test_non_finite_newton_step_fails_at_once(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err, parse_constant=_refuse_constant)
     assert err["error"] == "FloatingPointError"
     assert "G^-1 Newton step" in err["message"] and "the transform G(" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_lamperti_check_refuses_a_padded_range_that_overflows(tmp_path, capsys):
+    # sigma = 1e308 keeps the pilot path finite, but its padding of
+    # 5 max|sigma| sqrt(T) is inf: exit 3 before any tabulation
+    model = {"b": {"kind": "constant", "value": 0.0}, "sigma": {"kind": "constant", "value": 1e308}}
+    cfgp = write_config(tmp_path, model=model, params={"alpha": 0.0, "beta": 0.0}, sim={"n_steps": 20, "seed": 1})
+    assert main(["lamperti-check", "--config", str(cfgp), "--quiet"]) == 3
+    err = json.loads(capsys.readouterr().err, parse_constant=_refuse_constant)
+    assert err["error"] == "FloatingPointError"
+    assert "padded by RANGE_PAD_STDS max|sigma| sqrt(T) = inf is [-inf, inf]" in err["message"]
     assert not (tmp_path / "out").exists()
 
 
@@ -619,8 +633,9 @@ def _imports_of_a_run(argv):
 def test_startup_imports_no_scipy(tmp_path):
     # neither start-up with a tabulated model nor a single-threaded density
     # run with its KS test (unit model, alpha = 0.5, beta = 0) nor a
-    # single-threaded malliavin run with two blocks of positivity paths
-    # imports scipy, jsonschema, the thread pool or numpy.ma
+    # single-threaded malliavin run with two blocks of positivity paths nor
+    # a lamperti-check with a tabulated sigma imports scipy, jsonschema, the
+    # thread pool or numpy.ma
     (tmp_path / "sigma.csv").write_text("x,sigma\n-2.0,1.0\n0.0,1.5\n1.0,1.2\n3.0,2.0\n")
     cfgp = write_config(tmp_path, model={"b": {"kind": "sinusoidal", "offset": 0.0, "amplitude": 0.5},
                                          "sigma": {"kind": "tabulated", "path": "sigma.csv"}})
@@ -631,6 +646,8 @@ def test_startup_imports_no_scipy(tmp_path):
     argv = ["malliavin", "--config", str(unit), "--quiet", "--steps", "1000", "--paths", "200"]
     assert _imports_of_a_run(argv)[:2] == (0, [])
     assert json.loads((tmp_path / "out" / "positivity.json").read_text())["n_paths"] == 200
+    assert _imports_of_a_run(["lamperti-check", "--config", str(cfgp), "--quiet"])[:2] == (0, [])
+    assert json.loads((tmp_path / "out" / "lamperti.json").read_text())["commutation_exact"] is True
 
 
 ANALYSIS_MODULES = ("psde.density", "psde.lamperti", "psde.malliavin")

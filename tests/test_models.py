@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
 import psde
@@ -76,3 +78,29 @@ def test_affine_clipped_values_derivative_and_bounds():
     model = psde.make_model(coef, psde.affine_clipped(0.5, 2.0, 1.0, 3.0))
     assert model.sigma_inf == 1.0
     model.check_bounds(-5.0, 5.0)
+
+
+_PARAM = st.floats(allow_nan=False, allow_infinity=False)
+# the families built from arithmetic and ufuncs, on any finite parameters
+ARITHMETIC_COEFFICIENTS = st.one_of(
+    st.builds(psde.constant, _PARAM),
+    st.tuples(_PARAM, _PARAM, _PARAM, _PARAM)
+    .filter(lambda t: t[2] < t[3])
+    .map(lambda t: psde.affine_clipped(*t)),
+    st.builds(psde.sinusoidal, _PARAM, _PARAM, _PARAM, _PARAM),
+    st.builds(psde.logistic, _PARAM, _PARAM, _PARAM, _PARAM),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(coef=ARITHMETIC_COEFFICIENTS, x=st.floats())
+def test_arithmetic_coefficients_evaluate_a_float_as_its_0d_array(coef, x):
+    # a Python float or numpy float64 gives the bits of the 0-d array, as a
+    # numpy scalar, so a division by it keeps numpy's inf and NaN semantics
+    with np.errstate(all="ignore"):
+        for f in (coef.f, coef.f_prime):
+            want = np.asarray(f(np.asarray(x)), dtype=float).tobytes()
+            for value in (x, np.float64(x)):
+                got = f(value)
+                assert type(got) is np.float64
+                assert got.tobytes() == want

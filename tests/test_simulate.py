@@ -589,3 +589,143 @@ def test_batch_rows_match_batch_of_one(name, alpha, beta, n, batch, seed):
         assert terminal.tobytes() == terminals[q : q + 1].tobytes()
         assert one[:, 0].tobytes() == trajectories[:, q].tobytes()
         assert np.array([lo, hi]).tobytes() == np.array([one.min(), one.max()]).tobytes()
+
+
+def _assert_levels_match_reference(model, p, levels):
+    # every level of the batch against the scalar loop run on it alone
+    paths = psde.simulate_per_step_levels(model, p, levels)
+    assert len(paths) == len(levels)
+    for (c, inc), path in zip(levels, paths):
+        for got, want in zip((path.x, path.m, path.i), _reference_per_step(model, p, c.x0_seed_value, c.dt, inc)):
+            assert got.tobytes() == want.tobytes()
+        assert path.dw.tobytes() == inc.tobytes() and path.grid.tobytes() == c.grid().tobytes()
+
+
+@pytest.mark.parametrize("n_steps, n_levels, seed", [(1, 1, 0), (1, 4, 2), (50, 3, 4), (37, 4, 11)])
+def test_levels_match_reference_loop_per_level(generic_model, n_steps, n_levels, seed):
+    p = psde.validate_params(0.3, -0.2)
+    ladder = psde.refinement_ladder(cfg(n_steps=n_steps, seed=seed, x0=0.5), n_levels)
+    _assert_levels_match_reference(generic_model, p, ladder)
+    # the levels come back in the given order, whatever it is
+    _assert_levels_match_reference(generic_model, p, ladder[::-1])
+    # levels of one length on different drivers and horizons
+    same = [cfg(n_steps=n_steps, seed=seed + q, x0=0.5, horizon=0.5 + q) for q in range(3)]
+    drawn = [(c, psde.brownian_driver(n_steps, c.horizon, c.rng_seed)) for c in same]
+    _assert_levels_match_reference(generic_model, p, drawn)
+
+
+def test_levels_past_the_batch_budget_run_as_more_kernel_calls(generic_model, monkeypatch):
+    # a level joins the batch of the longer levels only while its drivers and
+    # trajectories, 16 bytes a cell, fit the budget: here two rows of 160 steps
+    rows, kernel = [], SIMULATE.per_step_terminal_chunk
+
+    def counting(*args):
+        rows.append(len(args[4]))
+        return kernel(*args)
+
+    monkeypatch.setattr(SIMULATE, "per_step_terminal_chunk", counting)
+    monkeypatch.setattr(SIMULATE, "_LEVEL_BATCH_BYTES", 16 * 2 * 161)
+    ladder = psde.refinement_ladder(cfg(n_steps=10, seed=5, x0=0.5), 5)
+    _assert_levels_match_reference(generic_model, psde.validate_params(0.3, -0.2), ladder)
+    assert rows == [2, 3]  # 160 and 80 steps, then 40, 20 and 10
+
+
+def test_levels_of_the_reduced_model_match_reference_loop(generic_model):
+    # the Y levels of a Lamperti check: the reduced additive model from X_0 = 0
+    p = psde.validate_params(0.4, 0.3)
+    c = cfg(n_steps=60, seed=3)
+    transform = psde.pathwise_reduction_check(generic_model, p, c).transform
+    additive = psde.make_model(transform.reduced_drift_coefficient(), psde.constant(1.0))
+    ladder = [(dataclasses.replace(lc, x0_seed_value=0.0), inc) for lc, inc in psde.refinement_ladder(c, 3)]
+    _assert_levels_match_reference(additive, p, ladder)
+
+
+@pytest.mark.parametrize("x0s", [(), (0.0, 1.0), (0.0, -0.0)])
+def test_levels_are_some_and_share_the_seed_value(unit_model, x0s):
+    levels = [(cfg(x0=x0), None) for x0 in x0s]
+    with pytest.raises(ValueError, match="at least one level.*share x0_seed_value"):
+        psde.simulate_per_step_levels(unit_model, psde.validate_params(0.3, 0.0), levels)
+
+
+def _exp_sigma_model():
+    # sigma(x) = exp(x): zero increments keep a path at 0, a large one overflows it
+    exp = lambda x: np.exp(np.asarray(x, dtype=float))  # noqa: E731
+    return psde.make_model(
+        psde.constant(0.0), psde.Coefficient(exp, exp, math.inf, 0.0, {"kind": "test-exp"}), name="exp-sigma"
+    )
+
+
+def _blow_up_increments(n, at):
+    # one large increment at step `at`, then ones: the path is inf from step at + 2
+    inc = np.zeros(n)
+    inc[at] = 1000.0
+    inc[at + 1 :] = 1.0
+    return inc
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("keep_trajectories", [False, True])
+def test_ragged_batch_names_a_short_row_failure_as_its_batch_of_one(keep_trajectories):
+    model, p = _exp_sigma_model(), psde.validate_params(0.2, 0.1)
+    counts = np.array([12, 8, 5])
+    drivers = np.zeros((3, 12))
+    drivers[2, :5] = _blow_up_increments(5, 1)
+    dts = 1.0 / counts
+    with pytest.raises(psde.SimulationAborted) as batch:
+        per_step_terminal_chunk(model, p, 0.0, dts, drivers, np.empty((13, 3)) if keep_trajectories else None, counts)
+    with pytest.raises(psde.SimulationAborted) as alone:
+        per_step_terminal_chunk(model, p, 0.0, dts[2], drivers[2:, :5], np.empty((6, 1)) if keep_trajectories else None)
+    assert (batch.value.path, batch.value.step) == (2, alone.value.step) == (2, 3)
+    assert alone.value.path == 0
+    # the long rows ran on: the short row's failure is reported after every step
+    finite = per_step_terminal_chunk(model, p, 0.0, dts[:2], drivers[:2], None, counts[:2])[0]
+    assert finite.tobytes() == np.zeros(2).tobytes()
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_failing_levels_raise_the_first_failing_level_alone():
+    # the kernel meets the finest failing level first (row 0), the levels
+    # run alone in the given order meet the coarsest: that error is raised
+    model, p = _exp_sigma_model(), psde.validate_params(0.2, 0.1)
+    coarse, middle, fine = cfg(n_steps=5), cfg(n_steps=8), cfg(n_steps=12)
+    levels = [(coarse, _blow_up_increments(5, 2)), (middle, np.zeros(8)), (fine, _blow_up_increments(12, 6))]
+    for raised, first in ((levels, levels[0]), (levels[1:], levels[2])):
+        with pytest.raises(psde.SimulationAborted) as batch:
+            psde.simulate_per_step_levels(model, p, raised)
+        with pytest.raises(psde.SimulationAborted) as alone:
+            psde.simulate_per_step(model, p, *first)
+        assert (str(batch.value), batch.value.step, batch.value.path) == (
+            str(alone.value), alone.value.step, alone.value.path
+        )
+    assert alone.value.step == 8
+
+
+def test_a_coefficient_failure_in_a_batch_is_the_first_failing_level_alone():
+    # sigma refuses |x| > 5, naming the values it was given (as G^-1 names
+    # its point): the batch meets the fine level's value first, the levels
+    # run alone in the given order meet the coarse level's
+    def sigma(x):
+        x = np.asarray(x, dtype=float)
+        if np.any(np.abs(x) > 5.0):
+            raise FloatingPointError(f"sigma refuses {x.tolist()}")
+        return np.ones(x.shape)
+
+    zero = lambda x: np.zeros(np.shape(x))  # noqa: E731
+    model = psde.make_model(psde.constant(0.0), psde.Coefficient(sigma, zero, 0.0, 1.0, {"kind": "test-refusing"}))
+    p = psde.validate_params(0.0, 0.0)
+    coarse, fine = np.zeros(5), np.zeros(12)
+    coarse[2] = fine[0] = 10.0
+    levels = [(cfg(n_steps=5), coarse), (cfg(n_steps=12), fine)]
+    with pytest.raises(FloatingPointError) as batch:
+        psde.simulate_per_step_levels(model, p, levels)
+    with pytest.raises(FloatingPointError) as alone:
+        psde.simulate_per_step(model, p, *levels[0])
+    assert str(batch.value) == str(alone.value) == "sigma refuses [10.0]"
+
+
+def test_kernel_refuses_step_counts_that_are_no_live_prefix(unit_model):
+    p = psde.validate_params(0.3, 0.0)
+    drivers = np.zeros((3, 6))
+    for counts in ([4, 6, 2], [6, 6, 7], [6, 2], [6, 2, -1]):
+        with pytest.raises(ValueError, match="non-increasing"):
+            per_step_terminal_chunk(unit_model, p, 0.0, 0.1, drivers, None, np.array(counts))
