@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from pathlib import Path
 
 __version__ = "0.1.0"
@@ -50,11 +51,22 @@ def write_csv(path, header, rows) -> None:
         fh.writelines(map(_csv_line, rows))
 
 
+def strict_json(value):
+    """value with every float that is not finite, at any depth of its dicts
+    and lists, as None (JSON null): RFC 8259 has no NaN or Infinity."""
+    if isinstance(value, dict):
+        return {key: strict_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [strict_json(item) for item in value]
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
 def write_json_report(path, payload: dict, config_fingerprint: str) -> dict:
-    """JSON report with stable key ordering, embedding fingerprint and version."""
+    """JSON report with stable key ordering, embedding fingerprint and
+    version; a float that is not finite is written as null (``strict_json``)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    full = dict(payload)
+    full = strict_json(payload)
     full["config_fingerprint"] = config_fingerprint
     full["tool_version"] = __version__
     with open(path, "w") as fh:

@@ -11,9 +11,11 @@ terminal values with some spread when ``analysis.bandwidth`` is "auto",
 and ``analysis.bin_widths`` wide enough that no atom scan needs more than
 ``MAX_ATOM_BINS`` bins or overflows its bin index; ``picard-compare`` and
 ``lamperti-check`` need a refinement ladder that ``check_ladder`` accepts.
-An infinite t0 is reported as null, and ``constants`` exits 3 where C(t)
-or the H-norm lower bound of a row overflows.  The stderr JSON of a failure
-writes a non-finite diagnostic (a NaN in a history) as null too.
+A config coefficient whose declared bounds (sup|b'|, sup|sigma'|,
+inf|sigma|) are not finite is rejected.  Every JSON report, and the stderr
+JSON of a failure, writes a float that is not finite as null: an unbounded
+t0, a NaN in a history.  ``constants`` exits 3 where C(t) or the H-norm
+lower bound of a row overflows.
 
 Each subcommand only computes: it returns its report's name and payload,
 and the files it produces, in order.  ``main`` alone writes those files,
@@ -35,7 +37,7 @@ from pathlib import Path as FsPath
 
 import numpy as np
 
-from .artifacts import __version__, field_rows, fingerprint, path_rows, write_csv, write_json_report
+from .artifacts import __version__, field_rows, fingerprint, path_rows, strict_json, write_csv, write_json_report
 from .errors import NoConvergenceError, ParameterRejection, PathFailure, SigmaNotPositiveError
 from .models import CoefficientModel, coefficient_from_spec, make_model, named_model, tabulated
 from .params import (
@@ -212,11 +214,20 @@ def _build_model(cfg: dict, base_dir: FsPath) -> CoefficientModel:
     if "b" not in spec or "sigma" not in spec:
         raise _CliFailure(EXIT_REJECTED, "ConfigError", "model needs both b and sigma specs")
     try:
-        return make_model(
+        model = make_model(
             _coef(spec["b"], base_dir), _coef(spec["sigma"], base_dir), name="config"
         )
     except (TypeError, ValueError) as exc:
         raise _CliFailure(EXIT_REJECTED, "ConfigError", f"bad coefficient spec: {exc}") from exc
+    # a NaN or inf bound (a table with a nan cell, slopes or products that overflow) bounds nothing
+    for key, name, value in (
+        ("b", "sup|b'|", model.b_prime_sup),
+        ("sigma", "sup|sigma'|", model.sigma_prime_sup),
+        ("sigma", "inf|sigma|", model.sigma_inf),
+    ):
+        if not math.isfinite(value):
+            raise _CliFailure(EXIT_REJECTED, "ConfigError", f"model.{key}: its declared {name} = {value} is not finite")
+    return model
 
 
 def _coef(spec: dict, base_dir: FsPath):
@@ -270,14 +281,6 @@ def _refinements(run: _Run) -> int:
     return n_levels
 
 
-def _json_number(value):
-    """value, or None (JSON null) for a float that is not finite, also inside a
-    list: RFC 8259 has no NaN or Infinity."""
-    if isinstance(value, list):
-        return [_json_number(v) for v in value]
-    return None if isinstance(value, float) and not math.isfinite(value) else value
-
-
 def cmd_validate(run: _Run):
     model, params = run.model, run.params
     horizon = smooth_density_horizon(params.alpha, params.beta, model.b_prime_sup)
@@ -286,7 +289,7 @@ def cmd_validate(run: _Run):
         "alpha": params.alpha,
         "beta": params.beta,
         "rho": params.rho,
-        "t0": _json_number(horizon.t0),
+        "t0": horizon.t0,
         "t0_unbounded": horizon.t0_unbounded,
         "threshold_ok": horizon.threshold_ok,
         "b_prime_sup": model.b_prime_sup,
@@ -312,7 +315,7 @@ def cmd_constants(run: _Run):
             raise FloatingPointError(f"C(t) = {c} or its H-norm lower bound {bound} is not a float at t = {t}")
         rows.append((t, float(c), float(bound)))
     return "constants.json", {
-        "t0": _json_number(horizon.t0),
+        "t0": horizon.t0,
         "threshold_ok": horizon.threshold_ok,
         "t0_unbounded": horizon.t0_unbounded,
         "c_at_t0": horizon.c_of_t,
@@ -412,17 +415,13 @@ def cmd_density(run: _Run):
     ks_payload = None
     is_unit = model.constant_value("b") == 0.0 and model.constant_value("sigma") == 1.0
     if is_unit and params.beta == 0.0:
-        shift = sim_cfg.x0_seed_value / (1.0 - params.alpha)
+        # X_0 = x0/(1 - alpha) shifts the whole path, so X_T - X_0 has the law started at 0
         if params.alpha == 0.0:
-            law = density.reference_gaussian(shift, sim_cfg.horizon)
+            law = density.reference_gaussian(0.0, sim_cfg.horizon)
         else:
-            base = density.reference_singly_perturbed(params.alpha, sim_cfg.horizon)
-            law = density.ReferenceLaw(
-                base.kind,
-                lambda v: base.density(np.asarray(v) - shift),
-                lambda v: base.cdf(np.asarray(v) - shift),
-            )
-        ks = density.ks_test(ensemble, law)
+            law = density.reference_singly_perturbed(params.alpha, sim_cfg.horizon)
+        x_0 = sim_cfg.x0_seed_value / (1.0 - params.alpha)
+        ks = density.ks_test(density.Ensemble(ensemble.terminal_values - x_0), law)
         ks_payload = {
             "statistic": ks.statistic,
             "critical_1pct": ks.critical_1pct,
@@ -522,8 +521,8 @@ def main(argv=None) -> int:
 
 
 def _error(kind: str, message: str, code: int, **diagnostics) -> None:
-    diagnostics = {key: _json_number(value) for key, value in diagnostics.items()}
-    json.dump({"error": kind, "message": message, "exit_code": code, **diagnostics}, sys.stderr, sort_keys=True)
+    error = strict_json({"error": kind, "message": message, "exit_code": code, **diagnostics})
+    json.dump(error, sys.stderr, sort_keys=True)
     sys.stderr.write("\n")
 
 

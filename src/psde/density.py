@@ -177,10 +177,13 @@ def atom_scan(e: Ensemble, bin_width: float) -> AtomScan:
     bin width; an atom pins it away from zero.  Raises ValueError, before
     histogramming, when the width needs more than :data:`MAX_ATOM_BINS` bins
     (read when called) to cover the values, or is so fine that the index of
-    the values' first bin is not a finite float.
+    the values' first bin is not a finite float.  The width is taken as a
+    float: an int one would make the bin edges Python ints, which numpy
+    cannot histogram beyond 2**64.
     """
     if e.n_paths < 1:
         raise ValueError("atom scan needs a non-empty ensemble")
+    bin_width = float(bin_width)
     if bin_width <= 0.0:
         raise ValueError("bin_width must be > 0")
     v = e.terminal_values

@@ -17,8 +17,10 @@ additive equation with seed value 0 on the same Brownian driver.  The
 pathwise check runs the levels of a refinement ladder as one batch of the
 per-step kernel for X and one for Y, so each step of Y evaluates b_tilde
 once, on every level still running.  Only the
-inf sigma > 0 branch is implemented; a model with sup sigma < 0 is handled by
-negating sigma and the driver first.
+inf sigma > 0 branch is implemented: a model with sup sigma < 0 raises
+SigmaNotPositiveError, and nothing negates it here.  A caller may negate
+sigma and the driver themselves, which gives the same law (-W is a Brownian
+motion).
 """
 
 from __future__ import annotations

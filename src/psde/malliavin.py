@@ -182,7 +182,7 @@ def _terminal_adjoint(
     that is not a fresh maximum (minimum) adds alpha g_k (beta g_k) to the
     maximum's (minimum's) carry: those columns read the earlier argmax
     (argmin) column.  Each column finds its fresh-maximum and fresh-minimum
-    rows itself, and skips the carries of an extreme that no row has fresh.
+    rows itself.
     Returns sigma(x) (n+1, batch) and S (n+2, batch), in O(n * batch) work
     and memory; every operation is elementwise over the batch, so a path's
     values do not depend on the batch.
@@ -199,20 +199,16 @@ def _terminal_adjoint(
         if k < n:
             np.multiply(step_weight[k], adj[k + 1], out=g)
         up, down = fresh_max[k].nonzero()[0], fresh_min[k].nonzero()[0]
-        if len(up):
-            g[up] += carry_max[up]
-        if len(down):
-            g[down] += carry_min[down]
+        g[up] += carry_max[up]
+        g[down] += carry_min[down]
         g /= den[k]
         np.add(g, adj[k + 1], out=adj[k])
         # every column adds to both carries; a fresh extreme's carry is then
         # reset, which drops what its own column added
         carry_max += np.multiply(g, alpha, out=term)
         carry_min += np.multiply(g, beta, out=term)
-        if len(up):
-            carry_max[up] = 0.0
-        if len(down):
-            carry_min[down] = 0.0
+        carry_max[up] = 0.0
+        carry_min[down] = 0.0
     return sig, adj
 
 

@@ -169,7 +169,9 @@ def hnorm_lower_bound(
     :class:`BoundVacuousWarning`), never an exception.  Numerator and
     denominator are divided by s^2, so neither s^2 nor ||b'||^2 s^2 is
     formed: the bound stays finite where those squares overflow and it
-    does not (it tends to (1 - C) sigma^2 / (6 ||b'||^2) as s grows).
+    does not (it tends to (1 - C) sigma^2 / (6 ||b'||^2) as s grows).  With
+    b' = 0 the divided denominator underflows to 0 for s beyond ~1e154,
+    where the bound itself overflows: it is then inf, or 0.0 for sigma = 0.
     """
     if not 0.0 <= s <= t:
         raise ValueError(f"need 0 <= s <= t, got s={s}, t={t}")
@@ -184,7 +186,8 @@ def hnorm_lower_bound(
     if s == 0.0:
         return 0.0
     denom = 2.0 * ((1.0 + 3.0 * (alpha * alpha + beta * beta)) / s / s + 3.0 * b_prime_sup * b_prime_sup)
-    return (1.0 - c) * sigma_const * sigma_const / denom
+    numer = (1.0 - c) * sigma_const * sigma_const
+    return numer / denom if denom else (math.inf if numer else 0.0)
 
 
 def hnorm_running_max_lower_bound(

@@ -365,15 +365,12 @@ def per_step_terminal_chunk(
     sigma_c, b_c = model.constant_value("sigma"), model.constant_value("b")
     if trajectories is not None:
         trajectories[0] = x
-    # (last step, live rows) of each stretch of steps on one live prefix:
-    # rows of one length run one stretch of the whole batch
-    if n_steps is None:
-        counts, stretches = None, [(width, n_paths)]
-    else:
-        counts = np.asarray(n_steps)
-        if counts.shape != (n_paths,) or np.any(counts[1:] > counts[:-1]) or np.any((counts < 0) | (counts > width)):
-            raise ValueError(f"n_steps must be {n_paths} non-increasing counts of 0 to {width} steps")
-        stretches = [(stop, int(np.count_nonzero(counts >= stop))) for stop in sorted(set(counts.tolist()))]
+    counts = np.full(n_paths, width) if n_steps is None else np.asarray(n_steps)
+    if counts.shape != (n_paths,) or np.any(counts[1:] > counts[:-1]) or np.any((counts < 0) | (counts > width)):
+        raise ValueError(f"n_steps must be {n_paths} non-increasing counts of 0 to {width} steps")
+    # (last step, live rows) of each stretch of steps on one live prefix, read
+    # off the last row of each run of equal counts: no Python int per row
+    stretches = [(int(counts[j]), j + 1) for j in np.flatnonzero(np.diff(counts, append=-1))[::-1].tolist()]
     start = 0
     for stop, live in stretches:
         xs, ms, is_, dws = x[:live], m[:live], i_arr[:live], drivers[:live]
@@ -397,7 +394,7 @@ def per_step_terminal_chunk(
     finite = np.isfinite(x)
     if not finite.all():
         path = int(np.argmin(finite))
-        count = width if counts is None else int(counts[path])
+        count = int(counts[path])
         if trajectories is None:
             # only terminal values were kept: replay the path as a batch of
             # one, bit-identical, with its trajectory for the step

@@ -1,20 +1,26 @@
+import contextlib
 import csv
 import hashlib
 import importlib
+import inspect
 import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import psde
 from psde import artifacts
 from psde.cli import CONFIG_SCHEMA, _check_schema, _CliFailure, _context, build_parser, main
+from psde.models import _KINDS
 
 
 def write_config(tmp_path, name="cfg.json", **overrides):
@@ -293,6 +299,28 @@ def test_one_row_coefficient_table_rejected(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+@pytest.mark.parametrize(
+    "key,spec",
+    [
+        ("b", {"kind": "tabulated", "path": "nan.csv"}),
+        ("b", {"kind": "tabulated", "xs": [0, 1, 2, 3], "ys": [1, 1e308, -1e308, 1]}),
+        ("b", {"kind": "logistic", "lo": -1e308, "hi": 1e308, "rate": 1}),
+        ("sigma", {"kind": "sinusoidal", "offset": 1, "amplitude": 1e200, "frequency": 1e200}),
+    ],
+)
+def test_coefficient_bounds_that_are_not_finite_rejected(tmp_path, capsys, key, spec):
+    # a nan cell, slopes that overflow, a span or a product that overflows:
+    # sup|f'| is NaN or inf, which bounds nothing
+    (tmp_path / "nan.csv").write_text("x,y\n0,0\n1,nan\n2,1\n")
+    cfgp = write_config(tmp_path, model={"b": {"kind": "constant", "value": 0.0}, "sigma": ONE, key: spec})
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(["validate", "--config", str(cfgp), "--quiet"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError" and err["message"].startswith(f"model.{key}: ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["density", "malliavin"])
 def test_negative_paths_rejected(tmp_path, capsys, command):
     cfgp = write_config(tmp_path)
@@ -449,6 +477,8 @@ def test_reports_are_strict_json(tmp_path, capsys, command):
         ),
         # a finite given bandwidth whose five-bandwidth padding of the KDE grid is not
         ("density", {"sim": {"n_steps": 10}, "analysis": {"n_paths": 20, "bandwidth": 1e308}}),
+        # b' = 0: at t = 1e200 the H-norm lower bound, sigma^2 t^2 / 2, is no float
+        ("constants", {"params": {"alpha": 0.0, "beta": 0.0}, "analysis": {"t_values": [1e200]}}),
     ],
 )
 def test_overflow_exits_3_and_writes_nothing(tmp_path, capsys, command, overrides):
@@ -846,3 +876,129 @@ def test_path_csv_pinned(tmp_path):
     assert main(["simulate", "--config", str(cfgp), "--quiet"]) == 0
     digest = hashlib.sha256((tmp_path / "out" / "path.csv").read_bytes()).hexdigest()
     assert digest == "46161d48ef20eb78866e0d8845076deef4869ea2b68818d2f13f5e5454bb3bf4"
+
+
+# every scale from the subnormal edge to the overflow edge, both signs
+SCALES = [0.0] + [sign * v for v in (1e-300, 1e-200, 1e-100, 1e-10, 0.1, 1.0, 10.0, 1e10, 1e100, 1e200, 1e300)
+                  for sign in (1.0, -1.0)]
+# small grids keep an example to milliseconds; a ladder of 3 refinements on 40 steps is 320 steps
+INTEGER_CAPS = {"n_steps": 40, "n_paths": 30, "refinements": 3, "n_intervals": 40, "picard_outer_iters": 40}
+PRESETS = ("unit", "additive-sine", "smooth-generic", "multiplicative-sine")
+
+
+def _admits(value, schema):
+    try:
+        _check_schema(value, schema)
+        return True
+    except _CliFailure:
+        return False
+
+
+def _coefficients():
+    """Specs of every coefficient kind, each argument drawn from SCALES, tables inline."""
+    number = st.sampled_from(SCALES)
+    kinds = []
+    for kind, build in sorted(_KINDS.items()):
+        if kind == "tabulated":
+            kinds.append(st.integers(2, 4).flatmap(lambda n: st.fixed_dictionaries({
+                "kind": st.just("tabulated"),
+                "xs": st.lists(number, min_size=n, max_size=n, unique=True).map(sorted),
+                "ys": st.lists(number, min_size=n, max_size=n),
+            })))
+            continue
+        args = inspect.signature(build).parameters.values()
+        kinds.append(st.fixed_dictionaries(
+            {"kind": st.just(kind), **{a.name: number for a in args if a.default is a.empty}},
+            optional={a.name: number for a in args if a.default is not a.empty},
+        ))
+    return st.one_of(kinds)
+
+
+def _from_schema(schema, key=None):
+    """Values CONFIG_SCHEMA admits at key: numbers from SCALES, integers up to
+    INTEGER_CAPS, lists of up to 3 items; analysis.n_paths is always given,
+    as density would otherwise run 10 000 paths."""
+    if "enum" in schema:
+        return st.sampled_from(schema["enum"])
+    if "anyOf" in schema:
+        return st.one_of([_from_schema(option, key) for option in schema["anyOf"]])
+    kind = schema["type"]
+    if kind == "number":
+        return st.sampled_from([v for v in SCALES if _admits(v, schema)])
+    if kind == "integer":
+        return st.integers(schema.get("minimum", 0), schema.get("maximum", INTEGER_CAPS.get(key, 40)))
+    if kind == "boolean":
+        return st.booleans()
+    if kind == "array":
+        return st.lists(_from_schema(schema["items"], key), max_size=3)
+    properties = schema["properties"]
+    required = set(schema.get("required", ())) | ({"n_paths"} & set(properties))
+    return st.fixed_dictionaries(
+        {k: _from_schema(properties[k], k) for k in properties if k in required},
+        optional={k: _from_schema(properties[k], k) for k in properties if k not in required},
+    )
+
+
+CONFIGS = st.fixed_dictionaries(
+    {
+        "model": st.one_of(
+            st.fixed_dictionaries({"preset": st.sampled_from(PRESETS)}),
+            st.fixed_dictionaries({"b": _coefficients(), "sigma": _coefficients()}),
+        ),
+        **{k: _from_schema(CONFIG_SCHEMA["properties"][k], k) for k in ("params", "sim", "analysis")},
+    }
+)
+
+
+def _cfg(model=None, params=(0.1, 0.0), analysis=None, **sim):
+    """A config for the examples below: unit model, 20 steps, seed 7."""
+    sim = {"x0": 0.0, "horizon": 1.0, "n_steps": 20, "seed": 7, **sim}
+    return {"model": model or {"preset": "unit"}, "params": dict(zip(("alpha", "beta"), params)), "sim": sim,
+            "analysis": analysis or {}}
+
+
+def _strict(text):
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(config=CONFIGS)
+# sigma = 1e10 and eps = 1e-300: the finite difference is 0, so rel_error is inf
+@example(config=_cfg({"b": STILL["b"], "sigma": {"kind": "constant", "value": 1e10}},
+                     analysis={"n_intervals": 2, "eps": 1e-300, "n_paths": 3}))
+# terminal values of ~1e200, whose std overflows
+@example(config=_cfg({"b": STILL["b"], "sigma": {"kind": "constant", "value": 1e200}}, (0.0, 0.0),
+                     {"n_paths": 20, "bandwidth": 1e199, "bin_widths": [1e199]}, n_steps=10))
+# declared bounds that are not finite: slopes, a product and a span that overflow
+@example(config=_cfg({"b": {"kind": "tabulated", "xs": [0, 1, 2, 3], "ys": [1, 1e308, -1e308, 1]}, "sigma": ONE}))
+@example(config=_cfg({"b": {"kind": "sinusoidal", "offset": 0, "amplitude": 1e200, "frequency": 1e200},
+                      "sigma": ONE}))
+@example(config=_cfg({"b": {"kind": "logistic", "lo": -1e308, "hi": 1e308, "rate": 1}, "sigma": ONE}))
+# b' = 0 at t = 1e200: the H-norm lower bound overflows (exit 3), or is 0 for sigma = 0
+@example(config=_cfg(params=(0.0, 0.0), analysis={"t_values": [1e200]}))
+@example(config=_cfg(STILL, (0.0, 0.0), {"t_values": [1e200]}))
+# an integer bin width at values of 1e100
+@example(config=_cfg(params=(0.0, 0.0), analysis={"n_paths": 10, "bandwidth": 1.0, "bin_widths": [1]}, x0=1e100))
+def test_every_config_ends_in_a_documented_exit_with_strict_output(config):
+    # exit 0 writes strict JSON (stdout too) and finite CSV floats; exit 2 or
+    # 3 writes nothing but one strict JSON object on stderr
+    with tempfile.TemporaryDirectory() as tmp:
+        cfgp = Path(tmp) / "cfg.json"
+        cfgp.write_text(json.dumps(config))
+        for command in COMMANDS:
+            out_dir, stdout, stderr = Path(tmp) / command, io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                warnings.simplefilter("ignore")
+                code = main([command, "--config", str(cfgp), "--out", str(out_dir)])
+            assert code in (0, 2, 3), (command, stderr.getvalue())
+            if code:
+                assert _strict(stderr.getvalue())["exit_code"] == code
+                assert not out_dir.exists(), command
+                continue
+            _strict(stdout.getvalue())
+            for path in out_dir.iterdir():
+                if path.suffix == ".json":
+                    _strict(path.read_text())
+                else:
+                    rows = list(csv.reader(io.StringIO(path.read_text())))[1:]
+                    assert all(math.isfinite(float(v)) for row in rows for v in row), (command, path.name)

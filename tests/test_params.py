@@ -156,6 +156,12 @@ def test_huge_time_is_not_squared():
     c = psde.smoothness_constant(s, 0.1, 0.0, k)
     assert psde.hnorm_lower_bound(s, s, 1.0, 0.1, 0.0, k) == pytest.approx((1.0 - c) / (6.0 * k * k), rel=1e-12)
     assert psde.hnorm_running_max_lower_bound(1e200, 1.0, 0.1, 0.0, k) == pytest.approx(1.0 / 6.0, rel=1e-12)
+    # with b' = 0 the divided denominator underflows to 0 beyond s ~ 1e154,
+    # where the bound, sigma^2 s^2 / 2, overflows: inf, or 0.0 for sigma = 0
+    assert psde.hnorm_lower_bound(1e150, 1e150, 1.0, 0.0, 0.0, 0.0) == pytest.approx(5e299, rel=1e-12)
+    for s in (1e160, 1e200, 1e308):
+        assert psde.hnorm_lower_bound(s, s, 1.0, 0.0, 0.0, 0.0) == math.inf
+        assert psde.hnorm_lower_bound(s, s, 0.0, 0.0, 0.0, 0.0) == 0.0
 
 
 def test_c_at_t0_consistency_random():
