@@ -7,6 +7,8 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
+
 __version__ = "0.1.0"
 
 
@@ -21,6 +23,8 @@ def format_float(v: float) -> str:
 
 
 _QUOTED = frozenset(',"\r\n')
+# rows formatted and written at a time: a field.csv at MAX_FIELD_STEPS has 8.4M
+CHUNK_ROWS = 1 << 14
 
 
 def _plain_cell(v) -> str:
@@ -32,23 +36,37 @@ def _plain_cell(v) -> str:
     return cell
 
 
-def _csv_line(row) -> str:
-    return ",".join([format_float(v) if isinstance(v, float) else _plain_cell(v) for v in row]) + "\r\n"
+def _cells(column) -> list:
+    """The cells of one column: a float64 column formatted once, as
+    ``format_float`` formats each value, an integer column by ``str``, and
+    any other cell by cell."""
+    values = np.asarray(column)
+    if values.dtype == np.float64:
+        return [f"{v:.17g}" for v in values.tolist()]
+    if values.dtype.kind in "iu":
+        return list(map(str, values.tolist()))
+    return [format_float(v) if isinstance(v, float) else _plain_cell(v) for v in column]
 
 
-def write_csv(path, header, rows) -> None:
+def write_csv(path, header, columns) -> None:
     """CSV with header row, CRLF line endings, 17-significant-digit floats.
 
-    Records are joined as strings and streamed, the bytes csv.writer
-    writes: every cell is a number or a plain header name, which it writes
-    bare, and a cell it would quote, or write empty, raises ValueError.
+    ``columns`` are equal-length arrays or lists, one per header name.
+    They are formatted and written CHUNK_ROWS rows at a time, the bytes
+    csv.writer writes for ``zip(*columns)``: every cell is a number or a
+    plain header name, which it writes bare, and a cell it would quote, or
+    write empty, raises ValueError.
     """
     path = Path(path)
+    n_rows = len(columns[0]) if columns else 0
+    if any(len(column) != n_rows for column in columns):
+        raise ValueError(f"CSV columns of unequal lengths {[len(column) for column in columns]}")
     path.parent.mkdir(parents=True, exist_ok=True)
-    head = _csv_line(header)
     with open(path, "w", newline="") as fh:
-        fh.write(head)
-        fh.writelines(map(_csv_line, rows))
+        fh.write(",".join(map(_plain_cell, header)) + "\r\n")
+        for start in range(0, n_rows, CHUNK_ROWS):
+            cells = [_cells(column[start : start + CHUNK_ROWS]) for column in columns]
+            fh.write("\r\n".join(map(",".join, zip(*cells))) + "\r\n")
 
 
 def strict_json(value):
@@ -73,24 +91,3 @@ def write_json_report(path, payload: dict, config_fingerprint: str) -> dict:
         json.dump(full, fh, sort_keys=True, indent=2)
         fh.write("\n")
     return full
-
-
-def path_rows(path_obj):
-    """Rows (t, x, m, i, w) of a simulated path, one per grid point."""
-    w = path_obj.w  # derived from the increments on every read, so read once
-    for k in range(len(path_obj.grid)):
-        yield (
-            float(path_obj.grid[k]),
-            float(path_obj.x[k]),
-            float(path_obj.m[k]),
-            float(path_obj.i[k]),
-            float(w[k]),
-        )
-
-
-def field_rows(field):
-    """Rows (j, k, d) of a derivative field over its occupied triangle j <= k."""
-    n = field.n_steps
-    for j in range(n + 1):
-        for k in range(j, n + 1):
-            yield (j, k, float(field.d[j, k]))

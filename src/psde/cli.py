@@ -18,12 +18,20 @@ t0, a NaN in a history.  ``constants`` exits 3 where C(t) or the H-norm
 lower bound of a row overflows.
 
 Each subcommand only computes: it returns its report's name and payload,
-and the files it produces, in order.  ``main`` alone writes those files,
-then the report, whose ``artifacts`` lists them.  A run that exits 2 or 3
-has therefore written nothing.
+and the files it produces, in order, a CSV as its header and equal-length
+columns (``write_csv``).  ``main`` alone writes those files, then the
+report, whose ``artifacts`` lists them.  Before the first file it checks
+every float column of every CSV: a CSV cell has no null, so a value that
+is not finite exits 3, naming the file and the column.  A run that exits
+2 or 3 has therefore written nothing.
 
 Exit codes: 0 success, 2 validation rejection, 3 numerical failure,
 4 I/O error.  Failures emit a machine-readable JSON object on stderr.
+
+The ``psde`` command and ``python -m psde.cli`` run ``run``: ``main``,
+then a flush of stdout and stderr after the last write and ``os._exit``,
+past the interpreter's teardown; a flush that fails exits 4, not 0.
+Library callers use ``main(argv)``, which returns the exit code.
 """
 
 from __future__ import annotations
@@ -31,13 +39,14 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
 import numpy as np
 
-from .artifacts import __version__, field_rows, fingerprint, path_rows, strict_json, write_csv, write_json_report
+from .artifacts import __version__, fingerprint, strict_json, write_csv, write_json_report
 from .errors import NoConvergenceError, ParameterRejection, PathFailure, SigmaNotPositiveError
 from .models import CoefficientModel, coefficient_from_spec, make_model, named_model, tabulated
 from .params import (
@@ -120,10 +129,11 @@ _TYPES = {"object": dict, "array": list, "string": str, "boolean": bool, "number
 
 
 class _CliFailure(Exception):
-    def __init__(self, code: int, kind: str, message: str):
+    def __init__(self, code: int, kind: str, message: str, **diagnostics):
         super().__init__(message)
         self.code = code
         self.kind = kind
+        self.diagnostics = diagnostics
 
 
 def _check_schema(value, schema: dict, path: str = "") -> None:
@@ -320,7 +330,7 @@ def cmd_constants(run: _Run):
         "t0_unbounded": horizon.t0_unbounded,
         "c_at_t0": horizon.c_of_t,
         "rho": params.rho,
-    }, {"constants.csv": (["t", "c_of_t", "hnorm_lower_bound"], rows)}
+    }, {"constants.csv": (["t", "c_of_t", "hnorm_lower_bound"], list(zip(*rows)))}
 
 
 def cmd_simulate(run: _Run):
@@ -331,7 +341,7 @@ def cmd_simulate(run: _Run):
         "terminal": float(path.x[-1]),
         "running_max": float(path.m[-1]),
         "running_min": float(path.i[-1]),
-    }, {"path.csv": (["t", "x", "m", "i", "w"], path_rows(path))}
+    }, {"path.csv": (["t", "x", "m", "i", "w"], [path.grid, path.x, path.m, path.i, path.w])}
 
 
 def cmd_picard_compare(run: _Run):
@@ -343,7 +353,7 @@ def cmd_picard_compare(run: _Run):
         rows.append((level_cfg.n_steps, level_cfg.dt, float(np.max(np.abs(a.x - b.x)))))
     return "picard_compare.json", {
         "levels": [{"n_steps": r[0], "dt": r[1], "sup_discrepancy": r[2]} for r in rows],
-    }, {"scheme_discrepancy.csv": (["n_steps", "dt", "sup_discrepancy"], rows)}
+    }, {"scheme_discrepancy.csv": (["n_steps", "dt", "sup_discrepancy"], list(zip(*rows)))}
 
 
 def cmd_malliavin(run: _Run):
@@ -363,9 +373,17 @@ def cmd_malliavin(run: _Run):
     )
     files = {}
     profile, terminal = malliavin.field_profile(path, model, params)
-    files["h_norm.csv"] = (["t", "h_norm"], ((float(path.grid[k]), float(profile[k])) for k in range(len(profile))))
+    files["h_norm.csv"] = (["t", "h_norm"], [path.grid, profile])
     if analysis.get("export_field", False):  # only field.csv needs the (n+1)^2 field, and its cap
-        files["field.csv"] = (["j", "k", "d"], field_rows(malliavin.derivative_field(path, model, params)))
+        d = malliavin.derivative_field(path, model, params).d
+        n = len(d)
+        # the occupied triangle j <= k row by row, each row moved to the front
+        # of d's own buffer, and indices in the narrowest unsigned type
+        values = np.concatenate([row[j:] for j, row in enumerate(d)], out=d.reshape(-1)[: n * (n + 1) // 2])
+        index = np.min_scalar_type(n)
+        j = np.repeat(np.arange(n, dtype=index), np.arange(n, 0, -1))
+        k = np.concatenate([np.arange(i, n, dtype=index) for i in range(n)])
+        files["field.csv"] = (["j", "k", "d"], [j, k, values])
     positivity = None
     if n_paths:
         positivity = malliavin.positivity_report(h_values, t=sim_cfg.horizon, sigma_inf=model.sigma_inf).to_dict()
@@ -439,8 +457,8 @@ def cmd_density(run: _Run):
         "atom_scan": scans,
         "ks": ks_payload,
     }, {
-        "ensemble.csv": (["terminal_value"], ((float(v),) for v in ensemble.terminal_values)),
-        "kde.csv": (["v", "density"], ((float(a), float(b)) for a, b in zip(est.grid, est.density))),
+        "ensemble.csv": (["terminal_value"], [ensemble.terminal_values]),
+        "kde.csv": (["v", "density"], [est.grid, est.density]),
     }
 
 
@@ -451,8 +469,7 @@ def cmd_lamperti_check(run: _Run):
         run.model, run.params, run.sim, n_refinements=_refinements(run)
     )
     transform = report.transform
-    rows = ((float(a), float(b)) for a, b in zip(transform.nodes, transform.g_nodes))
-    return "lamperti.json", report.to_dict(), {"transform.csv": (["y", "g"], rows)}
+    return "lamperti.json", report.to_dict(), {"transform.csv": (["y", "g"], [transform.nodes, transform.g_nodes])}
 
 
 _COMMANDS = {
@@ -486,6 +503,7 @@ def main(argv=None) -> int:
     try:
         run = _context(args)
         name, payload, files = _COMMANDS[args.command](run)
+        _check_finite(files)
         for file_name, content in files.items():
             if isinstance(content, dict):
                 write_json_report(run.out_dir / file_name, content, run.fingerprint)
@@ -499,7 +517,7 @@ def main(argv=None) -> int:
             sys.stdout.write("\n")
         return EXIT_OK
     except _CliFailure as exc:
-        _error(exc.kind, str(exc), exc.code)
+        _error(exc.kind, str(exc), exc.code, **exc.diagnostics)
         return exc.code
     except ParameterRejection as exc:
         _error(exc.code, str(exc), EXIT_REJECTED)
@@ -520,6 +538,41 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
+def _check_finite(files: dict) -> None:
+    """Exit 3 (before any file is written) if a float column of a CSV holds
+    a value that is not finite: a CSV cell, unlike JSON, has no null."""
+    for file_name, content in files.items():
+        if isinstance(content, dict):
+            continue
+        header, columns = content
+        for column_name, column in zip(header, columns):
+            values = np.asarray(column)
+            if values.dtype.kind == "f" and not np.isfinite(values).all():
+                message = f"{file_name}: column {column_name} holds a value that is not finite"
+                raise _CliFailure(EXIT_NUMERICAL, "FloatingPointError", message, file=file_name, column=column_name)
+
+
+def run() -> None:
+    """The ``psde`` process: ``main``, then flush standard output and error
+    and end at once with its exit code, past the interpreter's teardown.
+
+    Every file is closed by then.  An exception or argparse's SystemExit
+    leaving ``main`` ends the process the usual way, and a flush that fails
+    exits 4 (or ``main``'s nonzero code) with the failure's JSON on stderr.
+    """
+    code = main()
+    try:
+        try:
+            sys.stdout.flush()
+        except (OSError, ValueError) as exc:
+            code = code or EXIT_IO
+            _error("IOError", f"cannot write standard output: {exc}", code)
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        code = code or EXIT_IO
+    os._exit(code)
+
+
 def _error(kind: str, message: str, code: int, **diagnostics) -> None:
     error = strict_json({"error": kind, "message": message, "exit_code": code, **diagnostics})
     json.dump(error, sys.stderr, sort_keys=True)
@@ -527,4 +580,4 @@ def _error(kind: str, message: str, code: int, **diagnostics) -> None:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -46,7 +46,7 @@ class MonotoneCubic:
             w2 = h[1:] + 2 * h[:-1]
             sm = np.sign(m)
             flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 d[1:-1] = np.where(flat, 0.0, 1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
             d[0] = _end_slope(h[0], h[1], m[0], m[1])
             d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
@@ -252,13 +252,17 @@ def logistic(lo: float, hi: float, rate: float, center: float = 0.0) -> Coeffici
     """Smooth monotone ramp from lo to hi with slope rate*(hi-lo)/4 at center."""
     lo, hi, rate, center = map(float, (lo, hi, rate, center))
 
+    # a steep ramp overflows z or exp(-z) to inf far from center, where the
+    # ramp is its end value and its slope 0: right without a warning
     def f(x):
-        z = rate * (_operand(x) - center)
-        return lo + (hi - lo) / (1.0 + np.exp(-z))
+        with np.errstate(over="ignore"):
+            z = rate * (_operand(x) - center)
+            return lo + (hi - lo) / (1.0 + np.exp(-z))
 
     def f_prime(x):
-        z = rate * (_operand(x) - center)
-        s = 1.0 / (1.0 + np.exp(-z))
+        with np.errstate(over="ignore"):
+            z = rate * (_operand(x) - center)
+            s = 1.0 / (1.0 + np.exp(-z))
         return (hi - lo) * rate * s * (1.0 - s)
 
     lip = abs((hi - lo) * rate) / 4.0

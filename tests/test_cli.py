@@ -13,6 +13,7 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -714,16 +715,18 @@ def test_every_exported_name_resolves():
 
 
 def test_csv_files_match_csv_writer(tmp_path, monkeypatch):
-    # every CSV the CLI writes holds the bytes csv.writer writes for its rows
+    # every CSV the CLI writes holds the bytes csv.writer writes for the rows
+    # zip(*columns) of its equal-length columns
     real = artifacts.write_csv
     written = []
 
-    def checked(path, header, rows):
-        rows = list(rows)
-        real(path, header, rows)
+    def checked(path, header, columns):
+        assert len({len(column) for column in columns}) == 1
+        real(path, header, columns)
         buf = io.StringIO(newline="")
         writer = csv.writer(buf)
         writer.writerow(header)
+        rows = zip(*(np.asarray(column).tolist() for column in columns))
         writer.writerows([artifacts.format_float(v) if isinstance(v, float) else v for v in row] for row in rows)
         assert Path(path).read_bytes() == buf.getvalue().encode()
         written.append(Path(path).name)
@@ -742,7 +745,114 @@ def test_csv_files_match_csv_writer(tmp_path, monkeypatch):
 @pytest.mark.parametrize("cell", ["a,b", 'say "x"', "two\nlines", "cr\r", "", None])
 def test_csv_cell_that_needs_quotes_raises(tmp_path, cell):
     with pytest.raises(ValueError):
-        artifacts.write_csv(tmp_path / "x.csv", ["h", "g"], [(1.0, cell)])
+        artifacts.write_csv(tmp_path / "x.csv", ["h", "g"], [[1.0], [cell]])
+    with pytest.raises(ValueError):
+        artifacts.write_csv(tmp_path / "x.csv", ["h", "g"], [[1.0, 2.0], ["a", cell]])
+    with pytest.raises(ValueError):
+        artifacts.write_csv(tmp_path / "x.csv", ["h", cell], [[1.0], [2.0]])
+
+
+def test_csv_columns_in_chunks(tmp_path, monkeypatch):
+    # columns longer than a chunk, of floats, ints and a list, write the
+    # rows csv.writer writes; columns of unequal length raise
+    monkeypatch.setattr(artifacts, "CHUNK_ROWS", 3)
+    x = np.array([0.1, -0.0, 1e-320, 2.0**60, 1 / 3, 7.0, -2.5])
+    k = np.arange(7) - 3
+    artifacts.write_csv(tmp_path / "x.csv", ["x", "k", "n"], [x, k, list(range(7))])
+    buf = io.StringIO(newline="")
+    csv.writer(buf).writerows([["x", "k", "n"], *zip(map(artifacts.format_float, x), k.tolist(), range(7))])
+    assert (tmp_path / "x.csv").read_bytes() == buf.getvalue().encode()
+    with pytest.raises(ValueError):
+        artifacts.write_csv(tmp_path / "y.csv", ["x", "k"], [x, k[:-1]])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_csv_float_exits_3_writing_nothing(tmp_path, capsys, monkeypatch, value):
+    # a CSV cell has no null: a float column that is not finite exits 3
+    # before the first file is written, naming the file and the column
+    real = psde.cli._COMMANDS["simulate"]
+
+    def poisoned(run):
+        name, payload, files = real(run)
+        header, columns = files["path.csv"]
+        columns[2] = columns[2].copy()
+        columns[2][-1] = value
+        return name, payload, files
+
+    monkeypatch.setitem(psde.cli._COMMANDS, "simulate", poisoned)
+    cfgp = write_config(tmp_path)
+    assert main(["simulate", "--config", str(cfgp), "--quiet"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["exit_code"], err["file"], err["column"]) == ("FloatingPointError", 3, "path.csv", "m")
+    assert not (tmp_path / "out").exists()
+
+
+def _cli_process(*args, **kwargs):
+    """``python -m psde.cli`` on this psde, single-threaded, in a fresh
+    process whose standard streams are buffered, as a pipe's are by default."""
+    src = Path(psde.__file__).resolve().parent.parent
+    env = dict(
+        os.environ,
+        PSDE_THREADS="1",
+        PYTHONPATH=os.pathsep.join(filter(None, (str(src), os.environ.get("PYTHONPATH")))),
+    )
+    env.pop("PYTHONUNBUFFERED", None)
+    return subprocess.run([sys.executable, "-m", "psde.cli", *args], env=env, **kwargs)
+
+
+def test_process_entry_point(tmp_path, capsys):
+    # the psde process flushes its report before it hard-exits, and writes
+    # the bytes an in-process main writes
+    cfgp = write_config(tmp_path, analysis={"n_paths": 200})
+    proc = _cli_process("density", "--config", str(cfgp), "--out", str(tmp_path / "process"), capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert json.loads(proc.stdout) == json.loads((tmp_path / "process" / "density.json").read_text())
+    assert main(["density", "--config", str(cfgp), "--out", str(tmp_path / "inprocess")]) == 0
+    assert proc.stdout.decode() == capsys.readouterr().out
+    assert _outputs(tmp_path / "process") == _outputs(tmp_path / "inprocess")
+    # a rejected config exits 2 with its stderr JSON, and argparse's usage error exits 2 as before
+    bad = write_config(tmp_path, name="bad.json", params={"alpha": 0.5, "beta": 0.5})
+    proc = _cli_process("validate", "--config", str(bad), "--out", str(tmp_path / "bad"), capture_output=True)
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert json.loads(proc.stderr)["error"] == "REJECT_RHO"
+    assert not (tmp_path / "bad").exists()
+    proc = _cli_process("validate", capture_output=True)
+    assert proc.returncode == 2 and b"--config" in proc.stderr
+
+
+def test_process_failed_flush_is_not_success(tmp_path):
+    # a report that cannot reach standard output (here a file opened for
+    # reading) exits 4 with an IOError on stderr, not 0
+    cfgp = write_config(tmp_path)
+    (tmp_path / "stdout").write_text("")
+    with open(tmp_path / "stdout", "rb") as stdout:
+        proc = _cli_process("validate", "--config", str(cfgp), stdout=stdout, stderr=subprocess.PIPE)
+    assert proc.returncode == 4
+    assert json.loads(proc.stderr)["error"] == "IOError"
+
+
+def test_steep_logistic_runs_without_warnings(tmp_path, capsys):
+    # exp(-z) and z itself overflow far from a steep ramp's center, where
+    # the ramp is at its end value: the values need no warning
+    cfgp = write_config(
+        tmp_path,
+        model={
+            "b": {"kind": "logistic", "lo": -1.0, "hi": 1.0, "rate": -1e10},
+            "sigma": {"kind": "sinusoidal", "offset": 2.0, "amplitude": 1.0},
+        },
+        params={"alpha": 0.2, "beta": 0.1},
+        sim={"x0": 0.3, "n_steps": 50, "seed": 1},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["picard-compare", "--config", str(cfgp), "--quiet"]) == 0
+        b = psde.logistic(-1.0, 1.0, -1e10)
+        sigma = psde.logistic(1.0, 2.0, 1e308)
+        x = np.array([-1e10, -1.0, 0.0, 1.0, 1e10])
+        assert b.f(x).tolist() == [1.0, 1.0, 0.0, -1.0, -1.0]
+        assert b.f_prime(x)[[0, -1]].tolist() == [0.0, 0.0]
+        assert sigma.f(x)[[0, -1]].tolist() == [1.0, 2.0]
+        assert psde.tabulated([-2e300, -1e300, 0.0, 1e300], [0.0, 1.0, -1.0, 1.0]).f(0.0) == -1.0
 
 
 @pytest.mark.parametrize(
