@@ -5,14 +5,16 @@ of :mod:`psde.simulate`, so their values do not depend on blocks or threads.
 The regularity theory is qualitative (absolute continuity, smooth density);
 at desk scale it is operationalized as: no-atom mass scaling under shrinking
 bins, Kolmogorov-Smirnov agreement with analytic laws in the solvable special
-cases, and kernel density estimates.  The singly perturbed reference law
-(beta = 0) is the closed form of the integral of the joint density of the
-Brownian endpoint and running maximum along the line w + c*m = v with
-c = alpha/(1-alpha).  That law is C^1 but not C^2 at X_0 for every
-alpha != 0: (log p)'' jumps there from -1/t to -(1-alpha)^2/t.  Yet b = 0,
-so the smooth-density horizon t0 of :mod:`psde.params` is unbounded for
-alpha^2 below its threshold: t0 is the paper's constant, which the lab
-reports, not a horizon it measures.
+cases, and kernel density estimates.  The estimate is the one-shot
+Gaussian-kernel sum bit for bit; it skips the kernel values that exp returns
+as exactly 0, and sums the rest in the values' order (see ``kde``).  The
+singly perturbed reference law (beta = 0) is the closed form of the integral
+of the joint density of the Brownian endpoint and running maximum along the
+line w + c*m = v with c = alpha/(1-alpha).  That law is C^1 but not C^2 at
+X_0 for every alpha != 0: (log p)'' jumps there from -1/t to -(1-alpha)^2/t.
+Yet b = 0, so the smooth-density horizon t0 of :mod:`psde.params` is
+unbounded for alpha^2 below its threshold: t0 is the paper's constant, which
+the lab reports, not a horizon it measures.
 """
 
 from __future__ import annotations
@@ -36,6 +38,12 @@ DEFAULT_CHUNK = 20_000  # kde sums values in chunks of this many, which fixes th
 _DRIVER_BLOCK_BYTES = 80 << 20  # one thread's per-step drivers; 64 MB blocks ran sigma(x) models slower
 _PICARD_BLOCK_BYTES = 1 << 18  # one (rows, L+1) window of a Picard iterate stays in L2
 _KDE_BLOCK_BYTES = 1 << 19  # one block of kernel values stays in L2
+# numpy's exp returns exactly +0.0 below -745.1332 (half the least subnormal,
+# 2**-1075, rounds to 0); a lane with |z| >= 38.7 has (-0.5 z) z <= -748.8
+_ZERO_REACH = 38.7
+# exp's fast SIMD range ends at log(DBL_MIN) = -708.4, below which the result
+# is subnormal or 0; a lane with |z| <= 37.6 has (-0.5 z) z >= -706.9
+_FAST_REACH = 37.6
 _SQRT1_2 = math.sqrt(0.5)
 # bins of one atom scan, 4 194 304: np.histogram peaked at ~33 bytes per bin
 # (tracemalloc, 1M and 4M bins), so a scan at the cap stays near 140 MB
@@ -216,6 +224,17 @@ class KdeResult:
         return float(np.trapezoid(self.density, self.grid))
 
 
+def _exponents(g, values, bandwidth, z_buf, t_buf) -> np.ndarray:
+    """(-0.5 * z) * z with z = (g - values) / bandwidth, a row per grid point, in t_buf."""
+    z = z_buf[: g.size * values.size].reshape(g.size, values.size)
+    t = t_buf[: z.size].reshape(z.shape)
+    np.subtract(g[:, None], values, out=z)
+    z /= bandwidth
+    np.multiply(z, -0.5, out=t)
+    t *= z
+    return t
+
+
 def kde(e: Ensemble, bandwidth: float | str = "auto") -> KdeResult:
     """Gaussian-kernel density estimate on KDE_GRID_POINTS grid points.
 
@@ -230,6 +249,16 @@ def kde(e: Ensemble, bandwidth: float | str = "auto") -> KdeResult:
     (they stay in L2), so no temporary grows with the grid.  Each grid point
     sums exp((-0.5 * z) * z) over the same contiguous chunk as a one-shot
     (grid, chunk) evaluation would, so the estimate is the same bit for bit.
+    A block whose every lane keeps |z| <= _FAST_REACH stays in numpy's fast
+    exp range and is evaluated in the chunk's order.  Any other block is
+    evaluated in sorted order: a lane at |z| >= _ZERO_REACH, where exp gives
+    exactly +0.0, is written as 0.0 without evaluating it, exp runs on each
+    row's contiguous range of nearer values, and the row is put back into the
+    chunk's order (np.take by the inverse sort) before its sum.  Each lane
+    holds the bits a one-shot evaluation gives it (exp is lane-independent),
+    and each sum adds them in the same order, so numpy's pairwise summation
+    gives the same bits.  Lanes whose z or z * z overflow to inf (a tiny
+    bandwidth) have exp(-inf) = 0, and raise no overflow warning.
     """
     if e.n_paths < 1:
         raise ValueError("kde needs a non-empty ensemble")
@@ -254,19 +283,40 @@ def kde(e: Ensemble, bandwidth: float | str = "auto") -> KdeResult:
     z_buf = np.empty(rows * width)
     t_buf = np.empty_like(z_buf)
     norm = 1.0 / (e.n_paths * bandwidth * math.sqrt(2.0 * math.pi))
-    for start in range(0, e.n_paths, DEFAULT_CHUNK):
-        chunk = v[start : start + DEFAULT_CHUNK]
-        for first in range(0, grid.size, rows):
-            g = grid[first : first + rows, None]
-            z = z_buf[: g.size * chunk.size].reshape(g.size, chunk.size)
-            t = t_buf[: z.size].reshape(z.shape)
-            np.subtract(g, chunk, out=z)
-            z /= bandwidth
-            np.multiply(z, -0.5, out=t)
-            t *= z
-            np.exp(t, out=t)
-            np.sum(t, axis=1, out=part[first : first + g.size])
-        out += part
+    # rounded up, so a value farther than reach from g in floats is farther
+    # than _ZERO_REACH bandwidths from it exactly, and its |z| >= _ZERO_REACH
+    reach = math.nextafter(_ZERO_REACH * bandwidth, math.inf)
+    fast = _FAST_REACH * bandwidth
+    with np.errstate(over="ignore"):
+        for start in range(0, e.n_paths, DEFAULT_CHUNK):
+            chunk = v[start : start + DEFAULT_CHUNK]
+            v_lo, v_hi = float(np.min(chunk)), float(np.max(chunk))
+            order = None
+            for first in range(0, grid.size, rows):
+                g = grid[first : first + rows]
+                if g[-1] - v_lo <= fast and v_hi - g[0] <= fast:
+                    t = _exponents(g, chunk, bandwidth, z_buf, t_buf)
+                    np.exp(t, out=t)
+                else:
+                    if order is None:
+                        order = np.argsort(chunk)
+                        ordered = chunk[order]
+                        unsort = np.empty_like(order)
+                        unsort[order] = np.arange(chunk.size)
+                        # row i's values outside ordered[near_lo[i]:near_hi[i]] lie past the reach
+                        near_lo = np.searchsorted(ordered, grid - reach, "left").tolist()
+                        near_hi = np.searchsorted(ordered, grid + reach, "right").tolist()
+                    a0, b1 = near_lo[first], near_hi[first + g.size - 1]
+                    t = _exponents(g, ordered[a0:b1], bandwidth, z_buf, t_buf)
+                    kernel = z_buf[: g.size * chunk.size].reshape(g.size, chunk.size)
+                    for i in range(g.size):
+                        a, b = near_lo[first + i], near_hi[first + i]
+                        kernel[i, :a] = 0.0
+                        np.exp(t[i, a - a0 : b - a0], out=kernel[i, a:b])
+                        kernel[i, b:] = 0.0
+                    t = np.take(kernel, unsort, axis=1, out=t_buf[: kernel.size].reshape(kernel.shape))
+                np.sum(t, axis=1, out=part[first : first + g.size])
+            out += part
     return KdeResult(grid=grid, density=out * norm, bandwidth=bandwidth)
 
 

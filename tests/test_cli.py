@@ -855,6 +855,21 @@ def test_steep_logistic_runs_without_warnings(tmp_path, capsys):
         assert psde.tabulated([-2e300, -1e300, 0.0, 1e300], [0.0, 1.0, -1.0, 1.0]).f(0.0) == -1.0
 
 
+def test_tiny_kde_bandwidth_runs_without_warnings(tmp_path, capsys):
+    # (g - v) / 1e-300 and its square overflow to inf, whose exp is the 0
+    # the kernel needs: the estimate needs no warning
+    cfgp = write_config(
+        tmp_path,
+        sim={"n_steps": 10, "seed": 1},
+        analysis={"n_paths": 20, "bin_widths": [0.1], "bandwidth": 1e-300},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["density", "--config", str(cfgp), "--quiet"]) == 0
+    report = json.loads((tmp_path / "out" / "density.json").read_text())
+    assert report["kde_bandwidth"] == 1e-300 and math.isfinite(report["kde_integral"])
+
+
 @pytest.mark.parametrize(
     "command,section,key,value",
     [

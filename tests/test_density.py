@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import psde
@@ -434,6 +436,97 @@ def test_kde_matches_one_shot_formula(unit_model, monkeypatch):
     monkeypatch.setattr(psde.density, "_KDE_BLOCK_BYTES", 3 * 8 * 700)
     est = psde.kde(e)
     assert est.density.tobytes() == _one_shot_kde(e.terminal_values, est.grid, est.bandwidth, 700).tobytes()
+
+
+@st.composite
+def adversarial_ensembles(draw, chunk):
+    """Values and a bandwidth that put whole rows of a chunk past kde's zero reach.
+
+    Two clusters 80 to 2000 scales apart (one scale is the bandwidth when it is
+    given), so grid rows between them are farther than _ZERO_REACH bandwidths
+    from every value; centres up to 1e15, where a tiny bandwidth is below the
+    values' ulp; values rounded to duplicates; and sizes that make a chunk of
+    one, two or three values or a short last chunk.
+    """
+    n = draw(st.sampled_from([1, 2, 3, chunk - 1, chunk + 1]))
+    if draw(st.booleans()):
+        bandwidth = "auto"
+        scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    else:
+        bandwidth = draw(st.floats(1.0, 9.99)) * 10.0 ** draw(st.integers(-300, 0))
+        scale = bandwidth
+    center = draw(st.sampled_from([0.0, 1.0, -3.5, 1e15, -1e15 + 1.0]))
+    gap = draw(st.floats(80.0, 2000.0))
+    spread = draw(st.sampled_from([0.0, 0.5, 5.0, 30.0]))
+    share = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    offsets = spread * rng.standard_normal(n) + gap * (rng.random(n) < share)
+    if draw(st.booleans()):
+        offsets = np.round(offsets, draw(st.integers(0, 1)))
+    return center + scale * offsets, bandwidth
+
+
+@pytest.mark.parametrize("chunk,block_rows", [(None, None), (7, 2)])
+def test_kde_matches_one_shot_formula_on_adversarial_ensembles(chunk, block_rows):
+    # the real chunk and block, or chunks of 7 values in blocks of 2 grid rows,
+    # so blocks in the chunk's order, blocks in sorted order and a short last
+    # chunk all run on small ensembles
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk is not None:
+            mp.setattr(psde.density, "DEFAULT_CHUNK", chunk)
+            mp.setattr(psde.density, "_KDE_BLOCK_BYTES", block_rows * 8 * chunk)
+        chunk = psde.density.DEFAULT_CHUNK
+
+        @settings(max_examples=12 if chunk > 100 else 150, deadline=None, derandomize=True, database=None)
+        @given(adversarial_ensembles(chunk))
+        def check(case):
+            values, bandwidth = case
+            e = psde.Ensemble(values)
+            if bandwidth == "auto" and np.std(values) == 0.0:
+                with pytest.raises(ValueError):
+                    psde.kde(e, bandwidth)
+                return
+            est = psde.kde(e, bandwidth)
+            with np.errstate(over="ignore"):
+                expected = _one_shot_kde(values, est.grid, est.bandwidth, chunk)
+            assert est.density.tobytes() == expected.tobytes()
+
+        check()
+
+
+def test_exp_of_a_selection_is_the_selection_of_exp():
+    """np.exp gives each lane the same bits whatever array holds it.
+
+    ``kde`` relies on it: it evaluates exp on contiguous ranges of a row in
+    sorted order, and writes 0.0 for lanes below exp's underflow, where a
+    one-shot evaluation takes exp of the whole row in the chunk's order.
+    Checked over [-800, 10], with the slow bands of numpy's SIMD exp (the
+    subnormal results in [-745.13, -708.4] and the exact zeros below).
+    """
+    rng = np.random.default_rng(27)
+    x = np.concatenate(
+        [
+            rng.uniform(-800.0, 10.0, 50_003),
+            rng.uniform(-745.2, -708.3, 5_001),
+            [-800.0, -748.8, -745.1332191019412, -745.13321910194, -708.4, -706.9, -0.0, 0.0, 10.0],
+        ]
+    )
+    rng.shuffle(x)
+    whole = np.exp(x)
+    for start in range(17):
+        for stop in (start + 1, start + 7, start + 9, start + 4099, x.size - start):
+            out = np.full(stop - start, np.nan)
+            np.exp(x[start:stop], out=out)
+            assert out.tobytes() == whole[start:stop].tobytes()
+    for order in (rng.permutation(x.size), np.argsort(x)):
+        assert np.exp(x[order]).tobytes() == whole[order].tobytes()
+    for i in rng.integers(0, x.size, 500).tolist() + np.flatnonzero((x > -746.0) & (x < -708.0))[:500].tolist():
+        assert np.exp(x[i : i + 1]).tobytes() == whole[i : i + 1].tobytes()
+    # the reach constants of kde: +0.0 at and past the zero reach, normal results in the fast range
+    zero = -0.5 * psde.density._ZERO_REACH * psde.density._ZERO_REACH
+    fast = -0.5 * psde.density._FAST_REACH * psde.density._FAST_REACH
+    assert np.exp(x[x <= zero]).tobytes() == np.zeros(int(np.sum(x <= zero))).tobytes()
+    assert np.all(np.exp(x[x >= fast]) >= np.finfo(float).tiny)
 
 
 def test_ndtr_matches_scipy():
