@@ -6,15 +6,15 @@ The regularity theory is qualitative (absolute continuity, smooth density);
 at desk scale it is operationalized as: no-atom mass scaling under shrinking
 bins, Kolmogorov-Smirnov agreement with analytic laws in the solvable special
 cases, and kernel density estimates.  The estimate is the one-shot
-Gaussian-kernel sum bit for bit; it skips the kernel values that exp returns
-as exactly 0, and sums the rest in the values' order (see ``kde``).  The
-singly perturbed reference law (beta = 0) is the closed form of the integral
-of the joint density of the Brownian endpoint and running maximum along the
-line w + c*m = v with c = alpha/(1-alpha).  That law is C^1 but not C^2 at
-X_0 for every alpha != 0: (log p)'' jumps there from -1/t to -(1-alpha)^2/t.
-Yet b = 0, so the smooth-density horizon t0 of :mod:`psde.params` is
-unbounded for alpha^2 below its threshold: t0 is the paper's constant, which
-the lab reports, not a horizon it measures.
+Gaussian-kernel sum bit for bit; it sorts each chunk once, skips the kernel
+values that exp returns as exactly 0, and sums the rest in the values' order
+(see ``kde``).  The singly perturbed reference law (beta = 0) is the closed
+form of the integral of the joint density of the Brownian endpoint and
+running maximum along the line w + c*m = v with c = alpha/(1-alpha).  That
+law is C^1 but not C^2 at X_0 for every alpha != 0: (log p)'' jumps there
+from -1/t to -(1-alpha)^2/t.  Yet b = 0, so the smooth-density horizon t0 of
+:mod:`psde.params` is unbounded for alpha^2 below its threshold: t0 is the
+paper's constant, which the lab reports, not a horizon it measures.
 """
 
 from __future__ import annotations
@@ -41,9 +41,6 @@ _KDE_BLOCK_BYTES = 1 << 19  # one block of kernel values stays in L2
 # numpy's exp returns exactly +0.0 below -745.1332 (half the least subnormal,
 # 2**-1075, rounds to 0); a lane with |z| >= 38.7 has (-0.5 z) z <= -748.8
 _ZERO_REACH = 38.7
-# exp's fast SIMD range ends at log(DBL_MIN) = -708.4, below which the result
-# is subnormal or 0; a lane with |z| <= 37.6 has (-0.5 z) z >= -706.9
-_FAST_REACH = 37.6
 _SQRT1_2 = math.sqrt(0.5)
 # bins of one atom scan, 4 194 304: np.histogram peaked at ~33 bytes per bin
 # (tracemalloc, 1M and 4M bins), so a scan at the cap stays near 140 MB
@@ -242,23 +239,24 @@ def kde(e: Ensemble, bandwidth: float | str = "auto") -> KdeResult:
     raises FloatingPointError where it is not finite (the std overflows),
     and ValueError where it is 0 (values without spread).  A given bandwidth
     must be finite and > 0 (ValueError).  The grid spans the values padded
-    by five bandwidths on each side; FloatingPointError where that span is
-    not finite.
+    by five bandwidths on each side.  FloatingPointError where that span is
+    not finite, or else the normaliser 1/(n * bandwidth * sqrt(2 pi)) not
+    finite and > 0 (inf at a subnormal bandwidth), before any kernel value.
     Values are summed in chunks of DEFAULT_CHUNK; within a chunk, blocks of
     grid rows are evaluated in two reused buffers of _KDE_BLOCK_BYTES each
     (they stay in L2), so no temporary grows with the grid.  Each grid point
     sums exp((-0.5 * z) * z) over the same contiguous chunk as a one-shot
     (grid, chunk) evaluation would, so the estimate is the same bit for bit.
-    A block whose every lane keeps |z| <= _FAST_REACH stays in numpy's fast
-    exp range and is evaluated in the chunk's order.  Any other block is
-    evaluated in sorted order: a lane at |z| >= _ZERO_REACH, where exp gives
-    exactly +0.0, is written as 0.0 without evaluating it, exp runs on each
-    row's contiguous range of nearer values, and the row is put back into the
-    chunk's order (np.take by the inverse sort) before its sum.  Each lane
-    holds the bits a one-shot evaluation gives it (exp is lane-independent),
-    and each sum adds them in the same order, so numpy's pairwise summation
-    gives the same bits.  Lanes whose z or z * z overflow to inf (a tiny
-    bandwidth) have exp(-inf) = 0, and raise no overflow warning.
+    Each chunk is sorted once, and searchsorted finds each grid row's range
+    of values nearer than _ZERO_REACH bandwidths, past which exp gives
+    exactly +0.0.  A block whose every row's near range is the whole chunk
+    runs in the chunk's order; any other in sorted order: far lanes are 0.0
+    without evaluation, exp runs on each row's contiguous near range, and
+    the inverse sort (np.take) puts the row back in order before its sum.
+    Each lane holds the bits a one-shot evaluation gives it (exp is
+    lane-independent), and each sum adds them in the same order, so numpy's
+    pairwise summation gives the same bits.  Lanes whose z or z * z overflow
+    to inf (a tiny bandwidth) have exp(-inf) = 0, and raise no warning.
     """
     if e.n_paths < 1:
         raise ValueError("kde needs a non-empty ensemble")
@@ -283,29 +281,27 @@ def kde(e: Ensemble, bandwidth: float | str = "auto") -> KdeResult:
     z_buf = np.empty(rows * width)
     t_buf = np.empty_like(z_buf)
     norm = 1.0 / (e.n_paths * bandwidth * math.sqrt(2.0 * math.pi))
+    if not 0.0 < norm < math.inf:
+        raise FloatingPointError(f"KDE normaliser 1/(n * bandwidth * sqrt(2 pi)) = {norm!r} is not finite and > 0")
     # rounded up, so a value farther than reach from g in floats is farther
     # than _ZERO_REACH bandwidths from it exactly, and its |z| >= _ZERO_REACH
     reach = math.nextafter(_ZERO_REACH * bandwidth, math.inf)
-    fast = _FAST_REACH * bandwidth
     with np.errstate(over="ignore"):
         for start in range(0, e.n_paths, DEFAULT_CHUNK):
             chunk = v[start : start + DEFAULT_CHUNK]
-            v_lo, v_hi = float(np.min(chunk)), float(np.max(chunk))
-            order = None
+            order = np.argsort(chunk)
+            ordered = chunk[order]
+            unsort = np.empty_like(order)
+            unsort[order] = np.arange(chunk.size)
+            # row i's values outside ordered[near_lo[i]:near_hi[i]] lie past the reach
+            near_lo = np.searchsorted(ordered, grid - reach, "left").tolist()
+            near_hi = np.searchsorted(ordered, grid + reach, "right").tolist()
             for first in range(0, grid.size, rows):
                 g = grid[first : first + rows]
-                if g[-1] - v_lo <= fast and v_hi - g[0] <= fast:
+                if near_lo[first + g.size - 1] == 0 and near_hi[first] == chunk.size:
                     t = _exponents(g, chunk, bandwidth, z_buf, t_buf)
                     np.exp(t, out=t)
                 else:
-                    if order is None:
-                        order = np.argsort(chunk)
-                        ordered = chunk[order]
-                        unsort = np.empty_like(order)
-                        unsort[order] = np.arange(chunk.size)
-                        # row i's values outside ordered[near_lo[i]:near_hi[i]] lie past the reach
-                        near_lo = np.searchsorted(ordered, grid - reach, "left").tolist()
-                        near_hi = np.searchsorted(ordered, grid + reach, "right").tolist()
                     a0, b1 = near_lo[first], near_hi[first + g.size - 1]
                     t = _exponents(g, ordered[a0:b1], bandwidth, z_buf, t_buf)
                     kernel = z_buf[: g.size * chunk.size].reshape(g.size, chunk.size)

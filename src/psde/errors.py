@@ -61,9 +61,11 @@ class PathFailure(_OnPath):
 
 
 class CaseInconsistentError(PathFailure):
-    """A per-step implicit solve contradicts its own case classification.
+    """A per-step fresh-extreme solve rounds back onto its running extreme.
 
-    Indicates a NaN/overflow or logic fault, never a modeling outcome.
+    It catches neither a NaN (never beyond an extreme) nor an overflow (it
+    solves to +-inf), but a candidate a few ulp past its extreme, at any
+    ordinary weight (alpha = 0.3 on the unit model, say).
     """
 
 

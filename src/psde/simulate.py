@@ -293,10 +293,10 @@ def _solve_fresh(x, extreme, weight, beyond, k):
     """Fresh-extreme solve x' = (u - weight*e)/(1-weight) at step k, in place.
 
     Runs only on the paths whose candidate u = x is beyond(u, e) of their
-    running extreme e; a solve that lands back inside the band raises.  A
-    zero weight only moves the extreme: (u - 0*e)/1 is u bit for bit unless
-    u = -0.0, and a sum is -0.0 only if the previous value was, which lies
-    inside the band, so u is never beyond it.
+    running extreme e; a solve that rounds back onto e (u a few ulp past it,
+    at ordinary weights) raises.  A zero weight only moves the extreme:
+    (u - 0*e)/1 is u bit for bit unless u = -0.0, and a sum is -0.0 only if
+    the previous value was, which lies inside the band, so u is never beyond.
     """
     if weight == 0.0:
         np.copyto(extreme, x, where=beyond(x, extreme))

@@ -870,6 +870,22 @@ def test_tiny_kde_bandwidth_runs_without_warnings(tmp_path, capsys):
     assert report["kde_bandwidth"] == 1e-300 and math.isfinite(report["kde_integral"])
 
 
+def test_subnormal_kde_bandwidth_exits_3_without_warnings(tmp_path, capsys):
+    # 1/(n * 1e-310 * sqrt(2 pi)) overflows: kde refuses the normaliser
+    # before it evaluates a kernel value, so no inf * 0 warns
+    cfgp = write_config(
+        tmp_path,
+        sim={"n_steps": 10, "seed": 1},
+        analysis={"n_paths": 20, "bin_widths": [0.1], "bandwidth": 1e-310},
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["density", "--config", str(cfgp), "--quiet"]) == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "FloatingPointError" and "normaliser" in err["message"]
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "command,section,key,value",
     [

@@ -522,11 +522,9 @@ def test_exp_of_a_selection_is_the_selection_of_exp():
         assert np.exp(x[order]).tobytes() == whole[order].tobytes()
     for i in rng.integers(0, x.size, 500).tolist() + np.flatnonzero((x > -746.0) & (x < -708.0))[:500].tolist():
         assert np.exp(x[i : i + 1]).tobytes() == whole[i : i + 1].tobytes()
-    # the reach constants of kde: +0.0 at and past the zero reach, normal results in the fast range
+    # the reach constant of kde: +0.0 at and past the zero reach
     zero = -0.5 * psde.density._ZERO_REACH * psde.density._ZERO_REACH
-    fast = -0.5 * psde.density._FAST_REACH * psde.density._FAST_REACH
     assert np.exp(x[x <= zero]).tobytes() == np.zeros(int(np.sum(x <= zero))).tobytes()
-    assert np.all(np.exp(x[x >= fast]) >= np.finfo(float).tiny)
 
 
 def test_ndtr_matches_scipy():
@@ -555,6 +553,24 @@ def test_kde_auto_bandwidth_that_overflows_fails():
     e = psde.Ensemble(np.array([-3e190, 1e190, 2e190]))
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="not finite"):
         psde.kde(e)
+
+
+@pytest.mark.parametrize(
+    "values,bandwidth",
+    [
+        # n * bandwidth * sqrt(2 pi) is subnormal, so the normaliser is inf
+        (np.array([0.1, 0.4, 0.2]), 1e-310),
+        # the grid is finite, but n * bandwidth * sqrt(2 pi) overflows, so it is 0
+        (np.arange(10.0), 1e307),
+    ],
+)
+def test_kde_refuses_a_normaliser_it_cannot_form(monkeypatch, values, bandwidth):
+    def no_kernel(*args):
+        raise AssertionError("a kernel value was evaluated")
+
+    monkeypatch.setattr(psde.density, "_exponents", no_kernel)
+    with pytest.raises(FloatingPointError, match="normaliser"):
+        psde.kde(psde.Ensemble(values), bandwidth)
 
 
 def test_negative_ensemble_size_fails_before_any_draw(unit_model, monkeypatch):

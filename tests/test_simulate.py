@@ -510,6 +510,21 @@ def _reference_per_step(model, params, x0_seed_value, dt, increments):
     return x, m, i_arr
 
 
+def test_a_solve_that_rounds_back_onto_its_extreme_is_case_inconsistent(unit_model):
+    # u = X_0 + dW is one ulp above X_0, and (u - 0.3 X_0) / 0.7 rounds back
+    # onto X_0: an ordinary alpha, no NaN and no overflow
+    p = psde.validate_params(0.3, 0.0)
+    x0_seed_value = -4.767757315013672
+    increments = np.array([8.881784197001252e-16])
+    c = SimConfig(x0_seed_value=x0_seed_value, horizon=1.0, n_steps=1, rng_seed=0)
+    with pytest.raises(psde.CaseInconsistentError) as kernel:
+        psde.simulate_per_step(unit_model, p, c, increments)
+    assert kernel.value.step == 0 and kernel.value.path == 0
+    with pytest.raises(psde.CaseInconsistentError) as reference:
+        _reference_per_step(unit_model, p, x0_seed_value, c.dt, increments)
+    assert reference.value.step == 0
+
+
 def _assert_kernel_matches_reference(model, p, x0_seed_value, horizon, drivers):
     n_paths, n = drivers.shape
     c = SimConfig(x0_seed_value=x0_seed_value, horizon=horizon, n_steps=n, rng_seed=0)
