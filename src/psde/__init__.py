@@ -13,7 +13,6 @@ from importlib import import_module as _import_module
 from .artifacts import __version__
 from .errors import (
     BoundVacuousWarning,
-    CaseInconsistentError,
     EpsTooSmallWarning,
     NoConvergenceError,
     ParameterRejection,

@@ -121,7 +121,7 @@ def _ndtr(a) -> np.ndarray:
 
 def reference_gaussian(mean: float, variance: float) -> ReferenceLaw:
     """N(mean, variance), its cdf by ``_ndtr``."""
-    if variance <= 0.0:
+    if not variance > 0.0:
         raise ValueError("variance must be > 0")
     sd = math.sqrt(variance)
 
@@ -147,7 +147,7 @@ def reference_singly_perturbed(alpha: float, t: float) -> ReferenceLaw:
     """
     if not (alpha < 1.0):
         raise ValueError("alpha must be < 1")
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError("t must be > 0")
     c = alpha / (1.0 - alpha)
     sd = math.sqrt(t)
@@ -189,7 +189,7 @@ def atom_scan(e: Ensemble, bin_width: float) -> AtomScan:
     if e.n_paths < 1:
         raise ValueError("atom scan needs a non-empty ensemble")
     bin_width = float(bin_width)
-    if bin_width <= 0.0:
+    if not bin_width > 0.0:
         raise ValueError("bin_width must be > 0")
     v = e.terminal_values
     first = float(np.min(v)) / bin_width

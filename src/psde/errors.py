@@ -60,15 +60,6 @@ class PathFailure(_OnPath):
         self.path = path
 
 
-class CaseInconsistentError(PathFailure):
-    """A per-step fresh-extreme solve rounds back onto its running extreme.
-
-    It catches neither a NaN (never beyond an extreme) nor an overflow (it
-    solves to +-inf), but a candidate a few ulp past its extreme, at any
-    ordinary weight (alpha = 0.3 on the unit model, say).
-    """
-
-
 class SimulationAborted(PathFailure):
     """Non-finite value produced while generating a path."""
 

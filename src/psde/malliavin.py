@@ -312,7 +312,7 @@ def _kernel_pass(
         raise ValueError(f"n_paths must be >= 0, got {n_paths}")
     steps = []
     if windows is not None:
-        if eps <= 0.0:
+        if not eps > 0.0:
             raise ValueError("eps must be > 0")
         if not windows:
             raise ValueError("need at least one window")

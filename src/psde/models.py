@@ -141,15 +141,15 @@ class CoefficientModel:
         sp = np.max(np.abs(np.asarray(self.sigma_prime(grid), dtype=float)))
         si = np.min(np.abs(np.asarray(self.sigma(grid), dtype=float)))
         tol = _BOUND_SLACK
-        if bp > self.b_prime_sup + tol:
+        if not bp <= self.b_prime_sup + tol:
             raise ValueError(
                 f"model {self.name!r}: |b'| reaches {bp} > declared {self.b_prime_sup}"
             )
-        if sp > self.sigma_prime_sup + tol:
+        if not sp <= self.sigma_prime_sup + tol:
             raise ValueError(
                 f"model {self.name!r}: |sigma'| reaches {sp} > declared {self.sigma_prime_sup}"
             )
-        if si < self.sigma_inf - tol:
+        if not si >= self.sigma_inf - tol:
             raise ValueError(
                 f"model {self.name!r}: |sigma| falls to {si} < declared {self.sigma_inf}"
             )

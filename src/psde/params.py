@@ -104,9 +104,9 @@ def smoothness_constant(t: float, alpha: float, beta: float, b_prime_sup: float)
     integral F: an unperturbed Brownian motion has F = sigma^2 (t2 - t1)
     while C vanishes, so |h(t2) - h(t1)| <= C * max h does not hold.
     """
-    if t < 0.0:
+    if not t >= 0.0:
         raise ValueError(f"t must be >= 0, got {t}")
-    if b_prime_sup < 0.0:
+    if not b_prime_sup >= 0.0:
         raise ValueError(f"b_prime_sup must be >= 0, got {b_prime_sup}")
     # ||b'||^2 t as b' * (b' t): no ||b'||^2 that overflows where the product does not
     arg = 3.0 * (b_prime_sup * (b_prime_sup * t) + 4.0 * (alpha * alpha + beta * beta))
@@ -136,7 +136,7 @@ def smooth_density_horizon(alpha: float, beta: float, b_prime_sup: float) -> Smo
     may be subnormal or 0.0: a positive horizon below float resolution
     when ``threshold_ok`` holds.
     """
-    if b_prime_sup < 0.0:
+    if not b_prime_sup >= 0.0:
         raise ValueError(f"b_prime_sup must be >= 0, got {b_prime_sup}")
     s2 = alpha * alpha + beta * beta
     threshold_ok = s2 < SMOOTHNESS_THRESHOLD
@@ -200,7 +200,7 @@ def hnorm_running_max_lower_bound(
     Evaluated divided by t, with ||b'||^2 t as b' * (b' t), so neither t^2
     nor ||b'||^2 t^2 is formed.
     """
-    if t <= 0.0:
+    if not t > 0.0:
         raise ValueError(f"t must be > 0, got {t}")
     denom = 2.0 * ((1.0 + 3.0 * (alpha * alpha + beta * beta)) / t + 3.0 * b_prime_sup * (b_prime_sup * t))
     return sigma_const * sigma_const / denom

@@ -6,11 +6,12 @@ Two independent schemes on the same uniform grid and Brownian driver:
   one-step solve whenever the candidate exits the current [min, max] band.
   A fresh maximum solves x' = u + alpha*(x' - m), i.e.
   x' = (u - alpha*m)/(1-alpha); symmetrically with (1-beta) for a fresh
-  minimum.  It is the only implementation of the step and runs a batch of
-  paths at once, each row with its own step and step count if need be;
-  ``simulate_per_step_levels`` runs single paths, such as the levels of a
-  refinement ladder, as one batch, and ``simulate_per_step`` is a batch of
-  one.
+  minimum.  A solve that rounds back onto or inside its extreme is a tie:
+  the path stays at the extreme, which does not move.  It is the only
+  implementation of the step and runs a batch of paths at once, each row
+  with its own step and step count if need be; ``simulate_per_step_levels``
+  runs single paths, such as the levels of a refinement ladder, as one
+  batch, and ``simulate_per_step`` is a batch of one.
 * ``picard_chunk``: the outer fixed-point iteration.  Each pass freezes
   the coefficients along the previous iterate, forms the driving path
   a_k = x + sum sigma(X_i) dW_i + sum b(X_i) dt by left-point sums, solves
@@ -46,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import CaseInconsistentError, NoConvergenceError, PathFailure, SimulationAborted
+from .errors import NoConvergenceError, PathFailure, SimulationAborted
 from .models import CoefficientModel
 from .params import PerturbationParams
 from .skorokhod import DEFAULT_TOL, max_min_rows, no_convergence
@@ -119,7 +120,12 @@ class Path:
 
 
 def path_residual(path: Path, model: CoefficientModel, params: PerturbationParams) -> np.ndarray:
-    """x[k+1]-x[k] - sigma(x[k])dW - b(x[k])dt - alpha*dm - beta*di per step."""
+    """x[k+1]-x[k] - sigma(x[k])dW - b(x[k])dt - alpha*dm - beta*di per step.
+
+    A tie step, whose fresh-extreme solve rounds onto its extreme e, leaves
+    e - u for its candidate u: a few ulp at ordinary weights, but O(u - e)
+    where alpha*dm cannot be represented (0.287 at alpha = -1e17).
+    """
     return (
         np.diff(path.x)
         - np.asarray(model.sigma(path.x[:-1])) * path.dw
@@ -220,9 +226,12 @@ def refine_increments(increments: np.ndarray, horizon: float, seed: int) -> np.n
 
     The refined sequence drives the same Brownian path at twice the
     resolution; fresh midpoint noise comes from the bridge stream of seed,
-    which shares no draws with any driver.
+    which shares no draws with any driver.  ValueError unless increments
+    is a non-empty 1-d array.
     """
     increments = np.asarray(increments, dtype=float)
+    if increments.ndim != 1 or not len(increments):
+        raise ValueError(f"increments must be a non-empty 1-d array, got shape {increments.shape}")
     n = len(increments)
     dt = horizon / n
     z = _normal_rows(_BRIDGE_TAG, seed, np.empty((1, n)), 1.0)[0]
@@ -289,14 +298,18 @@ def running_argmin(x: np.ndarray) -> np.ndarray:
     return running_argmax(-np.asarray(x, dtype=float))
 
 
-def _solve_fresh(x, extreme, weight, beyond, k):
-    """Fresh-extreme solve x' = (u - weight*e)/(1-weight) at step k, in place.
+def _solve_fresh(x, extreme, weight, beyond):
+    """Fresh-extreme solve x' = (u - weight*e)/(1-weight), in place.
 
     Runs only on the paths whose candidate u = x is beyond(u, e) of their
-    running extreme e; a solve that rounds back onto e (u a few ulp past it,
-    at ordinary weights) raises.  A zero weight only moves the extreme:
-    (u - 0*e)/1 is u bit for bit unless u = -0.0, and a sum is -0.0 only if
-    the previous value was, which lies inside the band, so u is never beyond.
+    running extreme e.  A solve that rounds back onto or inside e (u a few
+    ulp past it at ordinary weights, or within |weight| ulp at a huge one)
+    is a tie: the path stays at e, within a couple of ulp of the exact
+    e + (u - e)/(1 - weight), and the extreme does not move.  A NaN solve
+    (inf - inf where u overflowed) is not inside e, so it stays NaN for the
+    non-finite check.  A zero weight only moves the extreme: (u - 0*e)/1 is
+    u bit for bit unless u = -0.0, and a sum is -0.0 only if the previous
+    value was, which lies inside the band, so u is never beyond.
     """
     if weight == 0.0:
         np.copyto(extreme, x, where=beyond(x, extreme))
@@ -306,17 +319,7 @@ def _solve_fresh(x, extreme, weight, beyond, k):
         return
     e = extreme[p]
     solved = (x[p] - weight * e) / (1.0 - weight)
-    landed = beyond(solved, e)
-    if not landed.all():
-        q = int(np.argmin(landed))
-        raise CaseInconsistentError(
-            f"fresh-extreme solve on chunk path {p[q]} landed at {solved[q]}, inside its "
-            f"running extreme {e[q]}, at step {k}",
-            step=k,
-            path=int(p[q]),
-        )
-    x[p] = solved
-    extreme[p] = solved
+    x[p] = extreme[p] = np.where(beyond(e, solved), e, solved)
 
 
 def per_step_terminal_chunk(
@@ -384,8 +387,8 @@ def per_step_terminal_chunk(
             xs += drift
             # a fresh maximum lands above the minimum, so the minimum solve sees
             # only unsolved candidates; ties (u == m or u == i) solve nothing
-            _solve_fresh(xs, ms, alpha, np.greater, k)
-            _solve_fresh(xs, is_, beta, np.less, k)
+            _solve_fresh(xs, ms, alpha, np.greater)
+            _solve_fresh(xs, is_, beta, np.less)
             if traj is not None:
                 traj[k + 1] = xs
         start = stop

@@ -153,7 +153,7 @@ def solve_max_min(
     ``tol`` after ``max_iter`` sweeps.
     """
     values = _driving_values(a)
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")

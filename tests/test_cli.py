@@ -232,15 +232,13 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
     assert err["path"] == 0
 
 
-def test_case_inconsistency_reports_step(tmp_path, capsys):
+def test_fresh_extreme_ties_complete(tmp_path):
+    # alpha = -1e17 rounds every fresh-max solve back onto its extreme: ties, not failures
     cfgp = write_config(tmp_path, model={"preset": "additive-sine"},
                         params={"alpha": -1e17, "beta": 0.0},
                         sim={"x0": 1e17, "n_steps": 50, "seed": 3}, analysis={"n_paths": 200})
-    assert main(["density", "--config", str(cfgp), "--quiet"]) == 3
-    err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "CaseInconsistentError"
-    assert err["step"] == 0
-    assert f"chunk path {err['path']} " in err["message"]
+    assert main(["density", "--config", str(cfgp), "--quiet"]) == 0
+    assert {"density.json", "kde.csv"} <= {f.name for f in (tmp_path / "out").iterdir()}
 
 
 def test_non_finite_abort_reports_path_and_step(tmp_path, capsys):

@@ -75,21 +75,17 @@ def test_ensemble_paths_match_standalone(generic_model):
         assert single.x[-1] == e.terminal_values[i]
 
 
-def test_ensemble_fresh_extreme_inconsistency_raises(additive_model):
-    # alpha = -1e17 rounds the fresh-max solve back onto the current max,
-    # which the standalone per-step loop rejects; the chunk stops at its
-    # earliest failing step, on the path (batch row) it names
+def test_ensemble_fresh_extreme_ties_match_standalone(additive_model):
+    # alpha = -1e17 rounds every fresh-max solve back onto the current max:
+    # each such step is a tie, and the ensemble's paths stay bit-identical
+    # to their standalone runs
     p = psde.validate_params(-1e17, 0.0)
     c = cfg(n_steps=50, seed=3, x0=1e17)
-    with pytest.raises(psde.CaseInconsistentError) as excinfo:
-        psde.simulate_per_step(additive_model, p, c)
-    with pytest.raises(psde.CaseInconsistentError) as chunk_excinfo:
-        psde.generate_ensemble(additive_model, p, c, 200)
-    chunk_err = chunk_excinfo.value
-    with pytest.raises(psde.CaseInconsistentError) as row_excinfo:
-        psde.simulate_per_step(additive_model, p, dataclasses.replace(c, rng_seed=psde.path_seed(3, chunk_err.path)))
-    assert chunk_err.step == row_excinfo.value.step
-    assert chunk_err.step <= excinfo.value.step
+    n = 200
+    e = psde.generate_ensemble(additive_model, p, c, n)
+    for i in (0, 3, n - 1):
+        single = psde.simulate_per_step(additive_model, p, dataclasses.replace(c, rng_seed=psde.path_seed(3, i)))
+        assert single.x[-1].tobytes() == e.terminal_values[i].tobytes()
 
 
 def edge_model():
@@ -612,3 +608,27 @@ def test_empirical_cdf_nondecreasing(unit_model):
     e = psde.generate_ensemble(unit_model, p, cfg(seed=2), 500)
     v = np.sort(e.terminal_values)
     assert np.all(np.diff(v) >= 0.0)
+
+
+_EMPTY = psde.Ensemble(terminal_values=np.array([]))
+_ONE = psde.Ensemble(terminal_values=np.array([0.5]))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: psde.reference_gaussian(0.0, 0.0), "variance"),
+        (lambda: psde.reference_gaussian(0.0, math.nan), "variance"),
+        (lambda: psde.reference_singly_perturbed(1.0, 1.0), "alpha"),
+        (lambda: psde.reference_singly_perturbed(0.5, 0.0), "t must"),
+        (lambda: psde.reference_singly_perturbed(0.5, math.nan), "t must"),
+        (lambda: psde.atom_scan(_EMPTY, 0.1), "non-empty"),
+        (lambda: psde.atom_scan(_ONE, 0.0), "bin_width"),
+        (lambda: psde.atom_scan(_ONE, math.nan), "bin_width"),
+        (lambda: psde.ks_test(_EMPTY, psde.reference_gaussian(0.0, 1.0)), "non-empty"),
+    ],
+    ids=["variance 0", "variance nan", "alpha 1", "t 0", "t nan", "scan empty", "width 0", "width nan", "ks empty"],
+)
+def test_law_and_scan_checks_reject(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

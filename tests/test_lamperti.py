@@ -193,3 +193,9 @@ def test_reduction_discrepancy_decreases():
     assert gaps[-1] < gaps[0]
     d = report.to_dict()
     assert len(d["levels"]) == 3
+
+
+@pytest.mark.parametrize("x", [-0.5, 1.5, np.nan])
+def test_anchor_outside_the_tabulation_range_rejected(additive_model, x):
+    with pytest.raises(ValueError, match="anchor"):
+        psde.build_transform(additive_model, x, 0.0, 1.0)

@@ -452,3 +452,33 @@ def test_h_norm_quadrature_has_one_order(model, alpha, beta, n_steps):
         field = psde.derivative_field(path, model, p)
         unstored, _ = psde.malliavin.field_profile(path, model, p)
         assert psde.h_norm_profile(field).tobytes() == unstored.tobytes()
+
+
+def _exp_sigma_path():
+    """A two-step path whose only non-finite field entry is d[2, 2] = exp(1000)."""
+    exp_sigma = psde.make_model(
+        psde.constant(0.0), psde.Coefficient(f=np.exp, f_prime=np.exp, prime_sup=np.inf, inf_abs=0.0)
+    )
+    x = np.array([0.0, 0.1, 1000.0])
+    path = psde.Path(
+        grid=np.linspace(0.0, 1.0, 3), x=x, m=np.maximum.accumulate(x), i=np.minimum.accumulate(x),
+        dw=np.array([0.1, 0.2]),
+    )
+    return path, exp_sigma, psde.validate_params(0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda m, p: psde.cameron_martin_directional(m, p, cfg(50), [(0.0, 0.5)], eps=0.0), ValueError, "eps"),
+        (lambda m, p: psde.cameron_martin_directional(m, p, cfg(50), [(0.0, 0.5)], eps=np.nan), ValueError,
+         "eps"),
+        (lambda m, p: psde.cameron_martin_directional(m, p, cfg(50), []), ValueError, "window"),
+        (lambda m, p: psde.malliavin.field_profile(*_exp_sigma_path()), FloatingPointError, "non-finite entries"),
+        (lambda m, p: psde.derivative_field(*_exp_sigma_path()), FloatingPointError, "non-finite entries"),
+    ],
+    ids=["eps 0", "eps nan", "no windows", "field_profile end check", "derivative_field"],
+)
+def test_pass_and_field_checks_reject(unit_model, call, error, match):
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=match):
+        call(unit_model, psde.validate_params(0.5, 0.0))

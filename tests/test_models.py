@@ -104,3 +104,34 @@ def test_arithmetic_coefficients_evaluate_a_float_as_its_0d_array(coef, x):
                 got = f(value)
                 assert type(got) is np.float64
                 assert got.tobytes() == want
+
+
+def _checked(b_prime=0.0, sigma=1.0, sigma_prime=0.0, b_prime_sup=1.0):
+    """A model whose b', sigma and sigma' are constants, sup |b'| declared as given."""
+    const = lambda value: lambda x: np.full(np.shape(x), value)  # noqa: E731
+    return psde.make_model(
+        psde.Coefficient(f=const(0.0), f_prime=const(b_prime), prime_sup=b_prime_sup, inf_abs=0.0),
+        psde.Coefficient(f=const(sigma), f_prime=const(sigma_prime), prime_sup=1.0, inf_abs=0.5),
+    )
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: _checked().check_bounds(0.0, np.inf), "finite"),
+        (lambda: _checked().check_bounds(np.nan, 1.0), "finite"),
+        (lambda: _checked(b_prime=np.nan).check_bounds(-1.0, 1.0), "b'"),
+        (lambda: _checked(b_prime_sup=np.nan).check_bounds(-1.0, 1.0), "b'"),
+        (lambda: _checked(sigma_prime=2.0).check_bounds(-1.0, 1.0), "sigma'"),
+        (lambda: _checked(sigma_prime=np.nan).check_bounds(-1.0, 1.0), "sigma'"),
+        (lambda: _checked(sigma=0.25).check_bounds(-1.0, 1.0), r"\|sigma\|"),
+        (lambda: _checked(sigma=np.nan).check_bounds(-1.0, 1.0), r"\|sigma\|"),
+        (lambda: psde.tabulated([0.0, 1.0, 1.0], [1.0, 2.0, 3.0]), "strictly increasing"),
+        (lambda: psde.named_model("no-such-preset"), "unknown model preset"),
+    ],
+    ids=["range inf", "range nan", "b' nan", "declared b' nan", "sigma' above", "sigma' nan", "sigma below",
+         "sigma nan", "table abscissae", "preset"],
+)
+def test_model_checks_reject(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

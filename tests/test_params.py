@@ -221,3 +221,22 @@ def test_huge_alpha_squares_to_inf():
     assert psde.hnorm_running_max_lower_bound(1.0, 1.0, p.alpha, p.beta, 1.0) == 0.0
     with pytest.warns(psde.BoundVacuousWarning):
         assert psde.hnorm_lower_bound(0.5, 1.0, 1.0, p.alpha, p.beta, 1.0) == 0.0
+
+
+@pytest.mark.parametrize(
+    "fn, args",
+    [
+        (psde.smoothness_constant, (-0.1, 0.1, 0.1, 1.0)),
+        (psde.smoothness_constant, (math.nan, 0.1, 0.1, 1.0)),
+        (psde.smoothness_constant, (0.5, 0.1, 0.1, -1.0)),
+        (psde.smoothness_constant, (0.5, 0.1, 0.1, math.nan)),
+        (psde.smooth_density_horizon, (0.1, 0.1, -1.0)),
+        (psde.smooth_density_horizon, (0.1, 0.1, math.nan)),
+        (psde.hnorm_running_max_lower_bound, (0.0, 1.0, 0.1, 0.1, 1.0)),
+        (psde.hnorm_running_max_lower_bound, (math.nan, 1.0, 0.1, 0.1, 1.0)),
+    ],
+    ids=["C t<0", "C t=nan", "C b'<0", "C b'=nan", "t0 b'<0", "t0 b'=nan", "running max t=0", "running max t=nan"],
+)
+def test_constants_reject_negative_and_nan_arguments(fn, args):
+    with pytest.raises(ValueError, match="must be"):
+        fn(*args)

@@ -493,15 +493,11 @@ def _reference_per_step(model, params, x0_seed_value, dt, increments):
     for k in range(n):
         u = xk + float(np.asarray(model.sigma(xk))) * increments[k] + float(np.asarray(model.b(xk))) * dt
         if u > mk:
-            xk = (u - alpha * mk) / (1.0 - alpha)
-            if not xk > mk:
-                raise psde.CaseInconsistentError(f"fresh-max solve at step {k}", k)
-            mk = xk
+            solved = (u - alpha * mk) / (1.0 - alpha)
+            xk = mk = mk if mk > solved else solved
         elif u < ik:
-            xk = (u - beta * ik) / (1.0 - beta)
-            if not xk < ik:
-                raise psde.CaseInconsistentError(f"fresh-min solve at step {k}", k)
-            ik = xk
+            solved = (u - beta * ik) / (1.0 - beta)
+            xk = ik = ik if ik < solved else solved
         else:
             xk = u
         x[k + 1] = xk
@@ -510,19 +506,20 @@ def _reference_per_step(model, params, x0_seed_value, dt, increments):
     return x, m, i_arr
 
 
-def test_a_solve_that_rounds_back_onto_its_extreme_is_case_inconsistent(unit_model):
+def test_a_solve_that_rounds_back_onto_its_extreme_is_a_tie(unit_model):
     # u = X_0 + dW is one ulp above X_0, and (u - 0.3 X_0) / 0.7 rounds back
-    # onto X_0: an ordinary alpha, no NaN and no overflow
+    # onto X_0: an ordinary alpha, no NaN and no overflow.  The path stays at
+    # its maximum, which does not move
     p = psde.validate_params(0.3, 0.0)
     x0_seed_value = -4.767757315013672
     increments = np.array([8.881784197001252e-16])
     c = SimConfig(x0_seed_value=x0_seed_value, horizon=1.0, n_steps=1, rng_seed=0)
-    with pytest.raises(psde.CaseInconsistentError) as kernel:
-        psde.simulate_per_step(unit_model, p, c, increments)
-    assert kernel.value.step == 0 and kernel.value.path == 0
-    with pytest.raises(psde.CaseInconsistentError) as reference:
-        _reference_per_step(unit_model, p, x0_seed_value, c.dt, increments)
-    assert reference.value.step == 0
+    x0 = x0_seed_value / (1.0 - 0.3 - 0.0)
+    path = psde.simulate_per_step(unit_model, p, c, increments)
+    x, m, i_arr = _reference_per_step(unit_model, p, x0_seed_value, c.dt, increments)
+    assert path.x.tobytes() == x.tobytes() == np.array([x0, x0]).tobytes()
+    assert path.m.tobytes() == m.tobytes() == np.array([x0, x0]).tobytes()
+    assert path.i.tobytes() == i_arr.tobytes() == np.array([x0, x0]).tobytes()
 
 
 def _assert_kernel_matches_reference(model, p, x0_seed_value, horizon, drivers):
@@ -744,3 +741,19 @@ def test_kernel_refuses_step_counts_that_are_no_live_prefix(unit_model):
     for counts in ([4, 6, 2], [6, 6, 7], [6, 2], [6, 2, -1]):
         with pytest.raises(ValueError, match="non-increasing"):
             per_step_terminal_chunk(unit_model, p, 0.0, 0.1, drivers, None, np.array(counts))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: SimConfig(x0_seed_value=0.0, horizon=1.0, n_steps=0, rng_seed=0), "n_steps"),
+        (lambda: psde.brownian_driver(0, 1.0, 0), "n_steps"),
+        (lambda: psde.refine_increments(np.array([]), 1.0, 0), "non-empty 1-d"),
+        (lambda: psde.refine_increments(np.zeros((2, 2)), 1.0, 0), "non-empty 1-d"),
+        (lambda: psde.refine_increments(np.float64(1.0), 1.0, 0), "non-empty 1-d"),
+    ],
+    ids=["config", "driver", "no increments", "2-d increments", "0-d increments"],
+)
+def test_grid_and_driver_checks_reject(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()

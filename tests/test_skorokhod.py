@@ -279,3 +279,18 @@ def test_warm_start_option():
     warm_m, _, warm_sweeps, _ = max_min_rows(a[None], params.alpha, params.beta, m_init=cold.m_path[None])
     assert 1 <= warm_sweeps[0] <= 2  # 0 would mean no convergence
     assert np.max(np.abs(warm_m[0] - cold.m_path)) < 1e-11
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda a, p: psde.solve_max_min(a, p, tol=0.0), "tol"),
+        (lambda a, p: psde.solve_max_min(a, p, tol=np.nan), "tol"),
+        (lambda a, p: psde.solve_max_min(a, p, max_iter=0), "max_iter"),
+        (lambda a, p: psde.contraction_rate(a, p, 1), "n_sweeps"),
+    ],
+    ids=["tol=0", "tol=nan", "max_iter=0", "one sweep"],
+)
+def test_iteration_settings_checked(call, match):
+    with pytest.raises(ValueError, match=match):
+        call(np.array([0.0, 1.0, -1.0]), psde.validate_params(0.4, 0.3))
