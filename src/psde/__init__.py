@@ -16,7 +16,6 @@ from .errors import (
     EpsTooSmallWarning,
     NoConvergenceError,
     ParameterRejection,
-    PathFailure,
     PsdeError,
     SigmaNotPositiveError,
     SimulationAborted,

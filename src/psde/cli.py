@@ -47,7 +47,7 @@ from pathlib import Path as FsPath
 import numpy as np
 
 from .artifacts import __version__, fingerprint, strict_json, write_csv, write_json_report
-from .errors import NoConvergenceError, ParameterRejection, PathFailure, SigmaNotPositiveError
+from .errors import NoConvergenceError, ParameterRejection, SigmaNotPositiveError, SimulationAborted
 from .models import CoefficientModel, coefficient_from_spec, make_model, named_model, tabulated
 from .params import (
     PerturbationParams,
@@ -486,15 +486,13 @@ _COMMANDS = {
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="psde", description=__doc__)
     parser.add_argument("--version", action="version", version=f"psde {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON experiment configuration")
-        p.add_argument("--seed", type=int, default=None, help="override sim.seed")
-        p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--paths", type=int, default=None, help="override analysis.n_paths")
-        p.add_argument("--steps", type=int, default=None, help="override sim.n_steps")
-        p.add_argument("--quiet", action="store_true", help="suppress stdout report")
+    parser.add_argument("command", choices=list(_COMMANDS))
+    parser.add_argument("--config", required=True, help="JSON experiment configuration")
+    parser.add_argument("--seed", type=int, default=None, help="override sim.seed")
+    parser.add_argument("--out", default=None, help="override output directory")
+    parser.add_argument("--paths", type=int, default=None, help="override analysis.n_paths")
+    parser.add_argument("--steps", type=int, default=None, help="override sim.n_steps")
+    parser.add_argument("--quiet", action="store_true", help="suppress stdout report")
     return parser
 
 
@@ -525,9 +523,9 @@ def main(argv=None) -> int:
     except (ValueError,) as exc:
         _error("ValueError", str(exc), EXIT_REJECTED)
         return EXIT_REJECTED
-    except (NoConvergenceError, PathFailure, SigmaNotPositiveError, FloatingPointError) as exc:
+    except (NoConvergenceError, SimulationAborted, SigmaNotPositiveError, FloatingPointError) as exc:
         diagnostics = {}
-        if isinstance(exc, PathFailure):
+        if isinstance(exc, SimulationAborted):
             diagnostics.update(path=exc.path, step=exc.step)
         if isinstance(exc, NoConvergenceError):
             diagnostics.update(path=exc.path, history=exc.history[-5:])

@@ -83,7 +83,7 @@ def generate_ensemble(
     blocks and threads of ``run_ensemble``.  Its blocks hold at most 80 MB of
     per-step drivers (5 x 10 000 rows for 50 000 paths at n_steps = 1000) or
     256 KB of one window of a Picard iterate (4 x 125 rows for 500 paths).
-    A ``PathFailure`` or Picard ``NoConvergenceError`` names the failing
+    A ``SimulationAborted`` or Picard ``NoConvergenceError`` names the failing
     path by its index p.
     """
     if cfg.scheme is Scheme.PER_STEP:

@@ -37,7 +37,7 @@ class NoConvergenceError(_OnPath):
 
     Carries the residual (or change) history of the failed run, and for a
     path iteration (max/min sweeps, Picard passes) the failing ``path``,
-    numbered as :class:`PathFailure` numbers it; None elsewhere.
+    numbered as :class:`SimulationAborted` numbers it; None elsewhere.
     """
 
     def __init__(self, message: str, history, path: int | None = None):
@@ -46,22 +46,18 @@ class NoConvergenceError(_OnPath):
         self.path = path
 
 
-class PathFailure(_OnPath):
-    """A simulation failed on one path of a batch at one step.
+class SimulationAborted(_OnPath):
+    """A simulation left the floats on one path of a batch at one step.
 
     ``path`` is the failing path's index in its ensemble, the one
     ``path_seed`` takes (its row for a bare batch, 0 for a single path),
     and ``step`` the grid step.
     """
 
-    def __init__(self, message: str, step: int | None = None, path: int | None = None):
+    def __init__(self, message: str, step: int, path: int | None = None):
         super().__init__(message)
         self.step = step
         self.path = path
-
-
-class SimulationAborted(PathFailure):
-    """Non-finite value produced while generating a path."""
 
 
 class SigmaNotPositiveError(PsdeError):

@@ -48,7 +48,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import EpsTooSmallWarning, PathFailure
+from .errors import EpsTooSmallWarning, SimulationAborted
 from .models import CoefficientModel
 from .params import PerturbationParams
 from .simulate import (
@@ -332,7 +332,7 @@ def _kernel_pass(
         x = np.empty((n + 1, len(drivers)))
         try:
             _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, dt, drivers, x)
-        except PathFailure as err:
+        except SimulationAborted as err:
             if err.path >= n_rows:
                 err.args = (f"{err.args[0]} (Cameron-Martin shift of window {err.path - n_rows})",)
                 err.path = None

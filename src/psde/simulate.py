@@ -47,7 +47,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NoConvergenceError, PathFailure, SimulationAborted
+from .errors import NoConvergenceError, SimulationAborted
 from .models import CoefficientModel
 from .params import PerturbationParams
 from .skorokhod import DEFAULT_TOL, max_min_rows, no_convergence
@@ -444,7 +444,7 @@ def simulate_per_step_levels(
     its own dt and step count, so every Path is bit-identical to its level
     run alone; they come back in the given order, and each level's range is
     checked by its own ``check_bounds``, in that order.  A batch that fails
-    (a PathFailure, or a NoConvergenceError or FloatingPointError of a
+    (a SimulationAborted, or a NoConvergenceError or FloatingPointError of a
     coefficient such as the reduced drift's G^-1) raises the error of the
     first level, in the given order, that fails on its own.
 
@@ -477,7 +477,7 @@ def simulate_per_step_levels(
             for row, level in enumerate(batch):
                 cfg, dw = levels[level]
                 paths[level] = per_step_path(cfg, x[: cfg.n_steps + 1, row].copy(), dw)
-    except (PathFailure, NoConvergenceError, FloatingPointError):
+    except (SimulationAborted, NoConvergenceError, FloatingPointError):
         if len(levels) == 1:
             raise
         # a row fails alone as in its batch, so the levels run alone in the
@@ -538,10 +538,10 @@ def run_ensemble(
     paths, for values that are no ensemble path's; a failure on such a row
     must name no path (``path`` None).  Blocks run on PSDE_THREADS threads
     (default 1; the pool is imported only for more).  The lowest failing
-    block's PathFailure or NoConvergenceError is raised, a block's row
+    block's SimulationAborted or NoConvergenceError is raised, a block's row
     renumbered to its ensemble path p.  One ``check_bounds`` covers the
-    range of every block.  A negative n_paths raises ValueError before any
-    draw.
+    range of every block.  A negative n_paths, or a PSDE_THREADS that is not
+    an integer >= 1, raises ValueError before any draw.
     """
     if n_paths < 0:
         raise ValueError(f"n_paths must be >= 0, got {n_paths}")
@@ -556,12 +556,18 @@ def run_ensemble(
         last = min(first + rows, n_paths)
         try:
             return kernel(first, path_drivers(cfg, first, last, buffers.drivers[: last - first]))
-        except (PathFailure, NoConvergenceError) as err:
+        except (SimulationAborted, NoConvergenceError) as err:
             err.renumber(first)
             raise
 
     starts = range(0, n_paths, rows)
-    threads = int(os.environ.get("PSDE_THREADS", "1"))
+    value = os.environ.get("PSDE_THREADS", "1")
+    try:
+        threads = int(value)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ValueError(f"PSDE_THREADS must be an integer >= 1, got {value!r}")
     if threads > 1 and len(starts) > 1:
         from concurrent.futures import ThreadPoolExecutor
 

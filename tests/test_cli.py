@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import csv
 import hashlib
@@ -375,19 +376,39 @@ def test_rejection_writes_nothing(tmp_path, capsys, command, analysis, extra, er
     assert not (tmp_path / "out").exists()
 
 
+def _late(error, code, stderr, command="density", module="psde.density", name="ks_test"):
+    return pytest.param(command, module, name, error, code, stderr, id=f"{command}-{module}-{name}-{stderr['error']}")
+
+
 @pytest.mark.parametrize(
-    "command,module,name",
-    [("density", "psde.density", "ks_test"), ("malliavin", "psde.malliavin", "directional_from_column")],
+    "command,module,name,error,code,stderr",
+    [
+        pytest.param("density", "psde.density", "ks_test", FloatingPointError("late failure"), 3,
+                     {"error": "FloatingPointError"}, id="density-psde.density-ks_test"),
+        pytest.param("malliavin", "psde.malliavin", "directional_from_column", FloatingPointError("late failure"), 3,
+                     {"error": "FloatingPointError"}, id="malliavin-psde.malliavin-directional_from_column"),
+        # what main makes of each library error: exit code, error field and diagnostics
+        _late(psde.SimulationAborted("late failure", 17, 4), 3, {"error": "SimulationAborted", "path": 4, "step": 17}),
+        _late(psde.NoConvergenceError("late failure", [6.0, 5.0, 4.0, 3.0, 2.0, 1.0], 2), 3,
+              {"error": "NoConvergenceError", "path": 2, "history": [5.0, 4.0, 3.0, 2.0, 1.0]}),
+        _late(psde.SigmaNotPositiveError("late failure"), 3, {"error": "SigmaNotPositiveError"}),
+        _late(psde.ParameterRejection("REJECT_RHO", "late failure"), 2, {"error": "REJECT_RHO"}),
+        _late(ValueError("late failure"), 2, {"error": "ValueError"}),
+        _late(OSError("late failure"), 4, {"error": "IOError"}),
+        _late(psde.SimulationAborted("late failure", 9, 0), 3, {"error": "SimulationAborted", "path": 0, "step": 9},
+              "malliavin", "psde.malliavin", "directional_from_column"),
+    ],
 )
-def test_late_failure_writes_nothing(tmp_path, capsys, monkeypatch, command, module, name):
-    # a numerical failure in a command's last step leaves no output behind
+def test_late_failure_writes_nothing(tmp_path, capsys, monkeypatch, command, module, name, error, code, stderr):
+    # a failure in a command's last step leaves no output behind, and its
+    # stderr JSON holds the exit code, the error field and its diagnostics
     def fail(*args, **kwargs):
-        raise FloatingPointError("late failure")
+        raise error
 
     monkeypatch.setattr(importlib.import_module(module), name, fail)
     cfgp = write_config(tmp_path, analysis={"n_paths": 50})
-    assert main([command, "--config", str(cfgp), "--quiet"]) == 3
-    assert json.loads(capsys.readouterr().err)["error"] == "FloatingPointError"
+    assert main([command, "--config", str(cfgp), "--quiet"]) == code
+    assert json.loads(capsys.readouterr().err) == {"message": "late failure", "exit_code": code, **stderr}
     assert not (tmp_path / "out").exists()
 
 
@@ -816,6 +837,31 @@ def test_process_entry_point(tmp_path, capsys):
     assert not (tmp_path / "bad").exists()
     proc = _cli_process("validate", capture_output=True)
     assert proc.returncode == 2 and b"--config" in proc.stderr
+
+
+def test_options_come_before_or_after_the_command(tmp_path, capsys):
+    # one parser, no subparsers: the options parse the same on either side
+    # of the command, a missing or unknown command exits 2 naming the
+    # choices, and --version needs no config
+    cfgp = str(write_config(tmp_path))
+    parser = build_parser()
+    assert not any(isinstance(action, argparse._SubParsersAction) for action in parser._actions)
+    before = parser.parse_args(["--config", cfgp, "--seed", "3", "density"])
+    after = parser.parse_args(["density", "--config", cfgp, "--seed", "3"])
+    assert before == after
+    assert vars(after) == {
+        "command": "density", "config": cfgp, "seed": 3, "out": None, "paths": None, "steps": None, "quiet": False
+    }
+    for argv in ([], ["--config", cfgp], ["densities", "--config", cfgp]):
+        with pytest.raises(SystemExit) as exit_:
+            main(argv)
+        assert exit_.value.code == 2
+        err = capsys.readouterr().err
+        assert all(command in err for command in psde.cli._COMMANDS)
+    with pytest.raises(SystemExit) as exit_:
+        main(["--version"])
+    assert exit_.value.code == 0 and capsys.readouterr().out == "psde 0.1.0\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_process_failed_flush_is_not_success(tmp_path):

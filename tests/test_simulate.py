@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import re
+import threading
 
 import numpy as np
 import pytest
@@ -395,6 +396,49 @@ def test_picard_failure_past_the_first_window(generic_model, monkeypatch):
     with pytest.raises(psde.SimulationAborted) as aborted:
         picard_chunk(generic_model, p, dataclasses.replace(c, picard_outer_iters=50), drivers)
     assert (aborted.value.path, aborted.value.step) == (1, _PICARD_WINDOW + 51)
+
+
+@pytest.mark.parametrize("value", ["abc", "1.5", "0", "-2", ""])
+def test_psde_threads_below_one_or_not_an_integer_rejected(unit_model, monkeypatch, tmp_path, capsys, value):
+    # a ValueError that names the variable and quotes the value, raised
+    # before any block draws or any thread starts; the CLI exits 2 and
+    # writes nothing
+    def refuse(*args, **kwargs):
+        raise AssertionError("a block drew or a thread started")
+
+    monkeypatch.setenv("PSDE_THREADS", value)
+    monkeypatch.setattr(SIMULATE, "path_drivers", refuse)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    message = f"PSDE_THREADS must be an integer >= 1, got {value!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        SIMULATE.run_ensemble(unit_model, cfg(n_steps=100), 100, refuse, 8 * 100, 8 * 100 * 30)
+    config = {
+        "model": {"preset": "unit"},
+        "params": {"alpha": 0.5, "beta": 0.0},
+        "sim": {"x0": 0.0, "horizon": 1.0, "n_steps": 100, "seed": 7},
+        "analysis": {"n_paths": 100},
+        "output_dir": str(tmp_path / "out"),
+    }
+    (tmp_path / "cfg.json").write_text(json.dumps(config))
+    assert psde.cli.main(["density", "--config", str(tmp_path / "cfg.json"), "--quiet"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["message"]) == ("ValueError", message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_psde_threads_unset_means_one(unit_model, monkeypatch):
+    # ten blocks run in order on the calling thread
+    def refuse(*args, **kwargs):
+        raise AssertionError("a thread started")
+
+    def kernel(first, drivers):
+        return drivers[:, -1].copy(), 0.0, 0.0
+
+    monkeypatch.delenv("PSDE_THREADS", raising=False)
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    c = cfg(n_steps=100)
+    got = SIMULATE.run_ensemble(unit_model, c, 100, kernel, 8 * 100, 8 * 100 * 10)
+    assert got.tobytes() == path_drivers(c, 0, 100)[:, -1].tobytes()
 
 
 def test_stuck_max_min_rows_fail_the_picard_kernel(unit_model, monkeypatch, tmp_path, capsys):

@@ -14,6 +14,15 @@ single-threaded (the workloads' ``THREAD_ENV``).  For each invocation it
 compares the exit code, stdout, stderr (with the tree's path written as
 ``<src>``) and the bytes of every file under ``out``, prints what differs,
 and exits 1 if anything does, else 0.
+
+Those configs all succeed, so a fixed list of failing (config, command)
+cases (``FAILING``) runs after them and is compared the same way: exit
+code 3 with ``SimulationAborted``, ``NoConvergenceError`` or
+``FloatingPointError``, and 2 with ``REJECT_RHO``.  Some of them also
+print numpy's overflow warnings, which name a source line, so a change that
+moves such a line differs there.  Argparse's usage errors are left out:
+their text is argparse's, not psde's, and a change to the parser's options
+rewrites it on purpose.
 """
 
 from __future__ import annotations
@@ -36,10 +45,40 @@ COMMANDS = ("validate", "simulate", "constants", "density", "malliavin", "picard
 EXAMPLE_CONFIG = ROOT / "demos" / "config.example.json"
 
 
-def cases(seeds: list[int]) -> list[tuple[str, dict]]:
-    """(name, config) of every workload at every seed, then the example config."""
+def _failing_config(model: dict, alpha: float, beta: float, x0: float, **sim) -> dict:
+    return {
+        "model": model,
+        "params": {"alpha": alpha, "beta": beta},
+        "sim": {"x0": x0, "horizon": 1.0, "n_steps": 100, "seed": 7, **sim},
+        "analysis": {"n_paths": 10, "bin_widths": [0.1]},
+    }
+
+
+def _constants(b: float, sigma: float) -> dict:
+    return {"b": {"kind": "constant", "value": b}, "sigma": {"kind": "constant", "value": sigma}}
+
+
+# (name, config, commands) of runs that fail, with the error each command raises
+FAILING = [
+    # SimulationAborted at step 80: the path leaves the floats
+    ("overflow", _failing_config(_constants(1e308, 1.0), 0.0, 0.0, 1e308),
+     ("simulate", "density", "malliavin", "picard-compare")),
+    # NoConvergenceError: one Picard pass per window cannot reach the tolerance
+    ("picard-one-pass", _failing_config({"preset": "smooth-generic"}, 0.4, 0.3, 0.5, scheme="picard",
+                                        picard_outer_iters=1), ("simulate", "density", "picard-compare")),
+    # REJECT_RHO: rho = 1
+    ("rho-one", _failing_config({"preset": "unit"}, 0.5, 0.5, 0.0), ("validate",)),
+    # FloatingPointError: the H-norm of sigma = 1e200 is not a float
+    ("h-norm-overflow", _failing_config(_constants(0.0, 1e200), 0.3, 0.0, 0.0), ("malliavin",)),
+]
+
+
+def cases(seeds: list[int]) -> list[tuple[str, dict, tuple[str, ...]]]:
+    """(name, config, commands) of every workload at every seed and of the
+    example config, each with every command, then the failing cases."""
     found = [(f"{name}@{seed}", w.config(seed)) for name, w in WORKLOADS.items() for seed in seeds]
-    return found + [("config.example", json.loads(EXAMPLE_CONFIG.read_text()))]
+    found.append(("config.example", json.loads(EXAMPLE_CONFIG.read_text())))
+    return [(name, config, COMMANDS) for name, config in found] + FAILING
 
 
 def start(src: Path, config: dict, command: str, work: Path) -> subprocess.Popen:
@@ -84,8 +123,8 @@ def main(argv=None) -> int:
             parser.error(f"{src} holds no psde package")
     n_runs = n_diff = 0
     with tempfile.TemporaryDirectory(prefix="byte_identity_") as tmp:
-        for case, config in cases(args.seeds):
-            for command in COMMANDS:
+        for case, config, commands in cases(args.seeds):
+            for command in commands:
                 began = time.perf_counter()
                 works = [Path(tmp, side, case, command) for side in ("parent", "change")]
                 procs = [start(src, config, command, work) for src, work in zip(trees, works)]
