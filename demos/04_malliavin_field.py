@@ -38,15 +38,15 @@ cfg = SimConfig(x0_seed_value=0.5, horizon=1.0, n_steps=1000, rng_seed=9)
 gen_path = psde.simulate_per_step(model, params, cfg)
 gen_field = psde.derivative_field(gen_path, model, params)
 windows = [(0.0, 0.25), (0.25, 0.75), (0.75, 1.0)]
-for (r_lo, r_hi), fd in zip(windows, psde.cameron_martin_directional(model, params, cfg, windows, eps=1e-4)):
-    fv = psde.directional_from_field(gen_field, r_lo, r_hi)
+for (r_lo, r_hi), fd in zip(windows, psde.malliavin_pass(model, params, cfg, windows, eps=1e-4)[1]):
+    fv = psde.directional_from_column(gen_field.d[:, -1], gen_field.dt, r_lo, r_hi)
     print(f"  window ({r_lo:.2f}, {r_hi:.2f}]: field {fv:+.6f}  "
           f"finite diff {fd.value:+.6f}  rel err {abs(fv - fd.value) / abs(fd.value):.1e}")
 
 print("\nPositivity summary over 200 paths (absolute-continuity proxy):")
 # path p runs on seed path_seed(0, p) = p << 64
 c = SimConfig(x0_seed_value=0.5, horizon=1.0, n_steps=128, rng_seed=0)
-h_values = psde.terminal_h_norms(model, params, c, 200)
+h_values = psde.malliavin_pass(model, params, c, n_paths=200)[2]
 rep = psde.positivity_report(h_values, t=1.0, sigma_inf=model.sigma_inf)
 print(f"  min {rep.minimum:.4f}, median {rep.quantiles['0.5']:.4f}, "
       f"paths at zero: {rep.fraction_at_or_below['0.0']:.0%} (hypothesis inf|sigma|>0: {rep.hypothesis_ok})")

@@ -66,9 +66,8 @@ _LAZY = {
     "density": ("Ensemble", "LawKind", "ReferenceLaw", "atom_scan", "generate_ensemble", "kde", "ks_test",
                 "reference_gaussian", "reference_singly_perturbed"),
     "lamperti": ("Transform", "build_transform", "pathwise_reduction_check"),
-    "malliavin": ("CameronMartinResult", "DerivativeField", "cameron_martin_directional", "derivative_field",
-                  "directional_from_field", "h_norm_profile", "malliavin_pass", "positivity_report",
-                  "scheme_tangent", "terminal_h_norms"),
+    "malliavin": ("CameronMartinResult", "DerivativeField", "derivative_field", "directional_from_column",
+                  "h_norm_profile", "malliavin_pass", "positivity_report", "scheme_tangent"),
 }
 _MODULE_OF = {name: module for module, names in _LAZY.items() for name in names}
 

@@ -26,7 +26,8 @@ is not finite exits 3, naming the file and the column.  A run that exits
 2 or 3 has therefore written nothing.
 
 Exit codes: 0 success, 2 validation rejection, 3 numerical failure,
-4 I/O error.  Failures emit a machine-readable JSON object on stderr.
+4 I/O error.  Failures emit a machine-readable JSON object on stderr, and
+nothing else: the warnings raised on the way are in it, as "warnings".
 
 The ``psde`` command and ``python -m psde.cli`` run ``run``: ``main``,
 then a flush of stdout and stderr after the last write and ``os._exit``,
@@ -41,6 +42,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path as FsPath
 
@@ -364,6 +366,10 @@ def cmd_malliavin(run: _Run):
         raise _CliFailure(EXIT_REJECTED, "ConfigError", message)
     from . import malliavin
 
+    if analysis.get("export_field", False) and sim_cfg.n_steps > malliavin.MAX_FIELD_STEPS:
+        cap = malliavin.MAX_FIELD_STEPS
+        message = f"analysis.export_field: sim.n_steps = {sim_cfg.n_steps} exceeds MAX_FIELD_STEPS = {cap}"
+        raise _CliFailure(EXIT_REJECTED, "ConfigError", message)
     edges = np.linspace(0.0, sim_cfg.horizon, n_intervals + 1).tolist()
     windows = list(zip(edges[:-1], edges[1:]))
     n_paths = analysis.get("n_paths", 0)
@@ -374,7 +380,7 @@ def cmd_malliavin(run: _Run):
     files = {}
     profile, terminal = malliavin.field_profile(path, model, params)
     files["h_norm.csv"] = (["t", "h_norm"], [path.grid, profile])
-    if analysis.get("export_field", False):  # only field.csv needs the (n+1)^2 field, and its cap
+    if analysis.get("export_field", False):  # only field.csv needs the (n+1)^2 field
         d = malliavin.derivative_field(path, model, params).d
         n = len(d)
         # the occupied triangle j <= k row by row, each row moved to the front
@@ -497,7 +503,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; its warnings go to stderr as usual if it exits 0,
+    else into its stderr JSON object, as "warnings"."""
     args = build_parser().parse_args(argv)
+    failure = None
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            failure = _execute(args)
+    finally:
+        if failure is None:  # a completed run, or an exception that leaves main
+            for w in caught:
+                warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+    if failure is None:
+        return EXIT_OK
+    if caught:
+        failure.diagnostics["warnings"] = [{"category": w.category.__name__, "message": str(w.message)} for w in caught]
+    _error(failure.kind, str(failure), failure.code, **failure.diagnostics)
+    return failure.code
+
+
+def _execute(args) -> _CliFailure | None:
+    """The command's run and writes; a failure of a documented kind is returned."""
     try:
         run = _context(args)
         name, payload, files = _COMMANDS[args.command](run)
@@ -513,27 +539,22 @@ def main(argv=None) -> int:
         if not args.quiet:
             json.dump(report, sys.stdout, sort_keys=True, indent=2)
             sys.stdout.write("\n")
-        return EXIT_OK
+        return None
     except _CliFailure as exc:
-        _error(exc.kind, str(exc), exc.code, **exc.diagnostics)
-        return exc.code
+        return exc
     except ParameterRejection as exc:
-        _error(exc.code, str(exc), EXIT_REJECTED)
-        return EXIT_REJECTED
-    except (ValueError,) as exc:
-        _error("ValueError", str(exc), EXIT_REJECTED)
-        return EXIT_REJECTED
+        return _CliFailure(EXIT_REJECTED, exc.code, str(exc))
+    except ValueError as exc:
+        return _CliFailure(EXIT_REJECTED, "ValueError", str(exc))
     except (NoConvergenceError, SimulationAborted, SigmaNotPositiveError, FloatingPointError) as exc:
         diagnostics = {}
         if isinstance(exc, SimulationAborted):
             diagnostics.update(path=exc.path, step=exc.step)
         if isinstance(exc, NoConvergenceError):
             diagnostics.update(path=exc.path, history=exc.history[-5:])
-        _error(type(exc).__name__, str(exc), EXIT_NUMERICAL, **diagnostics)
-        return EXIT_NUMERICAL
+        return _CliFailure(EXIT_NUMERICAL, type(exc).__name__, str(exc), **diagnostics)
     except OSError as exc:
-        _error("IOError", str(exc), EXIT_IO)
-        return EXIT_IO
+        return _CliFailure(EXIT_IO, "IOError", str(exc))
 
 
 def _check_finite(files: dict) -> None:

@@ -25,7 +25,7 @@ stores none and returns the H-norm profile and terminal column.
 
 Every row obeys the same linear column map, so one backward (adjoint) sweep,
 O(n) per path, gives the whole terminal column d[:, n] at once (Giles &
-Glasserman 2006).  :func:`terminal_h_norms` runs it on the paths of an
+Glasserman 2006).  :func:`malliavin_pass` runs it on the paths of an
 ensemble through the block runner ``run_ensemble`` of :mod:`psde.simulate`,
 as the density's ensembles run, in O(block * n) memory.  Its values are
 bit-identical for any block budget, thread count and batch of one, and
@@ -34,7 +34,7 @@ column in another order).  The same sweep gives :func:`scheme_tangent`, the
 exact derivative of the discrete scheme's X_T in each driver increment.
 
 Every reader of the H-norm quadrature h[k] = dt * sum_{j<k} d[j,k]^2
-(:func:`h_norm_profile`, :func:`field_profile` and :func:`terminal_h_norms`)
+(:func:`h_norm_profile`, :func:`field_profile` and :func:`malliavin_pass`)
 calls :func:`_quadrature`, so the same column gives the same value bit for
 bit, and a non-finite value raises FloatingPointError.
 """
@@ -62,7 +62,7 @@ from .simulate import (
 )
 
 MAX_FIELD_STEPS = 4096
-# 128 rows at n = 1000, each of 8 * (n+1) bytes; a terminal_h_norms block
+# 128 rows at n = 1000, each of 8 * (n+1) bytes; a malliavin_pass block
 # peaks at ~7.3 (n+1, rows) arrays, its drivers included (tracemalloc on
 # smooth-generic at n = 1000), so ~7.5 MB
 _H_NORM_BLOCK_BYTES = 8 * 1001 * 128
@@ -292,86 +292,6 @@ def field_profile(
     return profile, col
 
 
-def _kernel_pass(
-    model: CoefficientModel,
-    params: PerturbationParams,
-    cfg: SimConfig,
-    n_paths: int,
-    windows: Sequence[tuple[float, float]] | None = None,
-    eps: float = 0.0,
-) -> tuple[dict, np.ndarray]:
-    """One ``run_ensemble`` run of paths p < n_paths, and of path 0 with windows.
-
-    Path 0's block then also runs, after its paths, one row per window:
-    path 0's driver plus eps*dt on the window's steps.  Returns the oracle
-    ({"path": path 0, "shifted": those rows' terminals}, {} without
-    windows) and the terminal H-norms of paths p < n_paths.
-    """
-    n, dt = cfg.n_steps, cfg.dt
-    if n_paths < 0:
-        raise ValueError(f"n_paths must be >= 0, got {n_paths}")
-    steps = []
-    if windows is not None:
-        if not eps > 0.0:
-            raise ValueError("eps must be > 0")
-        if not windows:
-            raise ValueError("need at least one window")
-        steps = [_window_steps(r_lo, r_hi, dt, n) for r_lo, r_hi in windows]
-    oracle = {}
-
-    def kernel(first, drivers):
-        n_rows = len(drivers)
-        shifts = steps if first == 0 else ()
-        if shifts:
-            block = np.empty((n_rows + len(shifts), n), order="F")
-            block[:n_rows] = drivers
-            block[n_rows:] = drivers[0]
-            for row, (j_lo, j_hi) in zip(block[n_rows:], shifts):
-                row[j_lo:j_hi] += eps * dt
-            drivers = block
-        x = np.empty((n + 1, len(drivers)))
-        try:
-            _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, dt, drivers, x)
-        except SimulationAborted as err:
-            if err.path >= n_rows:
-                err.args = (f"{err.args[0]} (Cameron-Martin shift of window {err.path - n_rows})",)
-                err.path = None
-            raise
-        if shifts:
-            oracle.update(path=per_step_path(cfg, x[:, 0].copy(), drivers[0].copy()), shifted=x[n, n_rows:].tolist())
-        if not n_paths:  # path 0 ran for the oracle alone
-            return np.empty(0), lo, hi
-        return _terminal_h_norms(x[:, :n_rows], drivers[:n_rows].T, dt, model, params), lo, hi
-
-    runs = max(n_paths, 1) if steps else n_paths
-    return oracle, run_ensemble(model, cfg, runs, kernel, 8 * (n + 1), _H_NORM_BLOCK_BYTES)
-
-
-def terminal_h_norms(
-    model: CoefficientModel,
-    params: PerturbationParams,
-    cfg: SimConfig,
-    n_paths: int,
-) -> np.ndarray:
-    """||D X_T||_H^2 ~ dt * sum_{j<n} d[j,n]^2 for paths p < n_paths.
-
-    Path p runs on the driver of seed ``path_seed(cfg.rng_seed, p)``.  Each
-    ``run_ensemble`` block (128 paths at n = 1000) runs the batched per-step
-    kernel and one backward sweep for the terminal column, in O(rows * n)
-    work and memory, so :data:`MAX_FIELD_STEPS` does not apply.  Values are
-    bit-identical for any block budget, any PSDE_THREADS and a batch of one
-    on the path's own driver.  The sweep builds the column in another order
-    than the forward recursion, so a value agrees with
-    ``h_norm_profile(derivative_field(path))[n]`` to 1e-12 relative, not
-    bit for bit; the quadrature over the column, :func:`_quadrature`, is the
-    same.  The sweep reads the drivers the kernel consumed, as a path's
-    ``dw`` holds them.  Raises FloatingPointError on a non-finite H-norm,
-    before the bound check.  It is :func:`malliavin_pass` without windows,
-    and gives the same values.
-    """
-    return _kernel_pass(model, params, cfg, n_paths)[1]
-
-
 def scheme_tangent(path: Path, model: CoefficientModel, params: PerturbationParams) -> np.ndarray:
     """Exact derivative dX_T/d(dW_j), j < n, of the per-step scheme along a path.
 
@@ -380,7 +300,7 @@ def scheme_tangent(path: Path, model: CoefficientModel, params: PerturbationPara
     column's backward sweep.  The field's d[j, n] = sigma(x_j) * S[j] instead
     propagates the kick through step j, which differs by O(dt).  So
     dt * (sum over a window's steps) is the eps -> 0 limit of
-    ``cameron_martin_directional``'s quotient for that window.
+    ``malliavin_pass``'s quotient for that window.
     """
     sig, adj = _terminal_adjoint(path.x[:, None], path.dw[:, None], path.dt, model, params)
     return sig[:-1, 0] * adj[1:-1, 0]
@@ -401,82 +321,91 @@ def directional_from_column(column: np.ndarray, dt: float, r_lo: float, r_hi: fl
     return float(np.sum(column[j_lo:j_hi])) * dt
 
 
-def directional_from_field(field: DerivativeField, r_lo: float, r_hi: float) -> float:
-    """<D X_T, 1_(r_lo, r_hi]>_H from the terminal column of the field."""
-    return directional_from_column(field.d[:, field.n_steps], field.dt, r_lo, r_hi)
-
-
-def _finite_differences(oracle: dict, eps: float) -> list[CameronMartinResult]:
-    """The quotients (X^eps_T - X_T)/eps of a ``_kernel_pass`` oracle; a
-    warning points at the call of the public function that called this one."""
-    x_t = float(oracle["path"].x[-1])
-    floor = 10.0 * np.spacing(max(abs(x_t), 1.0))
-    results = []
-    for x_eps in oracle["shifted"]:
-        diff = x_eps - x_t
-        too_small = bool(abs(diff) < floor)
-        if too_small:
-            warnings.warn(
-                f"finite difference {diff:.3e} below 10 ulp of X_T; increase eps",
-                EpsTooSmallWarning,
-                stacklevel=3,
-            )
-        results.append(
-            CameronMartinResult(
-                value=diff / eps,
-                base_terminal=x_t,
-                shifted_terminal=x_eps,
-                eps_too_small=too_small,
-            )
-        )
-    return results
-
-
-def cameron_martin_directional(
-    model: CoefficientModel,
-    params: PerturbationParams,
-    cfg: SimConfig,
-    windows: Sequence[tuple[float, float]],
-    eps: float = 1e-4,
-) -> list[CameronMartinResult]:
-    """Finite-difference oracle for the directional derivative, per window.
-
-    For each window (r_lo, r_hi], re-simulates on the same Brownian driver
-    shifted by eps * int_0^s h(u) du with h the window's indicator: every
-    increment inside the window gains eps*dt.  The base path is path 0 of
-    the ensemble on cfg.rng_seed, which must be a master seed, below 2**64,
-    as for :func:`terminal_h_norms`: it is simulated once, and the shifted
-    drivers run as further rows of its one per-step kernel batch, under one
-    bound check.  It is :func:`malliavin_pass` without positivity paths,
-    and gives the same values.  Each quotient (X^eps_T - X_T)/eps matches
-    the field-based sum up to O(eps) + O(dt).
-    """
-    return _finite_differences(_kernel_pass(model, params, cfg, 0, windows, eps)[0], eps)
-
-
 def malliavin_pass(
     model: CoefficientModel,
     params: PerturbationParams,
     cfg: SimConfig,
-    windows: Sequence[tuple[float, float]],
-    eps: float,
-    n_paths: int,
+    windows: Sequence[tuple[float, float]] = (),
+    eps: float = 1e-4,
+    n_paths: int = 0,
 ) -> tuple[Path, list[CameronMartinResult], np.ndarray]:
-    """Path 0, its Cameron-Martin quotients and the terminal H-norms of paths
-    p < n_paths, from one run of the per-step kernel.
+    """Path 0, its Cameron-Martin quotients per window and the terminal
+    H-norms ||D X_T||_H^2 ~ dt * sum_{j<n} d[j,n]^2 of paths p < n_paths,
+    from one ``run_ensemble`` run of the per-step kernel.
 
-    Returns what ``simulate_per_step`` on cfg, ``cameron_martin_directional``
-    on windows and eps, and ``terminal_h_norms`` on n_paths return, bit for
-    bit: path 0's driver runs once, as row 0 of its ``run_ensemble`` block,
-    and its shifted drivers as further rows of that block, after its paths.
-    So a failure is that of the lowest failing block, and in path 0's block
-    that of its lowest failing path before any shifted row.  A path's
-    failure names its ensemble path p; a shifted row's names its window, by
-    its index in windows, and no path (``path`` None).  One bound check
-    covers every row's range.
+    Path p runs on the driver of seed ``path_seed(cfg.rng_seed, p)``; path
+    0 always runs, as row 0 of block 0, and equals ``simulate_per_step`` on
+    cfg bit for bit.  Each window (r_lo, r_hi] adds a row to block 0, after
+    its paths: path 0's driver shifted by eps * int_0^s h(u) du with h the
+    window's indicator, so every increment inside the window gains eps*dt.
+    Its quotient (X^eps_T - X_T)/eps matches the field-based sum up to
+    O(eps) + O(dt); a difference below 10 ulp of X_T warns
+    (EpsTooSmallWarning).  Each block (128 paths at n = 1000) runs one
+    backward sweep for the terminal column, in O(rows * n) work and memory,
+    so :data:`MAX_FIELD_STEPS` does not apply.
+
+    The parts do not depend on each other: an H-norm is bit-identical for
+    any block budget, PSDE_THREADS, windows and a batch of one on the
+    path's own driver, and the quotients for any n_paths.  The sweep sums
+    the column in another order than the forward recursion, so an H-norm
+    agrees with ``h_norm_profile(derivative_field(path))[n]`` to 1e-12
+    relative; the quadrature, :func:`_quadrature`, is the same, and raises
+    FloatingPointError on a non-finite H-norm, before the bound check.
+
+    A failure is that of the lowest failing block, and in block 0 that of
+    its lowest failing path before any shifted row.  A path's failure names
+    its ensemble path p; a shifted row's names its window, by its index in
+    windows, and no path (``path`` None).  One bound check covers every
+    row's range.  A negative n_paths, an eps that is not > 0 or a window
+    that maps to no grid step raises ValueError before any draw.
     """
-    oracle, h_norms = _kernel_pass(model, params, cfg, n_paths, windows, eps)
-    return oracle["path"], _finite_differences(oracle, eps), h_norms
+    n, dt = cfg.n_steps, cfg.dt
+    if n_paths < 0:
+        raise ValueError(f"n_paths must be >= 0, got {n_paths}")
+    if not eps > 0.0:
+        raise ValueError("eps must be > 0")
+    steps = [_window_steps(r_lo, r_hi, dt, n) for r_lo, r_hi in windows]
+    base = {}
+
+    def kernel(first, drivers):
+        n_rows = len(drivers)
+        if first == 0:
+            block = np.empty((n_rows + len(steps), n), order="F")
+            block[:n_rows] = drivers
+            block[n_rows:] = drivers[0]
+            for row, (j_lo, j_hi) in zip(block[n_rows:], steps):
+                row[j_lo:j_hi] += eps * dt
+            drivers = block
+        x = np.empty((n + 1, len(drivers)))
+        try:
+            _, lo, hi = per_step_terminal_chunk(model, params, cfg.x0_seed_value, dt, drivers, x)
+        except SimulationAborted as err:
+            if err.path >= n_rows:
+                err.args = (f"{err.args[0]} (Cameron-Martin shift of window {err.path - n_rows})",)
+                err.path = None
+            raise
+        if first == 0:
+            base.update(path=per_step_path(cfg, x[:, 0].copy(), drivers[0].copy()), shifted=x[n, n_rows:].tolist())
+        if not n_paths:  # path 0 ran for the quotients alone
+            return np.empty(0), lo, hi
+        return _terminal_h_norms(x[:, :n_rows], drivers[:n_rows].T, dt, model, params), lo, hi
+
+    h_norms = run_ensemble(model, cfg, max(n_paths, 1), kernel, 8 * (n + 1), _H_NORM_BLOCK_BYTES)
+    path = base["path"]
+    x_t = float(path.x[-1])
+    floor = 10.0 * np.spacing(max(abs(x_t), 1.0))
+    results = []
+    for x_eps in base["shifted"]:
+        diff = x_eps - x_t
+        too_small = bool(abs(diff) < floor)
+        if too_small:
+            warnings.warn(
+                f"finite difference {diff:.3e} below 10 ulp of X_T; increase eps", EpsTooSmallWarning, stacklevel=2
+            )
+        results.append(
+            CameronMartinResult(value=diff / eps, base_terminal=x_t, shifted_terminal=x_eps, eps_too_small=too_small)
+        )
+    return path, results, h_norms
 
 
 @dataclass(frozen=True)

@@ -195,8 +195,8 @@ def test_criterion_5_malliavin_field():
     edges = np.linspace(0.0, 1.0, 21).tolist()
     windows = list(zip(edges[:-1], edges[1:]))
     worst_rel = 0.0
-    for (r_lo, r_hi), fd in zip(windows, psde.cameron_martin_directional(generic, params, cfg, windows, eps=1e-4)):
-        fv = psde.directional_from_field(field, r_lo, r_hi)
+    for (r_lo, r_hi), fd in zip(windows, psde.malliavin_pass(generic, params, cfg, windows, eps=1e-4)[1]):
+        fv = psde.directional_from_column(field.d[:, -1], field.dt, r_lo, r_hi)
         worst_rel = max(worst_rel, abs(fv - fd.value) / abs(fd.value))
     elapsed = time.perf_counter() - t0
     ok = worst_entry <= 1e-12 and worst_rel <= 0.01 and elapsed < 120.0
@@ -251,7 +251,7 @@ def test_criterion_6a_hnorm_positivity():
     model = psde.named_model("smooth-generic")  # inf sigma = 0.5
     params = psde.validate_params(0.3, -0.2)
     cfg = SimConfig(x0_seed_value=0.5, horizon=1.0, n_steps=256, rng_seed=4000)
-    terminal = psde.terminal_h_norms(model, params, cfg, 1000)
+    terminal = psde.malliavin_pass(model, params, cfg, n_paths=1000)[2]
     rep = psde.positivity_report(terminal, t=1.0, sigma_inf=model.sigma_inf)
     elapsed = time.perf_counter() - t0
     ok = rep.hypothesis_ok and rep.minimum > 0.0 and rep.fraction_at_or_below["0.0"] == 0.0

@@ -52,7 +52,6 @@ def test_tracer_reads_exist():
     # every CLI output passes through psde.cli's two writers, their path first
     assert _parameters(psde.cli.write_csv)[0] == _parameters(psde.cli.write_json_report)[0] == "path"
     assert _parameters(psde.density.per_step_terminal_chunk)[4] == "drivers"
-    assert _parameters(psde.malliavin.cameron_martin_directional)[2] == "cfg"
     assert _parameters(psde.density.kde)[0] == "e"
     assert psde.kde(psde.Ensemble(np.array([0.0, 1.0]))).grid.size == psde.density.KDE_GRID_POINTS
     assert _parameters(psde.lamperti.Transform.b_tilde)[1] == "z"

@@ -249,16 +249,42 @@ def test_non_finite_abort_reports_path_and_step(tmp_path, capsys):
         params={"alpha": 0.0, "beta": 0.0},
         sim={"x0": 1e308},
     )
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert main(["simulate", "--config", str(cfgp), "--quiet"]) == 3
+    assert main(["simulate", "--config", str(cfgp), "--quiet"]) == 3
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "SimulationAborted"
     assert err["path"] == 0 and err["message"].endswith(f"at step {err['step']}")
+    # numpy's overflow warning is part of the failure's JSON object
+    assert any(w["category"] == "RuntimeWarning" and "overflow" in w["message"] for w in err["warnings"])
     # an ensemble keeps only terminal values, yet names the same step
-    with pytest.warns(RuntimeWarning, match="overflow"):
-        assert main(["density", "--config", str(cfgp), "--paths", "10", "--quiet"]) == 3
+    assert main(["density", "--config", str(cfgp), "--paths", "10", "--quiet"]) == 3
     ensemble_err = json.loads(capsys.readouterr().err)
     assert (ensemble_err["path"], ensemble_err["step"]) == (0, err["step"])
+    assert any(w["category"] == "RuntimeWarning" and "overflow" in w["message"] for w in ensemble_err["warnings"])
+
+
+def test_warnings_go_to_stderr_or_into_the_failure(tmp_path):
+    # a run that exits 0 prints its warnings as Python does, naming their
+    # source line; a failing run's stderr is one JSON object, which lists
+    # the warnings raised, without file or line, and only if there were any
+    zero_fd = write_config(tmp_path, name="eps.json", model={"b": {"kind": "constant", "value": 0.0},
+                            "sigma": {"kind": "constant", "value": 1e10}},
+                            analysis={"n_paths": 0, "n_intervals": 2, "eps": 1e-300})
+    proc = _cli_process("malliavin", "--config", str(zero_fd), "--quiet", capture_output=True)
+    assert proc.returncode == 0
+    # both windows warn the same text at one place, which Python prints once
+    warning, source = proc.stderr.decode().splitlines()
+    assert "cli.py:" in warning and "EpsTooSmallWarning: finite difference 0.000e+00" in warning
+    assert source.strip().startswith("path, finite_differences, h_values = malliavin.malliavin_pass(")
+    model = {"b": {"kind": "constant", "value": 1e308}, "sigma": {"kind": "constant", "value": 1.0}}
+    overflow = write_config(tmp_path, name="overflow.json", model=model, params={"alpha": 0.0, "beta": 0.0},
+                            sim={"x0": 1e308})
+    proc = _cli_process("simulate", "--config", str(overflow), "--quiet", capture_output=True)
+    assert proc.returncode == 3
+    assert json.loads(proc.stderr)["warnings"] == [{"category": "RuntimeWarning",
+                                                   "message": "overflow encountered in add"}]
+    rho_one = write_config(tmp_path, name="rho.json", params={"alpha": 0.5, "beta": 0.5})
+    proc = _cli_process("validate", "--config", str(rho_one), "--quiet", capture_output=True)
+    assert proc.returncode == 2 and "warnings" not in json.loads(proc.stderr)
 
 
 def test_reports_embed_fingerprint_and_version(tmp_path):
@@ -608,14 +634,20 @@ def test_refinement_ladder_cap(tmp_path, capsys, monkeypatch, command):
 
 def test_field_cap_applies_only_to_export(tmp_path, capsys, monkeypatch):
     # only field.csv needs the stored (n+1)^2 field, so only export_field
-    # meets MAX_FIELD_STEPS (exit 2, nothing written); without it malliavin
-    # runs past the cap
+    # meets MAX_FIELD_STEPS, read when called: exit 2 before any path runs,
+    # nothing written; without it malliavin runs past the cap
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("the kernel ran")
+
     monkeypatch.setattr(psde.malliavin, "MAX_FIELD_STEPS", 32)
     analysis = {"n_paths": 10, "n_intervals": 4}
     cfgp = write_config(tmp_path, sim={"n_steps": 40}, analysis={**analysis, "export_field": True})
-    assert main(["malliavin", "--config", str(cfgp), "--quiet"]) == 2
+    with monkeypatch.context() as patch:
+        patch.setattr(psde.malliavin, "per_step_terminal_chunk", no_kernel)
+        assert main(["malliavin", "--config", str(cfgp), "--quiet"]) == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ValueError" and "n <= 32" in err["message"]
+    assert err["error"] == "ConfigError"
+    assert all(name in err["message"] for name in ("analysis.export_field", "sim.n_steps = 40", "MAX_FIELD_STEPS = 32"))
     assert not (tmp_path / "out").exists()
     cfgp = write_config(tmp_path, sim={"n_steps": 40}, analysis=analysis)
     assert main(["malliavin", "--config", str(cfgp), "--quiet"]) == 0

@@ -126,7 +126,7 @@ def test_ensemble_failure_names_its_ensemble_path(monkeypatch):
         psde.simulate_per_step(edge, p, dataclasses.replace(c, rng_seed=psde.path_seed(0, failing)))
     monkeypatch.setattr(psde.malliavin, "_H_NORM_BLOCK_BYTES", 2 * 8 * (c.n_steps + 1))
     with pytest.raises(psde.SimulationAborted) as h_norms:
-        psde.terminal_h_norms(edge, p, c, 40)
+        psde.malliavin_pass(edge, p, c, n_paths=40)
     assert (h_norms.value.path, h_norms.value.step) == (failing, alone.value.step)
 
 
@@ -154,7 +154,7 @@ def test_malliavin_pass_failure_names_a_path_or_a_window(monkeypatch):
     assert shifted.value.path is None
     assert str(shifted.value).endswith("(Cameron-Martin shift of window 1)")
     with pytest.raises(psde.SimulationAborted) as oracle:
-        psde.cameron_martin_directional(edge, p, cfg(n_steps=50, seed=0, x0=2.0), windows, 3.0)
+        psde.malliavin_pass(edge, p, cfg(n_steps=50, seed=0, x0=2.0), windows, 3.0)
     assert (oracle.value.path, oracle.value.step, str(oracle.value)) == (None, shifted.value.step, str(shifted.value))
 
 
@@ -169,7 +169,7 @@ def test_per_step_failure_is_the_lowest_failing_path(seed, path, step):
     with pytest.raises(psde.SimulationAborted) as ensemble:
         psde.generate_ensemble(edge, p, c, 40)
     with pytest.raises(psde.SimulationAborted) as h_norms:
-        psde.terminal_h_norms(edge, p, c, 40)
+        psde.malliavin_pass(edge, p, c, n_paths=40)
     assert (ensemble.value.path, ensemble.value.step) == (path, step)
     assert (h_norms.value.path, h_norms.value.step) == (path, step)
 
@@ -199,7 +199,7 @@ def test_ensemble_driver_blocks_invariant(name, monkeypatch):
     p = psde.validate_params(0.2, 0.1)
     c = cfg(seed=9)
     whole = psde.generate_ensemble(model, p, c, 300).terminal_values
-    whole_h = psde.terminal_h_norms(model, p, c, 60)
+    whole_h = psde.malliavin_pass(model, p, c, n_paths=60)[2]
     sizes = []
 
     def recording(cfg, start, stop, out=None):
@@ -217,7 +217,7 @@ def test_ensemble_driver_blocks_invariant(name, monkeypatch):
         assert e.terminal_values.tobytes() == whole.tobytes()
         assert len(sizes) >= 300 // rows and max(sizes) <= budget
         sizes.clear()
-        assert psde.terminal_h_norms(model, p, c, 60).tobytes() == whole_h.tobytes()
+        assert psde.malliavin_pass(model, p, c, n_paths=60)[2].tobytes() == whole_h.tobytes()
         assert len(sizes) >= 60 // rows and max(sizes) <= budget
 
 
@@ -287,7 +287,8 @@ def test_benchmark_workload_block_shapes(monkeypatch):
     psde.generate_ensemble(generic, psde.validate_params(0.3, -0.2), c, 40_000)
     picard = dataclasses.replace(c, scheme=psde.Scheme.PICARD)
     psde.generate_ensemble(generic, psde.validate_params(0.4, 0.3), picard, 500)
-    psde.terminal_h_norms(generic, psde.validate_params(0.4, 0.3), c, 100)
+    with pytest.raises(KeyError, match="path"):  # the stub runs no kernel, so no path 0 comes back
+        psde.malliavin_pass(generic, psde.validate_params(0.4, 0.3), c, n_paths=100)
     assert blocks == [[10_000] * 5, [10_000] * 4, [125] * 4, [100]]
 
 

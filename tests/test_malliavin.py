@@ -72,8 +72,8 @@ def test_directional_consistency_generic(generic_model):
     path = psde.simulate_per_step(generic_model, p, c)
     field = psde.derivative_field(path, generic_model, p)
     windows = [(0.0, 1.0), (0.2, 0.5), (0.7, 0.9)]
-    for (r_lo, r_hi), fd in zip(windows, psde.cameron_martin_directional(generic_model, p, c, windows, eps=1e-4)):
-        fv = psde.directional_from_field(field, r_lo, r_hi)
+    for (r_lo, r_hi), fd in zip(windows, psde.malliavin_pass(generic_model, p, c, windows, eps=1e-4)[1]):
+        fv = psde.directional_from_column(field.d[:, -1], field.dt, r_lo, r_hi)
         assert not fd.eps_too_small
         assert abs(fv - fd.value) <= 0.01 * abs(fd.value)
 
@@ -82,7 +82,7 @@ def test_unperturbed_full_window_directional(unit_model):
     # sum of d * dt over (0, T] is exactly T for the unperturbed driftless case
     p = psde.validate_params(0.0, 0.0)
     c = cfg(n_steps=250, seed=6)
-    (fd,) = psde.cameron_martin_directional(unit_model, p, c, [(0.0, 1.0)], eps=1e-4)
+    (fd,) = psde.malliavin_pass(unit_model, p, c, [(0.0, 1.0)], eps=1e-4)[1]
     assert fd.value == pytest.approx(1.0, abs=1e-4)
 
 
@@ -91,9 +91,9 @@ def test_eps_sweep_decreases_then_plateaus(generic_model):
     c = cfg(n_steps=500, seed=7, x0=0.5)
     path = psde.simulate_per_step(generic_model, p, c)
     field = psde.derivative_field(path, generic_model, p)
-    fv = psde.directional_from_field(field, 0.1, 0.6)
+    fv = psde.directional_from_column(field.d[:, -1], field.dt, 0.1, 0.6)
     fds = [
-        psde.cameron_martin_directional(generic_model, p, c, [(0.1, 0.6)], eps=e)[0].value
+        psde.malliavin_pass(generic_model, p, c, [(0.1, 0.6)], eps=e)[1][0].value
         for e in (1e-3, 1e-4, 1e-5)
     ]
     # the O(eps) part of the quotient shrinks about tenfold per decade; what
@@ -111,7 +111,7 @@ def test_cameron_martin_windows_match_scalar_simulation(generic_model):
     windows = [(0.0, 0.3), (0.3, 0.35), (0.5, 1.0)]
     increments = psde.brownian_driver(200, 1.0, 5)
     base = psde.simulate_per_step(generic_model, p, c, increments).x[-1]
-    for (r_lo, r_hi), fd in zip(windows, psde.cameron_martin_directional(generic_model, p, c, windows)):
+    for (r_lo, r_hi), fd in zip(windows, psde.malliavin_pass(generic_model, p, c, windows)[1]):
         shifted = increments.copy()
         shifted[round(r_lo / c.dt) : round(r_hi / c.dt)] += 1e-4 * c.dt
         bumped = psde.simulate_per_step(generic_model, p, c, shifted).x[-1]
@@ -123,7 +123,7 @@ def test_eps_too_small_flagged(unit_model):
     p = psde.validate_params(0.0, 0.0)
     c = cfg(n_steps=50, seed=8)
     with pytest.warns(psde.EpsTooSmallWarning) as record:
-        results = psde.cameron_martin_directional(unit_model, p, c, [(0.0, 1.0), (0.2, 0.4)], eps=1e-18)
+        results = psde.malliavin_pass(unit_model, p, c, [(0.0, 1.0), (0.2, 0.4)], eps=1e-18)[1]
     assert all(fd.eps_too_small for fd in results)
     assert sum(r.category is psde.EpsTooSmallWarning for r in record) == 2
 
@@ -131,7 +131,7 @@ def test_eps_too_small_flagged(unit_model):
 def test_interval_must_hit_grid(unit_model):
     field, _, _ = field_for(unit_model, 0.0, 0.0, n_steps=10, seed=0)
     with pytest.raises(ValueError):
-        psde.directional_from_field(field, 0.5, 0.5)
+        psde.directional_from_column(field.d[:, -1], field.dt, 0.5, 0.5)
 
 
 def test_field_size_cap(unit_model, monkeypatch):
@@ -176,10 +176,10 @@ def test_positivity_report_needs_finite_h_norms(values):
 @pytest.mark.parametrize(
     "run",
     [
-        lambda model, p, c: psde.terminal_h_norms(model, p, c, -1),
+        lambda model, p, c: psde.malliavin_pass(model, p, c, n_paths=-1),
         lambda model, p, c: psde.malliavin_pass(model, p, c, [(0.0, 0.5)], 1e-4, n_paths=-2),
     ],
-    ids=["terminal_h_norms", "malliavin_pass"],
+    ids=["no windows", "malliavin_pass"],
 )
 def test_negative_path_count_fails_before_any_draw(generic_model, monkeypatch, run):
     def no_draw(*args):
@@ -249,7 +249,7 @@ def test_terminal_h_norms_bit_identical(model, alpha, beta, n_steps):
     # 2) and on the degenerate model (entries 0) both sums are exact
     p = psde.validate_params(alpha, beta)
     c = cfg(n_steps=n_steps, seed=77, x0=0.5)
-    batched = psde.terminal_h_norms(model, p, c, 6)
+    batched = psde.malliavin_pass(model, p, c, n_paths=6)[2]
     per_path = per_path_terminal_h_norms(model, p, c, 6)
     if model.name in ("unit", "degenerate"):
         assert batched.tobytes() == per_path.tobytes()
@@ -264,7 +264,7 @@ def test_terminal_h_norms_match_batch_of_one(name, alpha, beta):
     model = psde.named_model(name)
     p = psde.validate_params(alpha, beta)
     c = cfg(n_steps=200, seed=5, x0=0.5)
-    batched = psde.terminal_h_norms(model, p, c, 7)
+    batched = psde.malliavin_pass(model, p, c, n_paths=7)[2]
     for q in range(7):
         path = psde.simulate_per_step(model, p, dataclasses.replace(c, rng_seed=psde.path_seed(c.rng_seed, q)))
         dt = float(path.grid[1] - path.grid[0])
@@ -306,7 +306,7 @@ def test_scheme_tangent_is_the_cameron_martin_limit(generic_model):
         assert tangent.shape == (500,)
         exact = float(np.sum(tangent[round(0.1 / c.dt) : round(0.6 / c.dt)])) * c.dt
         fds = {
-            eps: psde.cameron_martin_directional(generic_model, p, c, [(0.1, 0.6)], eps=eps)[0].value
+            eps: psde.malliavin_pass(generic_model, p, c, [(0.1, 0.6)], eps=eps)[1][0].value
             for eps in (1e-3, 1e-4, 1e-5, 1e-6)
         }
         assert abs(fds[1e-6] - exact) <= 1e-6 * abs(fds[1e-6])
@@ -319,34 +319,37 @@ def test_terminal_h_norms_chunk_invariant(generic_model, monkeypatch):
     # + 2), 7 (2 x 7 + 6) and 10, run on two threads
     p = psde.validate_params(0.3, -0.2)
     c = cfg(n_steps=100, seed=3, x0=0.5)
-    whole = psde.terminal_h_norms(generic_model, p, c, 20)
+    whole = psde.malliavin_pass(generic_model, p, c, n_paths=20)[2]
     monkeypatch.setenv("PSDE_THREADS", "2")
     for rows in (1, 3, 7, 19):
         monkeypatch.setattr(psde.malliavin, "_H_NORM_BLOCK_BYTES", rows * 8 * (c.n_steps + 1))
-        assert psde.terminal_h_norms(generic_model, p, c, 20).tobytes() == whole.tobytes()
+        assert psde.malliavin_pass(generic_model, p, c, n_paths=20)[2].tobytes() == whole.tobytes()
 
 
 @pytest.mark.parametrize("n_paths", [0, 1, 30])
 def test_malliavin_pass_is_the_three_runs_bit_for_bit(generic_model, monkeypatch, n_paths):
-    # path 0, its Cameron-Martin quotients and the positivity H-norms from one
-    # kernel run equal the base simulation, the oracle and the ensemble run
-    # apart, also when a budget of 8 rows cuts 30 paths into four blocks
-    # (path 0's block then holds 8 paths and the 3 shifted rows) on two threads
+    # one pass with windows and n_paths equals its three parts run apart:
+    # path 0 is simulate_per_step's path, the quotients are the same with 0
+    # or n_paths positivity paths, and the H-norms with or without windows,
+    # bit for bit, also when a budget of 8 rows cuts 30 paths into four
+    # blocks (path 0's block then holds 8 paths and the 3 shifted rows) on
+    # two threads
     p = psde.validate_params(0.4, 0.3)
     c = cfg(n_steps=200, seed=11, x0=0.5)
     windows = [(0.0, 0.25), (0.25, 0.6), (0.6, 1.0)]
     base = psde.simulate_per_step(generic_model, p, c)
-    oracle = psde.cameron_martin_directional(generic_model, p, c, windows, eps=1e-4)
-    h_norms = psde.terminal_h_norms(generic_model, p, c, n_paths)
-    assert len(h_norms) == n_paths
     for rows, threads in ((128, "1"), (8, "2")):
         monkeypatch.setattr(psde.malliavin, "_H_NORM_BLOCK_BYTES", rows * 8 * (c.n_steps + 1))
         monkeypatch.setenv("PSDE_THREADS", threads)
-        path, finite_differences, h_pass = psde.malliavin_pass(generic_model, p, c, windows, 1e-4, n_paths)
-        for field in ("grid", "x", "m", "i", "dw"):
-            assert getattr(path, field).tobytes() == getattr(base, field).tobytes()
-        assert repr(finite_differences) == repr(oracle)
-        assert h_pass.tobytes() == h_norms.tobytes()
+        path, quotients, h_norms = psde.malliavin_pass(generic_model, p, c, windows, 1e-4, n_paths)
+        path_alone, quotients_alone, _ = psde.malliavin_pass(generic_model, p, c, windows, 1e-4, 0)
+        path_unshifted, no_quotients, h_unshifted = psde.malliavin_pass(generic_model, p, c, n_paths=n_paths)
+        for run in (path, path_alone, path_unshifted):
+            for field in ("grid", "x", "m", "i", "dw"):
+                assert getattr(run, field).tobytes() == getattr(base, field).tobytes()
+        assert len(quotients) == len(windows) and repr(quotients_alone) == repr(quotients)
+        assert no_quotients == []
+        assert len(h_norms) == n_paths and h_unshifted.tobytes() == h_norms.tobytes()
 
 
 def test_terminal_h_norms_non_finite_raises():
@@ -359,7 +362,7 @@ def test_terminal_h_norms_non_finite_raises():
         with pytest.raises(FloatingPointError):
             per_path_terminal_h_norms(steep, p, c, 1)
         with pytest.raises(FloatingPointError):
-            psde.terminal_h_norms(steep, p, c, 3)
+            psde.malliavin_pass(steep, p, c, n_paths=3)
 
 
 def test_overflowing_h_norm_raises():
@@ -377,7 +380,7 @@ def test_overflowing_h_norm_raises():
         with pytest.raises(FloatingPointError):
             psde.h_norm_profile(field)
         with pytest.raises(FloatingPointError):
-            psde.terminal_h_norms(huge, p, c, 3)
+            psde.malliavin_pass(huge, p, c, n_paths=3)
 
 
 def reference_field(path, model, p):
@@ -470,14 +473,12 @@ def _exp_sigma_path():
 @pytest.mark.parametrize(
     "call, error, match",
     [
-        (lambda m, p: psde.cameron_martin_directional(m, p, cfg(50), [(0.0, 0.5)], eps=0.0), ValueError, "eps"),
-        (lambda m, p: psde.cameron_martin_directional(m, p, cfg(50), [(0.0, 0.5)], eps=np.nan), ValueError,
-         "eps"),
-        (lambda m, p: psde.cameron_martin_directional(m, p, cfg(50), []), ValueError, "window"),
+        (lambda m, p: psde.malliavin_pass(m, p, cfg(50), [(0.0, 0.5)], eps=0.0), ValueError, "eps"),
+        (lambda m, p: psde.malliavin_pass(m, p, cfg(50), [(0.0, 0.5)], eps=np.nan), ValueError, "eps"),
         (lambda m, p: psde.malliavin.field_profile(*_exp_sigma_path()), FloatingPointError, "non-finite entries"),
         (lambda m, p: psde.derivative_field(*_exp_sigma_path()), FloatingPointError, "non-finite entries"),
     ],
-    ids=["eps 0", "eps nan", "no windows", "field_profile end check", "derivative_field"],
+    ids=["eps 0", "eps nan", "field_profile end check", "derivative_field"],
 )
 def test_pass_and_field_checks_reject(unit_model, call, error, match):
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(error, match=match):

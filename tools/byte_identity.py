@@ -18,11 +18,13 @@ and exits 1 if anything does, else 0.
 Those configs all succeed, so a fixed list of failing (config, command)
 cases (``FAILING``) runs after them and is compared the same way: exit
 code 3 with ``SimulationAborted``, ``NoConvergenceError`` or
-``FloatingPointError``, and 2 with ``REJECT_RHO``.  Some of them also
-print numpy's overflow warnings, which name a source line, so a change that
-moves such a line differs there.  Argparse's usage errors are left out:
-their text is argparse's, not psde's, and a change to the parser's options
-rewrites it on purpose.
+``FloatingPointError``, and 2 with ``REJECT_RHO``.  The change tree's
+stderr of each must also parse as one JSON object (a failing run's
+warnings, numpy's overflow warnings among them, go into it as
+``warnings``); a case whose stderr does not is printed and counted as
+differing.  Argparse's usage errors are left out: their text is
+argparse's, not psde's, and a change to the parser's options rewrites it
+on purpose.
 """
 
 from __future__ import annotations
@@ -103,12 +105,21 @@ def outcome(src: Path, proc: subprocess.Popen, work: Path) -> dict:
     }
 
 
-def differences(parent: dict, change: dict) -> list[str]:
+def differences(parent: dict, change: dict, failing: bool) -> list[str]:
     found = [key for key in ("exit code", "stdout", "stderr") if parent[key] != change[key]]
+    if failing and not _one_json_object(change["stderr"]):
+        found.append("change stderr not one JSON object")
     for name in sorted(set(parent["files"]) | set(change["files"])):
         if parent["files"].get(name) != change["files"].get(name):
             found.append(f"file {name}")
     return found
+
+
+def _one_json_object(stderr: bytes) -> bool:
+    try:
+        return isinstance(json.loads(stderr), dict)
+    except ValueError:
+        return False
 
 
 def main(argv=None) -> int:
@@ -122,6 +133,7 @@ def main(argv=None) -> int:
         if not (src / "psde" / "__init__.py").is_file():
             parser.error(f"{src} holds no psde package")
     n_runs = n_diff = 0
+    failing = {name for name, _, _ in FAILING}
     with tempfile.TemporaryDirectory(prefix="byte_identity_") as tmp:
         for case, config, commands in cases(args.seeds):
             for command in commands:
@@ -129,7 +141,7 @@ def main(argv=None) -> int:
                 works = [Path(tmp, side, case, command) for side in ("parent", "change")]
                 procs = [start(src, config, command, work) for src, work in zip(trees, works)]
                 parent, change = (outcome(src, p, w) for src, p, w in zip(trees, procs, works))
-                found = differences(parent, change)
+                found = differences(parent, change, case in failing)
                 n_runs += 1
                 n_diff += bool(found)
                 status = "DIFFERS: " + ", ".join(found) if found else "same"
